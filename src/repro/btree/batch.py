@@ -1,12 +1,17 @@
-"""Level-wise batched point lookups over the disk-first fpB+-Tree.
+"""The one served tree descent, and level-wise batched point lookups.
 
-Single-query traversal — even the concurrent one in :mod:`repro.btree.cc`
-— chases one root-to-leaf pointer path at a time, so a batch of B lookups
-pays B root decodes, B separate descents and B random leaf reads.  This
-module applies the paper's core move (fetch a whole fractal level in one
-prefetch wave) *across* queries, in the spirit of the FPGA level-wise
-batch-search design (arXiv:2604.21117) and BS-tree's data-parallel node
-layout (arXiv:2505.01180):
+Every served tree op — :meth:`~repro.dbms.engine.MiniDbms.serve_lookup`,
+``serve_scan``, ``serve_insert`` and :class:`LevelWiseLookupBatch` — walks
+the disk-first fpB+-Tree through :func:`descend`, the way the paper walks
+a page: read it, route through its in-page nodes, descend.  A single op is
+a batch of one key.  What keeps the walk safe against concurrent splits is
+the latch protocol it is given (:mod:`repro.btree.cc`): ``begin`` before a
+page is trusted, ``validate`` after it was used.
+
+A batch of B lookups applies the paper's core move (fetch a whole fractal
+level in one prefetch wave) *across* queries, in the spirit of the FPGA
+level-wise batch-search design (arXiv:2604.21117) and BS-tree's
+data-parallel node layout (arXiv:2505.01180):
 
 * **Sort and dedup.**  The batch's keys are routed together, so all keys
   that fall into one page share a single demand read, a single
@@ -23,41 +28,34 @@ layout (arXiv:2505.01180):
   :func:`search_leaf_page_batch`) — bit-equivalent to the scalar
   :func:`~repro.btree.cc._route_in_page` walk, at numpy speed.
 
-Concurrency follows the mode of the :class:`~repro.btree.cc.ConcurrentTreeOps`
-the batch is given:
-
-* ``cc=None`` (the serving layer's ``concurrency="none"``): tree mutations
-  are atomic between DES yields, but a split can still land *between* the
-  batch's yields and stale-route a key.  The batch snapshots
-  ``MiniDbms.leaf_map_epoch()`` at the start and, at every leaf visit,
-  falls back to an atomic fresh ``index.search`` for the affected keys the
-  moment the epoch moved — the batched results are always what a
-  per-key ``serve_lookup`` would have returned.
-* ``mode="page"``: the optimistic seqlock protocol of
-  :meth:`~repro.btree.cc.ConcurrentTreeOps._optimistic_descend`, batched —
-  versions are captured via ``read_begin`` before a page is trusted and
-  re-validated after its routing; keys whose parent validation fails
-  restart from the root, and after ``retry_budget`` failed passes they
-  fall back to the single-key concurrent lookup (which always makes
-  progress).  Batches therefore stay linearizable per key.
-* ``mode="coarse"``: the whole batch runs under the tree-wide latch.
-* ``mode="broken"``: validation off (the seeded negative control).
+Keys whose pass failed validation restart from the root; after the
+protocol's ``retry_budget`` passes they fall back to single-key lookups,
+which escalate to pessimistic latching and always terminate.  Keys that
+reached a leaf after the topology epoch moved (null protocol) are
+re-resolved with an atomic ``index.search`` — the batched results are
+always what a per-key ``serve_lookup`` would have returned.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cc import GLOBAL_LATCH, ConcurrentTreeOps
+from .cc import NullProtocol, _route_in_page, _search_leaf_page
 
 __all__ = [
+    "Arrival",
     "LevelWiseLookupBatch",
+    "descend",
     "page_separator_arrays",
     "route_batch_in_page",
     "search_leaf_page_batch",
 ]
+
+#: The protocol of callers that pass none.
+NULL_PROTOCOL = NullProtocol()
 
 
 def page_separator_arrays(page) -> tuple[np.ndarray, np.ndarray]:
@@ -114,6 +112,126 @@ def search_leaf_page_batch(page, keys: np.ndarray) -> np.ndarray:
     return np.where(found, ptrs[clamped], 0).astype(np.int64, copy=False)
 
 
+@dataclass
+class Arrival:
+    """One leaf a descent reached, with the keys routed to it."""
+
+    pid: int
+    #: Indices (into the descent's ``keys``) routed to this leaf.
+    idxs: list
+    #: Page ids from the root down to the leaf's parent.
+    above: list
+    #: The protocol's ``begin`` token for the leaf.
+    token: object
+    #: False if the topology epoch moved during the descent (null
+    #: protocol): the leaf may be stale, so re-resolve its keys atomically.
+    fresh: bool
+    #: Per key, the tuple id found in the leaf (0: absent); None when the
+    #: descent stopped above the leaf (``visit_leaf=False``).
+    tids: Optional[list]
+
+
+def _route(page, keys: list) -> list:
+    if len(keys) == 1:
+        return [_route_in_page(page, keys[0])]
+    return route_batch_in_page(page, np.asarray(keys, dtype=np.int64)).tolist()
+
+
+def _search(page, keys: list) -> list:
+    if len(keys) == 1:
+        return [_search_leaf_page(page, keys[0]) or 0]
+    return search_leaf_page_batch(page, np.asarray(keys, dtype=np.int64)).tolist()
+
+
+def descend(
+    db,
+    reader,
+    keys: list,
+    protocol: NullProtocol,
+    owner=None,
+    page_process_us: float = 150.0,
+    visit_leaf: bool = True,
+    wave: bool = False,
+):
+    """Process generator: the one root-to-leaf descent of every served op.
+
+    Routes ``keys`` level by level: each page is demand-paged and pinned
+    for its ``page_process_us`` charge, and only then routed from, so a
+    split that lands while the descent waits on disk re-routes it.  Around
+    each page the ``protocol`` takes a ``begin`` token (before the page is
+    trusted) and validates the parent after its children's tokens are in
+    hand — hand-over-hand, so a page that changed underneath fails the
+    pass for every key routed through it.  ``wave`` issues each level's
+    pages as one prefetch wave (batches); ``visit_leaf=False`` stops at the
+    leaf without reading it (a scan's span walk reads it).
+
+    Returns ``(arrivals, retry, pages)``: the :class:`Arrival` per leaf
+    reached, the key indices whose pass failed validation (restart them
+    from the root), and the number of pages read.
+    """
+    tree = db.index
+    env = reader.env
+    epoch = None if protocol.trusts_routes or not visit_leaf else db.leaf_map_epoch()
+    # Key indices in sorted-key order: every per-page group built below is
+    # then sorted too, and sibling leaves are visited left-to-right (the
+    # near-sequential run the disk model rewards).
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    root = tree.root_pid
+    tokens = {root: (yield from protocol.begin(root, owner))}
+    if root != tree.root_pid:
+        # The root split while we waited on its latch: restart on the new one.
+        return [], order, 0
+    frontier = {root: order}
+    above = {root: []}
+    arrivals: list[Arrival] = []
+    retry: list[int] = []
+    pages = 0
+    while frontier:
+        level = sorted(frontier)
+        if wave:
+            reader.prefetch_wave([pid for pid in level if not reader.pool.contains(pid)])
+        next_frontier: dict[int, list[int]] = {}
+        for pid in level:
+            idxs = frontier[pid]
+            if not visit_leaf and tree.store.page(pid).level == 0:
+                arrivals.append(Arrival(pid, idxs, above[pid], tokens[pid], True, None))
+                continue
+            yield from reader.demand(pid)
+            with reader.pool.pinned(pid, owner=owner):
+                yield env.timeout(page_process_us)
+            pages += 1
+            # Everything below here is atomic in simulated time: the page
+            # is decoded, routed/searched and validated with no yield.
+            page = tree.store.page(pid)
+            probe = [keys[i] for i in idxs]
+            if page.level == 0:
+                tids = _search(page, probe)
+                if not protocol.validate(pid, tokens[pid]):
+                    retry.extend(idxs)
+                    continue
+                fresh = epoch is None or db.leaf_map_epoch() == epoch
+                arrivals.append(Arrival(pid, idxs, above[pid], tokens[pid], fresh, tids))
+                continue
+            groups: dict[int, list[int]] = {}
+            for i, child in zip(idxs, _route(page, probe)):
+                groups.setdefault(child, []).append(i)
+            child_tokens = {}
+            for child in sorted(groups):
+                child_tokens[child] = yield from protocol.begin(child, owner)
+            if not protocol.validate(pid, tokens[pid]):
+                # The parent moved after routing: nothing routed from it
+                # (or the tokens just taken) can be trusted.
+                retry.extend(idxs)
+                continue
+            tokens.update(child_tokens)
+            path = above[pid] + [pid]
+            for child, group in groups.items():
+                next_frontier.setdefault(child, []).extend(group)
+                above.setdefault(child, path)
+        frontier = next_frontier
+    return arrivals, retry, pages
+
+
 class LevelWiseLookupBatch:
     """One batch of point lookups executed level-by-level.
 
@@ -129,171 +247,79 @@ class LevelWiseLookupBatch:
         keys,
         page_process_us: float = 150.0,
         owner=None,
-        cc: Optional[ConcurrentTreeOps] = None,
+        protocol: Optional[NullProtocol] = None,
     ) -> None:
         self.db = db
         self.keys = [int(k) for k in keys]
         self.page_process_us = page_process_us
         self.owner = owner
-        self.cc = cc
-        self.mode = "none" if cc is None else cc.mode
-        self.retry_budget = 1 if cc is None else cc.retry_budget
+        self.protocol = protocol if protocol is not None else NULL_PROTOCOL
         # Batch-shaped instrumentation (read by tests and benchmarks).
         self.pages_visited = 0
         self.restarts = 0
         self.fallback_lookups = 0
         self.epoch_fallbacks = 0
 
-    # -- entry point ---------------------------------------------------------
-
     def run(self, reader, on_result: Optional[Callable] = None):
         """Process generator: resolve every key; returns the row list."""
         if not self.keys:
             return []
-        if self.mode == "coarse":
-            latches = self.cc.latches
-            yield from latches.write_acquire(GLOBAL_LATCH, self.owner)
-            try:
-                rows = yield from self._run_batch(reader, on_result, validating=False)
-            finally:
-                latches.write_release(GLOBAL_LATCH, self.owner)
-            return rows
-        validating = self.mode == "page"
-        rows = yield from self._run_batch(reader, on_result, validating)
-        return rows
+        return (yield from self.protocol.guarded(self._run(reader, on_result), self.owner))
 
-    # -- level-wise machinery ------------------------------------------------
-
-    def _run_batch(self, reader, on_result, validating: bool):
-        env = reader.env
+    def _run(self, reader, on_result):
         n = len(self.keys)
         rows: list = [None] * n
-        tids: list = [None] * n
+        tids = [0] * n
         done = [False] * n
-        # Key indices in sorted-key order: every per-page array the passes
-        # build below is then sorted too, and sibling leaves are visited
-        # left-to-right (the near-sequential run the disk model rewards).
-        pending = sorted(range(n), key=lambda i: self.keys[i])
-        epoch0 = self.db.leaf_map_epoch() if self.mode == "none" else None
-        passes = 0
-        while pending:
-            passes += 1
-            if validating and passes > self.retry_budget:
-                # The optimistic batch burned its budget: resolve the
-                # stragglers through the single-key concurrent lookup,
-                # which escalates to pessimistic latching and always
-                # terminates.
-                self.fallback_lookups += len(pending)
-                for i in pending:
-                    row = yield from self.cc.lookup(
-                        reader, self.keys[i], owner=self.owner
-                    )
-                    rows[i] = row
-                    done[i] = True
-                    if on_result is not None:
-                        on_result(i, row)
-                pending = []
-                break
-            resolved_misses, retry = yield from self._descend_pass(
-                reader, pending, tids, epoch0, validating
+        pending = list(range(n))
+        for __ in range(self.protocol.retry_budget):
+            arrivals, retry, pages = yield from descend(
+                self.db, reader, [self.keys[i] for i in pending], self.protocol,
+                self.owner, self.page_process_us, wave=True,
             )
-            for i in resolved_misses:
+            self.pages_visited += pages
+            misses = []
+            for leaf in arrivals:
+                found = leaf.tids
+                if not leaf.fresh:
+                    # A split landed between this batch's yields: the
+                    # routing that led here may be stale, so re-resolve with
+                    # atomic fresh descents (what per-key serve_lookup trusts).
+                    self.epoch_fallbacks += len(leaf.idxs)
+                    search = self.db.index.search
+                    found = [search(self.keys[pending[j]]) or 0 for j in leaf.idxs]
+                for j, tid in zip(leaf.idxs, found):
+                    tids[pending[j]] = tid
+                    if not tid:
+                        misses.append(pending[j])
+            for i in misses:
                 done[i] = True
                 if on_result is not None:
                     on_result(i, None)
             if retry:
                 self.restarts += 1
-            pending = retry
-        yield from self._heap_pass(reader, env, rows, tids, done, on_result)
+            pending = [pending[j] for j in retry]
+            if not pending:
+                break
+        # The optimistic batch burned its budget: resolve the stragglers one
+        # key at a time, through the path that escalates and terminates.
+        self.fallback_lookups += len(pending)
+        for i in pending:
+            rows[i] = yield from self.db._lookup(
+                reader, self.keys[i], self.page_process_us, self.owner, self.protocol
+            )
+            done[i] = True
+            if on_result is not None:
+                on_result(i, rows[i])
+        yield from self._heap_pass(reader, rows, tids, done, on_result)
         return rows
 
-    def _descend_pass(self, reader, indices, tids, epoch0, validating: bool):
-        """One root-to-leaf level-wise pass over ``indices``.
-
-        Fills ``tids`` for keys whose leaf search concluded, returns
-        ``(misses, retry)``: key indices decided absent, and key indices
-        whose page validation failed (restart from the root).
-        """
-        env = reader.env
-        tree = self.db.index
-        latches = self.cc.latches if self.cc is not None else None
-        retry: list[int] = []
-        misses: list[int] = []
-        versions: dict[int, int] = {}
-        root = tree.root_pid
-        if validating:
-            versions[root] = yield from latches.read_begin(root, self.owner)
-            if root != tree.root_pid:
-                # The root split while we waited on its latch: restart on
-                # the new one (mirrors _optimistic_descend).
-                return [], list(indices)
-        frontier: dict[int, list[int]] = {root: list(indices)}
-        while frontier:
-            wave = sorted(frontier)
-            reader.prefetch_wave([pid for pid in wave if not reader.pool.contains(pid)])
-            next_frontier: dict[int, list[int]] = {}
-            for pid in wave:
-                idxs = frontier[pid]
-                yield from reader.demand(pid)
-                with reader.pool.pinned(pid, owner=self.owner):
-                    yield env.timeout(self.page_process_us)
-                self.pages_visited += 1
-                # Everything below here is atomic in simulated time: the
-                # page is decoded, routed/searched and (in page mode)
-                # validated with no intervening yield.
-                page = tree.store.page(pid)
-                karr = np.asarray([self.keys[i] for i in idxs], dtype=np.int64)
-                if page.level == 0:
-                    found = search_leaf_page_batch(page, karr)
-                    if validating and not latches.validate(pid, versions[pid]):
-                        retry.extend(idxs)
-                        continue
-                    if epoch0 is not None and self.db.leaf_map_epoch() != epoch0:
-                        # A split landed between this batch's yields: the
-                        # level-wise routing that led here may be stale, so
-                        # re-resolve these keys with atomic fresh descents
-                        # (exactly what per-key serve_lookup trusts).
-                        self.epoch_fallbacks += len(idxs)
-                        for i in idxs:
-                            tid = tree.search(self.keys[i])
-                            if tid is None:
-                                misses.append(i)
-                            else:
-                                tids[i] = int(tid)
-                        continue
-                    for i, tid in zip(idxs, found.tolist()):
-                        if tid:
-                            tids[i] = int(tid)
-                        else:
-                            misses.append(i)
-                    continue
-                children = route_batch_in_page(page, karr)
-                groups: dict[int, list[int]] = {}
-                for i, child in zip(idxs, children.tolist()):
-                    groups.setdefault(int(child), []).append(i)
-                if validating:
-                    child_versions = {}
-                    for child in sorted(groups):
-                        child_versions[child] = yield from latches.read_begin(
-                            child, self.owner
-                        )
-                    if not latches.validate(pid, versions[pid]):
-                        # The parent moved after routing: nothing routed
-                        # from it (or the versions just captured) can be
-                        # trusted.
-                        retry.extend(idxs)
-                        continue
-                    versions.update(child_versions)
-                for child, group in groups.items():
-                    next_frontier.setdefault(child, []).extend(group)
-            frontier = next_frontier
-        return misses, retry
-
-    def _heap_pass(self, reader, env, rows, tids, done, on_result):
+    def _heap_pass(self, reader, rows, tids, done, on_result):
         """Fetch every hit's heap page, one wave, one visit per page."""
+        env = reader.env
         by_heap_page: dict[int, list[int]] = {}
         for i, tid in enumerate(tids):
-            if done[i] or tid is None:
+            if done[i] or not tid:
                 continue
             heap_pid, __ = self.db.table.tid_to_location(tid - 1)
             by_heap_page.setdefault(heap_pid, []).append(i)

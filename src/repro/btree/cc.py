@@ -1,46 +1,30 @@
 """Page-level concurrency control for the disk-first fpB+-Tree.
 
-Until this module, concurrent sessions in :mod:`repro.serve` interleaved at
-*operation* granularity: every tree mutation ran atomically between DES
-yields, so a traversal could never observe a half-applied split.  The races
-that kill real B+-trees — a parent routing to a child that split while the
-reader was waiting on disk, two writers racing for the same leaf, a scan
-walking a sibling chain as it is rewired — were unreachable.  This module
-makes them reachable, and then survivable:
+Served tree ops (:meth:`~repro.dbms.engine.MiniDbms.serve_lookup`,
+``serve_scan``, ``serve_insert`` and the level-wise lookup batch) share one
+root-to-leaf descent, :func:`~repro.btree.batch.descend`.  What makes that
+descent safe against a concurrent split is a **latch protocol** object,
+chosen per server by its ``concurrency`` mode:
 
-* :class:`PageLatchManager` keeps a **version latch** per page: an integer
-  that is *even while the page is free* and *odd while a writer holds it*,
-  bumped on every release and on every unlatched structural mutation.  This
-  is the classic optimistic lock coupling / seqlock protocol (FB+-tree,
-  arXiv:2503.23397): readers never block writers and never take latches —
-  they snapshot versions, do their (yield-spanning) work, and *validate*.
-* :class:`ConcurrentTreeOps` implements lookup/scan/insert as DES process
-  generators over a shared serving substrate:
-
-  - **Optimistic reads** descend hand-over-hand: snapshot the parent's
-    version, route to the child, snapshot the child, then re-validate the
-    parent — any intervening split fails validation and restarts the
-    descent from the root, up to ``retry_budget`` times, after which the
-    reader falls back to pessimistic latch coupling (which always makes
-    progress).
-  - **Writes** try an optimistic fast path — descend latch-free, write-latch
-    only the leaf, validate it — and escalate to **latch crabbing** (write
-    latches taken root-to-leaf, ancestors released as soon as the child
-    cannot split) when the leaf is split-unsafe or the retry budget runs
-    out.  Every page a split touches is therefore either held by the
-    crabbing writer or version-bumped through :meth:`PageLatchManager.structural`,
-    so concurrent readers detect it.
-  - **Scans** validate every visited leaf twice: per page while walking the
-    sibling chain, and all of them together at the end, so the returned
-    count corresponds to one instant of simulated time (the linearization
-    point) rather than a smear across the walk.
-
-* ``mode="coarse"`` serializes every operation behind one global latch —
-  the baseline the contended-serve benchmark compares against.
-* ``mode="broken"`` deliberately skips validation and applies inserts into
-  the traversal's (possibly stale) leaf: the lost updates it manufactures
-  are the known-bad histories :mod:`repro.verify.linearizability` must
-  reject.
+* :class:`NullProtocol` (``"none"``) takes no latches.  Tree mutations are
+  atomic between DES yields, so routing from a page read after its wait is
+  fresh; only a leaf reached after :meth:`MiniDbms.leaf_map_epoch` moved
+  may hold stale content, and callers re-resolve it atomically.
+* :class:`PageProtocol` (``"page"``) is the classic optimistic lock
+  coupling / seqlock protocol (FB+-tree, arXiv:2503.23397) over
+  :class:`PageLatchManager`'s per-page **version latches** — integers that
+  are *even while the page is free* and *odd while a writer holds it*.
+  Readers snapshot versions, do their (yield-spanning) work and
+  *validate*; a failed validation restarts the descent, and after
+  ``retry_budget`` restarts the op escalates to pessimistic latch coupling
+  (write latches taken root-to-leaf, ancestors released as soon as the
+  child cannot split), which always makes progress.  Writers latch only
+  the leaf on the optimistic path, and every page a split touches is
+  either latched or version-bumped through
+  :meth:`PageLatchManager.structural`, so concurrent readers notice.
+* :class:`GlobalProtocol` (``"coarse"``) holds :data:`GLOBAL_LATCH` around
+  the whole null traversal — the baseline the contended-serve benchmark
+  compares against.
 
 All latch waits are FIFO and purely DES-event-driven, so two same-seed runs
 are byte-identical.  If the event queue drains while waiters are still
@@ -53,23 +37,27 @@ letting the simulation end in a silent hang.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterator, Optional
 
 import numpy as np
 
 from ..des import Environment, Event, SimulationError
-from .keys import INVALID_PAGE_ID
 
 __all__ = [
+    "CONCURRENCY_MODES",
     "GLOBAL_LATCH",
-    "ConcurrentTreeOps",
+    "GlobalProtocol",
+    "LatchChain",
     "LatchDeadlockError",
-    "OptimisticRetryExceeded",
+    "NullProtocol",
     "PageLatchManager",
+    "PageProtocol",
+    "make_protocol",
+    "page_safe",
 ]
 
-#: Pseudo page id of the tree-wide latch used by ``mode="coarse"`` (real
+#: Pseudo page id of the tree-wide latch :class:`GlobalProtocol` holds (real
 #: page ids are dense non-negative integers, so -1 can never collide).
 GLOBAL_LATCH = -1
 
@@ -102,14 +90,6 @@ class LatchDeadlockError(SimulationError):
         )
         self.held = held
         self.parked = parked
-
-
-class OptimisticRetryExceeded(RuntimeError):
-    """An optimistic traversal burned its whole retry budget.
-
-    Only raised when no pessimistic fallback is possible; the serving paths
-    in :class:`ConcurrentTreeOps` fall back to latch coupling instead.
-    """
 
 
 class _Latch:
@@ -338,69 +318,43 @@ def _search_leaf_page(page, key: int) -> Optional[int]:
     return None
 
 
-def _scan_leaf_page(page, start_key: int, end_key: int) -> tuple[int, int, bool]:
-    """Count entries of one leaf page in [start, end] (atomic).
+def page_safe(tree, page) -> bool:
+    """True if one more entry cannot page-split this page.
 
-    Returns ``(count, next_pid, done)`` where ``done`` means some entry past
-    ``end_key`` lives in this page, so the walk can stop.
+    Mirrors ``DiskFirstFpTree._insert_entry``: below this threshold a full
+    page reorganizes in place (touching only itself); at or above it, an
+    insert may split — so a crabbing writer must keep the parent latched.
     """
-    count = 0
-    done = False
-    for node in page.leaf_nodes_in_order():
-        if node.count == 0:
-            continue
-        lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-        hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
-        count += hi - lo
-        if hi < node.count:
-            done = True
-    return count, int(page.next_page), done
+    layout = tree.layout
+    return page.total < layout.page_fanout - layout.max_leaf_nodes
 
 
-class ConcurrentTreeOps:
-    """Concurrent lookup/scan/insert generators over one serving substrate.
+# -- latch protocols -------------------------------------------------------------
 
-    ``mode`` is ``"page"`` (optimistic reads + latch crabbing writes),
-    ``"coarse"`` (one global latch around whole operations — the benchmark
-    baseline), or ``"broken"`` (validation off, inserts applied into the
-    traversal's stale leaf — the deliberately unsound mode whose histories
-    the linearizability checker must reject).
 
-    The tree must be a :class:`~repro.core.disk_first.DiskFirstFpTree` (the
-    serving layer's default index); the in-page routing helpers mirror its
-    untraced ``page_path`` logic.
+class NullProtocol:
+    """No latches: served ops interleave only at DES yields (``"none"``).
+
+    Every hook here is the null behaviour the latched protocols override.
+    A null descent never fails validation, so it never restarts or
+    escalates; its one rule is the topology-epoch check on leaves
+    (``trusts_routes = False``, see :func:`~repro.btree.batch.descend`).
     """
 
-    MODES = ("page", "coarse", "broken")
+    #: Optimistic descent passes before an op escalates.
+    retry_budget = 1
+    #: False: a leaf is trusted only if ``leaf_map_epoch()`` did not move
+    #: during the descent; otherwise its keys are re-resolved atomically.
+    trusts_routes = False
 
-    def __init__(
-        self,
-        db,
-        latches: PageLatchManager,
-        mode: str = "page",
-        page_process_us: float = 150.0,
-        retry_budget: int = 8,
-    ) -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        if retry_budget < 1:
-            raise ValueError(f"retry_budget must be >= 1, got {retry_budget}")
-        self.db = db
-        self.latches = latches
-        self.mode = mode
-        self.page_process_us = page_process_us
-        self.retry_budget = retry_budget
-        # Traversal outcome counters (live-path only; see PageLatchManager).
+    def __init__(self) -> None:
+        # Traversal outcome counters, bumped by the serving ops on live
+        # paths only (see PageLatchManager).
         self.read_restarts = 0
         self.write_restarts = 0
+        self.scan_restarts = 0
         self.pessimistic_reads = 0
         self.pessimistic_writes = 0
-        self.scan_restarts = 0
-
-    @property
-    def tree(self):
-        # Resolved per call: a crash-recovery swaps ``db.index`` wholesale.
-        return self.db.index
 
     def counters(self) -> dict[str, int]:
         return {
@@ -411,58 +365,91 @@ class ConcurrentTreeOps:
             "pessimistic_writes": self.pessimistic_writes,
         }
 
-    # -- shared descent machinery ------------------------------------------
+    def guarded(self, body, owner):
+        """Process generator: run one whole op (or batch) under the protocol."""
+        return (yield from body)
 
-    def _optimistic_descend(self, reader, key: int, owner):
-        """Hand-over-hand versioned descent to the leaf page for ``key``.
+    def begin(self, pid: int, owner):
+        """Process generator: a token to validate ``pid`` against later."""
+        return None
+        yield  # unreachable: makes this a generator, like the latched begins
 
-        Returns ``(ok, path)`` with ``path`` a list of ``(pid, version)``
-        from root to leaf.  On success the leaf has been demand-paged,
-        charged, and its version validated *after* the paging waits, so the
-        caller may read its content atomically right away.  ``ok=False``
-        means some validation failed mid-descent and the caller should
-        restart (in ``"broken"`` mode validation is skipped, so descents
-        never fail — that is the point).
+    def validate(self, pid: int, token) -> bool:
+        """True iff what was read from ``pid`` since ``begin`` can be trusted."""
+        return True
+
+    def lock_leaf(self, tree, pid: int, token, owner):
+        """Process generator, writes only: may the insert go into this leaf?
+
+        True: apply in place, then :meth:`unlatch` it; False: restart the
+        descent; None: escalate straight away.
         """
-        tree = self.tree
-        latches = self.latches
-        env = reader.env
-        validating = self.mode != "broken"
-        root = tree.root_pid
-        version = yield from latches.read_begin(root, owner)
-        if validating and root != tree.root_pid:
-            # The root split while we waited on its latch: restart on the new one.
-            return False, []
-        path = [(root, version)]
-        pid = root
-        while True:
-            yield from reader.demand(pid)
-            with reader.pool.pinned(pid, owner=owner):
-                yield env.timeout(self.page_process_us)
-            # The waits above are the race window: nothing read from this
-            # page can be trusted until its version still matches.
-            page = tree.store.page(pid)
-            if page.level == 0:
-                if validating and not latches.validate(pid, path[-1][1]):
-                    return False, path
-                return True, path
-            child = _route_in_page(page, key)
-            child_version = yield from latches.read_begin(child, owner)
-            if validating and not latches.validate(pid, path[-1][1]):
-                return False, path
-            path.append((child, child_version))
-            pid = child
+        return True
+        yield  # unreachable: makes this a generator
 
-    def _pessimistic_descend(self, reader, key: int, owner, crabbing_for_insert: bool):
-        """Write-latched descent (latch coupling / crabbing); returns state.
+    def unlatch(self, pids, owner) -> None:
+        """Release write latches taken by :meth:`lock_leaf` or an escalation."""
 
-        Returns ``(leaf_pid, held, path)``: the leaf page id, the list of
-        latches still held (the unsafe suffix for inserts; just the leaf
-        for reads), and the full pid path for split propagation.  Latches
-        are acquired strictly root-to-leaf, which is what keeps writers
-        and pessimistic readers deadlock-free against each other.
+    def structural(self, held):
+        """Context around a tree mutation; latched protocols bump versions."""
+        return nullcontext()
+
+
+class PageProtocol(NullProtocol):
+    """Optimistic version-latch reads and leaf-latched writes (``"page"``).
+
+    ``retry_budget`` optimistic passes, then :meth:`escalate` — the one
+    descent besides :func:`~repro.btree.batch.descend`, which latches
+    root-to-leaf and so always makes progress.
+    """
+
+    trusts_routes = True
+
+    def __init__(self, latches: PageLatchManager, retry_budget: int = 8) -> None:
+        if retry_budget < 1:
+            raise ValueError(f"retry_budget must be >= 1, got {retry_budget}")
+        super().__init__()
+        self.latches = latches
+        self.retry_budget = retry_budget
+
+    def begin(self, pid: int, owner):
+        return (yield from self.latches.read_begin(pid, owner))
+
+    def validate(self, pid: int, token) -> bool:
+        return self.latches.validate(pid, token)
+
+    def lock_leaf(self, tree, pid: int, token, owner):
+        pre = yield from self.latches.write_acquire(pid, owner)
+        if pre == token and page_safe(tree, tree.store.page(pid)):
+            return True
+        self.latches.write_release(pid, owner)
+        # A changed version means the routed position may be stale
+        # (restart); an unsafe leaf's split would touch unlatched ancestors
+        # (escalate to crabbing, which latches the unsafe suffix).
+        return False if pre != token else None
+
+    def unlatch(self, pids, owner) -> None:
+        for pid in reversed(pids):
+            self.latches.write_release(pid, owner)
+
+    def structural(self, held):
+        return self.latches.structural(held=held)
+
+    def escalate(
+        self, db, reader, key: int, owner, page_process_us: float,
+        for_insert: bool = False, visit_leaf: bool = True,
+    ):
+        """Process generator: write-latched descent (latch coupling / crabbing).
+
+        Returns ``(leaf_pid, held, path)``: the leaf page id, the latches
+        still held (the unsafe suffix for inserts; just the leaf for
+        reads), and the full pid path for split propagation.  Latches are
+        acquired strictly root-to-leaf, which is what keeps writers and
+        pessimistic readers deadlock-free against each other.  With
+        ``visit_leaf=False`` the leaf is latched but not read (a scan reads
+        it in its span walk).
         """
-        tree = self.tree
+        tree = db.index
         latches = self.latches
         env = reader.env
         while True:
@@ -477,16 +464,18 @@ class ConcurrentTreeOps:
         pid = root
         try:
             while True:
+                if not visit_leaf and tree.store.page(pid).level == 0:
+                    return pid, held, path
                 yield from reader.demand(pid)
                 with reader.pool.pinned(pid, owner=owner):
-                    yield env.timeout(self.page_process_us)
+                    yield env.timeout(page_process_us)
                 page = tree.store.page(pid)
                 if page.level == 0:
                     return pid, held, path
                 child = _route_in_page(page, key)
                 yield from latches.write_acquire(child, owner)
                 path.append(child)
-                if not crabbing_for_insert or self._page_safe(tree.store.page(child)):
+                if not for_insert or page_safe(tree, tree.store.page(child)):
                     # The child cannot split (or we only need read
                     # isolation): ancestors are released, crab-style.
                     for ancestor in held:
@@ -496,310 +485,61 @@ class ConcurrentTreeOps:
                     held.append(child)
                 pid = child
         except BaseException:
-            for ancestor in reversed(held):
-                latches.write_release(ancestor, owner)
+            self.unlatch(held, owner)
             raise
 
-    def _page_safe(self, page) -> bool:
-        """True if one more entry cannot page-split this page.
 
-        Mirrors ``DiskFirstFpTree._insert_entry``: below this threshold a
-        full page reorganizes in place (touching only itself); at or above
-        it, an insert may split — so a crabbing writer must keep the
-        parent latched.
-        """
-        layout = self.tree.layout
-        return page.total < layout.page_fanout - layout.max_leaf_nodes
+class LatchChain(NullProtocol):
+    """A pessimistic scan's span walk: leaves write-latched in key order.
 
-    # -- lookup ------------------------------------------------------------
+    Each leaf is latched before it is read and stays latched (appended to
+    ``held``) until the caller unlatches the lot — a range lock over the
+    counted span.
+    """
 
-    def lookup(self, reader, key: int, owner=None):
-        """Process generator: concurrent point lookup; returns the row."""
-        if self.mode == "coarse":
-            yield from self.latches.write_acquire(GLOBAL_LATCH, owner)
-            try:
-                row = yield from self.db.serve_lookup(
-                    reader, key, page_process_us=self.page_process_us, owner=owner
-                )
-            finally:
-                self.latches.write_release(GLOBAL_LATCH, owner)
-            return row
-        env = reader.env
-        tree = self.tree
-        restarts = 0
-        tid = None
-        while True:
-            ok, path = yield from self._optimistic_descend(reader, key, owner)
-            if ok:
-                leaf_pid = path[-1][0]
-                tid = _search_leaf_page(tree.store.page(leaf_pid), key)
-                break
-            restarts += 1
-            self.read_restarts += 1
-            if restarts >= self.retry_budget:
-                self.pessimistic_reads += 1
-                leaf_pid, held, __ = yield from self._pessimistic_descend(
-                    reader, key, owner, crabbing_for_insert=False
-                )
-                try:
-                    tid = _search_leaf_page(tree.store.page(leaf_pid), key)
-                finally:
-                    for pid in reversed(held):
-                        self.latches.write_release(pid, owner)
-                break
-        if tid is None:
-            return None
-        heap_pid, __ = self.db.table.tid_to_location(int(tid) - 1)
-        yield from reader.demand(heap_pid)
-        yield env.timeout(self.page_process_us)
-        return self.db.table.fetch(int(tid) - 1)
+    trusts_routes = True
 
-    # -- scan --------------------------------------------------------------
+    def __init__(self, latches: PageLatchManager, held: list) -> None:
+        super().__init__()
+        self.latches = latches
+        self.held = held
 
-    def scan(
-        self,
-        reader,
-        start_key: int,
-        end_key: int,
-        owner=None,
-        max_pages: Optional[int] = None,
-    ):
-        """Process generator: inclusive range count; returns (count, truncated).
+    def begin(self, pid: int, owner):
+        yield from self.latches.write_acquire(pid, owner)
+        self.held.append(pid)
 
-        The optimistic walk re-validates every visited leaf at the end, so
-        an untruncated count is consistent as of one instant (its
-        linearization point).  With duplicate keys spanning a page boundary
-        a restarted walk could double-count; the serving workload's keys
-        are unique, and the sequential ``range_scan`` keeps full duplicate
-        semantics for everything else.
-        """
-        if self.mode == "coarse":
-            yield from self.latches.write_acquire(GLOBAL_LATCH, owner)
-            try:
-                count = yield from self.db.serve_scan(
-                    reader, start_key, end_key,
-                    page_process_us=self.page_process_us,
-                    max_pages=max_pages, owner=owner,
-                )
-            finally:
-                self.latches.write_release(GLOBAL_LATCH, owner)
-            return count, max_pages is not None
-        restarts = 0
-        while True:
-            result = yield from self._optimistic_scan(
-                reader, start_key, end_key, owner, max_pages
-            )
-            if result is not None:
-                return result
-            restarts += 1
-            self.scan_restarts += 1
-            if restarts >= self.retry_budget:
-                self.pessimistic_reads += 1
-                return (
-                    yield from self._pessimistic_scan(
-                        reader, start_key, end_key, owner, max_pages
-                    )
-                )
 
-    def _optimistic_scan(self, reader, start_key, end_key, owner, max_pages):
-        tree = self.tree
-        latches = self.latches
-        env = reader.env
-        validating = self.mode != "broken"
-        ok, path = yield from self._optimistic_descend(reader, start_key, owner)
-        if not ok:
-            return None
-        pid, version = path[-1]
-        visited: list[tuple[int, int]] = []
-        count = 0
-        truncated = False
-        while True:
-            count_here, next_pid, done = _scan_leaf_page(
-                tree.store.page(pid), start_key, end_key
-            )
-            if validating and not latches.validate(pid, version):
-                return None
-            visited.append((pid, version))
-            count += count_here
-            if done or next_pid == INVALID_PAGE_ID:
-                break
-            if max_pages is not None and len(visited) >= max_pages:
-                truncated = True
-                break
-            next_version = yield from latches.read_begin(next_pid, owner)
-            if validating and not latches.validate(pid, version):
-                # The sibling pointer we just followed is no longer current.
-                return None
-            yield from reader.demand(next_pid)
-            with reader.pool.pinned(next_pid, owner=owner):
-                yield env.timeout(self.page_process_us)
-            pid, version = next_pid, next_version
-        if validating and not truncated:
-            # End-to-end revalidation: all pages unchanged since first read
-            # means the union snapshot is consistent *now* — the scan
-            # linearizes at this instant.
-            for seen_pid, seen_version in visited:
-                if not latches.validate(seen_pid, seen_version):
-                    return None
-        return count, truncated
+class GlobalProtocol(NullProtocol):
+    """The null traversal under one tree-wide latch (``"coarse"``)."""
 
-    def _pessimistic_scan(self, reader, start_key, end_key, owner, max_pages):
-        """Latch the whole covered leaf chain (a range lock), then count."""
-        tree = self.tree
-        latches = self.latches
-        env = reader.env
-        leaf_pid, held, __ = yield from self._pessimistic_descend(
-            reader, start_key, owner, crabbing_for_insert=False
-        )
-        count = 0
-        truncated = False
+
+    def __init__(self, latches: PageLatchManager) -> None:
+        super().__init__()
+        self.latches = latches
+
+    def guarded(self, body, owner):
+        # The only place GLOBAL_LATCH is taken.
+        yield from self.latches.write_acquire(GLOBAL_LATCH, owner)
         try:
-            pid = leaf_pid
-            while True:
-                count_here, next_pid, done = _scan_leaf_page(
-                    tree.store.page(pid), start_key, end_key
-                )
-                count += count_here
-                if done or next_pid == INVALID_PAGE_ID:
-                    break
-                if max_pages is not None and len(held) >= max_pages:
-                    truncated = True
-                    break
-                # Left-to-right leaf coupling: writers latch leaves before
-                # splitting them, so holding the visited chain freezes the
-                # counted range until release.
-                yield from latches.write_acquire(next_pid, owner)
-                held.append(next_pid)
-                yield from reader.demand(next_pid)
-                with reader.pool.pinned(next_pid, owner=owner):
-                    yield env.timeout(self.page_process_us)
-                pid = next_pid
+            return (yield from body)
         finally:
-            for pid in reversed(held):
-                latches.write_release(pid, owner)
-        return count, truncated
+            self.latches.write_release(GLOBAL_LATCH, owner)
 
-    # -- insert ------------------------------------------------------------
 
-    def insert(self, reader, disks, key: int, k2: int = 0, k3: int = 0, owner=None):
-        """Process generator: concurrent insert; returns the new row id."""
-        if self.mode == "coarse":
-            yield from self.latches.write_acquire(GLOBAL_LATCH, owner)
-            try:
-                row = yield from self.db.serve_insert(
-                    reader, disks, key, k2, k3,
-                    page_process_us=self.page_process_us, owner=owner,
-                )
-            finally:
-                self.latches.write_release(GLOBAL_LATCH, owner)
-            return row
-        if self.mode == "broken":
-            return (yield from self._broken_insert(reader, disks, key, k2, k3, owner))
-        restarts = 0
-        while True:
-            applied, row = yield from self._optimistic_insert(
-                reader, disks, key, k2, k3, owner
-            )
-            if applied:
-                return row
-            if applied is None:
-                # Split-unsafe leaf: retrying optimistically cannot help.
-                break
-            restarts += 1
-            self.write_restarts += 1
-            if restarts >= self.retry_budget:
-                break
-        self.pessimistic_writes += 1
-        return (yield from self._crabbing_insert(reader, disks, key, k2, k3, owner))
+#: The served ``concurrency`` modes.
+CONCURRENCY_MODES = ("none", "page", "coarse")
 
-    def _apply_insert(self, leaf_pid: int, key: int, k2: int, k3: int, path_above, held):
-        """Atomically apply the mutation into the traversal's leaf.
 
-        Unlike ``MiniDbms.insert`` this does *not* re-descend: the leaf the
-        (validated, latched) traversal located is mutated directly, which
-        is exactly what makes the latches load-bearing — with them gone
-        (``"broken"``), a split between traversal and apply puts the entry
-        in the wrong page.
-        """
-        tree = self.tree
-        db = self.db
-        page, base = tree._page(leaf_pid)
-        with self.latches.structural(held=held):
-            with db._txn():
-                row = db.table.insert_row(key, k2, k3)
-                tree._insert_entry(leaf_pid, page, base, key, row + 1, list(path_above))
-                tree._entries += 1
-        return row
-
-    def _finish_write(self, reader, disks, leaf_pid: int):
-        """Charge WAL commit latency and the leaf's write-through."""
-        env = reader.env
-        wal = self.db.wal
-        if wal is not None and wal.last_commit_write_us > 0:
-            yield env.timeout(wal.last_commit_write_us)
-        yield disks.write_page(leaf_pid)
-
-    def _optimistic_insert(self, reader, disks, key, k2, k3, owner):
-        """Fast path: latch-free descent, write-latch + validate the leaf."""
-        tree = self.tree
-        latches = self.latches
-        ok, path = yield from self._optimistic_descend(reader, key, owner)
-        if not ok:
-            return False, None
-        leaf_pid, leaf_version = path[-1]
-        pre = yield from latches.write_acquire(leaf_pid, owner)
-        try:
-            if pre != leaf_version:
-                # Someone changed the leaf between our validation and the
-                # latch landing: the routed position may be stale.
-                return False, None
-            if not self._page_safe(tree.store.page(leaf_pid)):
-                # A split would touch unlatched ancestors: escalate to
-                # crabbing (which latches the unsafe suffix top-down).
-                return None, None
-            row = self._apply_insert(
-                leaf_pid, key, k2, k3,
-                path_above=[pid for pid, __ in path[:-1]], held=(leaf_pid,),
-            )
-        finally:
-            latches.write_release(leaf_pid, owner)
-        yield from self._finish_write(reader, disks, leaf_pid)
-        return True, row
-
-    def _crabbing_insert(self, reader, disks, key, k2, k3, owner):
-        """Slow path: root-to-leaf write latching with safe-child release."""
-        leaf_pid, held, path = yield from self._pessimistic_descend(
-            reader, key, owner, crabbing_for_insert=True
-        )
-        try:
-            row = self._apply_insert(
-                leaf_pid, key, k2, k3, path_above=path[:-1], held=held
-            )
-        finally:
-            for pid in reversed(held):
-                self.latches.write_release(pid, owner)
-        yield from self._finish_write(reader, disks, leaf_pid)
-        return row
-
-    def _broken_insert(self, reader, disks, key, k2, k3, owner):
-        """No latches, no validation: apply into the stale traversal leaf.
-
-        This is the seeded known-bad path: when a concurrent split moves
-        the leaf's key range mid-descent, the entry lands in a page proper
-        descents no longer route to — an acknowledged-then-lost update the
-        linearizability checker must catch.
-        """
-        ok, path = yield from self._optimistic_descend(reader, key, owner)
-        assert ok, "broken mode never validates, so descents cannot fail"
-        leaf_pid = path[-1][0]
-        tree = self.tree
-        db = self.db
-        page, base = tree._page(leaf_pid)
-        with db._txn():
-            row = db.table.insert_row(key, k2, k3)
-            tree._insert_entry(
-                leaf_pid, page, base, key, row + 1, [pid for pid, __ in path[:-1]]
-            )
-            tree._entries += 1
-        yield from self._finish_write(reader, disks, leaf_pid)
-        return row
+def make_protocol(
+    mode: str, latches: Optional[PageLatchManager] = None, retry_budget: int = 8
+) -> NullProtocol:
+    """The latch protocol for a ``concurrency`` mode (latched modes need ``latches``)."""
+    if mode == "none":
+        return NullProtocol()
+    if mode == "page":
+        return PageProtocol(latches, retry_budget)
+    if mode == "coarse":
+        return GlobalProtocol(latches)
+    raise ValueError(
+        f"unknown concurrency mode {mode!r}; pick one of {', '.join(CONCURRENCY_MODES)}"
+    )

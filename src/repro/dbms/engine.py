@@ -26,13 +26,15 @@ fault-free run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..btree.batch import LevelWiseLookupBatch
+from ..btree.batch import NULL_PROTOCOL, LevelWiseLookupBatch, descend
+from ..btree.cc import LatchChain, _search_leaf_page
 from ..btree.context import TreeEnvironment
 from ..core.disk_first import DiskFirstFpTree
 from ..des import Environment, Store
@@ -480,28 +482,47 @@ class MiniDbms:
             self._leaf_map_epoch = epoch
         return self._leaf_map_cache
 
-    def serve_lookup(self, reader, key: int, page_process_us: float = 150.0, owner=None):
+    def serve_lookup(
+        self, reader, key: int, page_process_us: float = 150.0, owner=None, protocol=None
+    ):
         """Process generator: point lookup through a shared serving substrate.
 
-        Demand-pages the root-to-leaf path and the heap page, charging
-        ``page_process_us`` of CPU per page visited, and pins the leaf (with
-        ``owner`` attribution) while it is being searched.  Returns the row
-        or ``None``.
+        Descends page by page (:func:`~repro.btree.batch.descend`), charging
+        ``page_process_us`` of CPU per page visited with the page pinned
+        (``owner`` attribution), then reads the row's heap page.
+        ``protocol`` is the server's latch protocol (default: none, see
+        :mod:`repro.btree.cc`).  Returns the row or ``None``.
         """
-        env = reader.env
-        path = self.index.page_path(key)
-        for pid in path[:-1]:
-            yield from reader.demand(pid)
-            yield env.timeout(page_process_us)
-        yield from reader.demand(path[-1])
-        with reader.pool.pinned(path[-1], owner=owner):
-            yield env.timeout(page_process_us)
-            tid = self.index.search(key)
-        if tid is None:
+        protocol = NULL_PROTOCOL if protocol is None else protocol
+        return (yield from protocol.guarded(
+            self._lookup(reader, key, page_process_us, owner, protocol), owner
+        ))
+
+    def _lookup(self, reader, key, page_process_us, owner, protocol):
+        tree = self.index
+        for __ in range(protocol.retry_budget):
+            arrivals, __, __ = yield from descend(
+                self, reader, [key], protocol, owner, page_process_us
+            )
+            if arrivals:
+                leaf = arrivals[0]
+                # A stale leaf (the topology moved under a null descent) is
+                # re-resolved with an atomic fresh search.
+                tid = leaf.tids[0] if leaf.fresh else tree.search(key)
+                break
+            protocol.read_restarts += 1
+        else:
+            protocol.pessimistic_reads += 1
+            leaf_pid, held, __ = yield from protocol.escalate(
+                self, reader, key, owner, page_process_us
+            )
+            tid = _search_leaf_page(tree.store.page(leaf_pid), key)
+            protocol.unlatch(held, owner)
+        if not tid:
             return None
         heap_pid, __ = self.table.tid_to_location(int(tid) - 1)
         yield from reader.demand(heap_pid)
-        yield env.timeout(page_process_us)
+        yield reader.env.timeout(page_process_us)
         return self.table.fetch(int(tid) - 1)
 
     def serve_lookup_batch(
@@ -510,7 +531,7 @@ class MiniDbms:
         keys,
         page_process_us: float = 150.0,
         owner=None,
-        cc=None,
+        protocol=None,
         on_result=None,
     ):
         """Process generator: batched point lookups, traversed level-wise.
@@ -522,11 +543,11 @@ class MiniDbms:
         (:class:`~repro.btree.batch.LevelWiseLookupBatch`).  Returns the
         rows aligned with ``keys`` (``None`` per miss); ``on_result(i, row)``
         fires as each key resolves, so callers can attribute per-op
-        latency without waiting for batch stragglers.  ``cc`` selects the
-        concurrency protocol exactly as for single-key serving.
+        latency without waiting for batch stragglers.  ``protocol`` is the
+        latch protocol, exactly as for single-key serving.
         """
         batch = LevelWiseLookupBatch(
-            self, keys, page_process_us=page_process_us, owner=owner, cc=cc
+            self, keys, page_process_us=page_process_us, owner=owner, protocol=protocol
         )
         rows = yield from batch.run(reader, on_result=on_result)
         return rows
@@ -540,30 +561,76 @@ class MiniDbms:
         prefetch_depth: int = 4,
         max_pages: Optional[int] = None,
         owner=None,
+        protocol=None,
     ):
         """Process generator: inclusive range scan over the shared substrate.
 
-        Descends to the start leaf, then consumes the covering leaf pages in
-        key order, keeping ``prefetch_depth`` jump-pointer prefetches in
-        flight ahead of the consumption point.  Returns the number of
-        entries in the range.  A leaf freed by a concurrent split/merge is
-        skipped — its entries moved, they did not vanish.
+        Descends to (but not into) the start leaf, then consumes the
+        covering leaf pages in key order, keeping ``prefetch_depth``
+        jump-pointer prefetches in flight ahead of the consumption point.
+        Returns the number of entries in the range.  A leaf freed by a
+        concurrent split/merge is skipped — its entries moved, they did not
+        vanish.
 
         ``max_pages`` (the brownout ladder's truncation knob) caps the leaf
         pages visited: a truncated scan returns partial results — the entry
         count of the leaves actually read — instead of the full range.
         """
+        protocol = NULL_PROTOCOL if protocol is None else protocol
+        return (yield from protocol.guarded(
+            self._scan(
+                reader, start_key, end_key, page_process_us, prefetch_depth,
+                max_pages, owner, protocol,
+            ),
+            owner,
+        ))
+
+    def _scan(
+        self, reader, start_key, end_key, page_process_us, prefetch_depth, max_pages,
+        owner, protocol,
+    ):
+        walk = functools.partial(
+            self._walk_span, reader, start_key, end_key, page_process_us,
+            prefetch_depth, max_pages, owner,
+        )
+        for __ in range(protocol.retry_budget):
+            arrivals, __, __ = yield from descend(
+                self, reader, [start_key], protocol, owner, page_process_us,
+                visit_leaf=False,
+            )
+            if arrivals:
+                leaf = arrivals[0]
+                count = yield from walk(protocol, {leaf.pid: leaf.token})
+                if count is not None:
+                    return count
+            protocol.scan_restarts += 1
+        protocol.pessimistic_reads += 1
+        leaf_pid, held, __ = yield from protocol.escalate(
+            self, reader, start_key, owner, page_process_us, visit_leaf=False
+        )
+        try:
+            return (yield from walk(LatchChain(protocol.latches, held), {leaf_pid: None}))
+        finally:
+            protocol.unlatch(held, owner)
+
+    def _walk_span(
+        self, reader, start_key, end_key, page_process_us, prefetch_depth, max_pages,
+        owner, protocol, tokens,
+    ):
+        """Process generator: read the leaves covering the range, in key order.
+
+        Returns the count, or ``None`` if a leaf failed ``protocol``
+        validation (restart).  ``tokens`` holds the descent's start-leaf
+        token, so that leaf is not begun twice.
+        """
         env = reader.env
-        for pid in self.index.page_path(start_key)[:-1]:
-            yield from reader.demand(pid)
-            yield env.timeout(page_process_us)
         # Resolve the covering leaf span only *after* the descent's blocking
-        # reads: a split landing between the yields above re-routes the scan
-        # instead of leaving it on the stale side of the boundary.  (The
-        # epoch-checked cache makes this resolution O(1) when nothing moved;
-        # splits during the span walk below are the same residual window
-        # per-key lookups live with, and untruncated counts come from an
-        # atomic fresh range_scan at the end.)
+        # reads: a split landing during them re-routes the scan instead of
+        # leaving it on the stale side of the boundary.  (The epoch-checked
+        # cache makes this O(1) when nothing moved; splits during the walk
+        # below are caught by validation, or — with no latches — are the
+        # residual window per-key lookups live with, and untruncated counts
+        # come from an atomic fresh range_scan at the end.)
         firsts, pids = self.cached_leaf_map()
         lo = max(int(np.searchsorted(firsts, start_key, side="right")) - 1, 0)
         hi = max(int(np.searchsorted(firsts, end_key, side="right")) - 1, lo)
@@ -571,6 +638,7 @@ class MiniDbms:
         truncated = max_pages is not None and len(span_pids) > max_pages
         if truncated:
             span_pids = span_pids[:max_pages]
+        visited = []
         issued = 0
         for index, pid in enumerate(span_pids):
             if prefetch_depth:
@@ -581,9 +649,17 @@ class MiniDbms:
                     issued += 1
             if pid not in self.store:
                 continue
+            token = tokens.pop(pid) if pid in tokens else (yield from protocol.begin(pid, owner))
+            visited.append((pid, token))
             yield from reader.demand(pid)
             with reader.pool.pinned(pid, owner=owner):
                 yield env.timeout(page_process_us)
+            if not protocol.validate(pid, token):
+                return None
+        # End-to-end revalidation: every leaf unchanged since it was read
+        # means the walk saw one consistent instant — this one.
+        if not all(protocol.validate(pid, token) for pid, token in visited):
+            return None
         if truncated:
             return int(
                 sum(self._entries_in_leaf_page(pid) for pid in span_pids if pid in self.store)
@@ -599,31 +675,75 @@ class MiniDbms:
         k3: int = 0,
         page_process_us: float = 150.0,
         owner=None,
+        protocol=None,
     ):
         """Process generator: write-through insert on the shared substrate.
 
-        Demand-pages the target leaf, applies the insert (heap append +
-        index insert, instantaneous as in :meth:`insert`), then charges a
-        synchronous write-through of the leaf to the disk array.  With
-        logging enabled (:meth:`enable_wal`) the insert commits through the
-        WAL first and the commit's log-device time is charged on the
+        Descends to the target leaf, applies the insert into it (heap
+        append + index insert, instantaneous as in :meth:`insert`), then
+        charges a synchronous write-through of the leaf to the disk array.
+        With logging enabled (:meth:`enable_wal`) the insert commits through
+        the WAL first and the commit's log-device time is charged on the
         serving clock, so WAL durability latency shows up in serving
         percentiles.  Returns the new tuple id.
         """
-        env = reader.env
-        path = self.index.page_path(key)
-        for pid in path[:-1]:
-            yield from reader.demand(pid)
-            yield env.timeout(page_process_us)
-        leaf_pid = path[-1]
-        yield from reader.demand(leaf_pid)
-        with reader.pool.pinned(leaf_pid, owner=owner):
-            yield env.timeout(page_process_us)
-            row = self.insert(key, k2, k3)
+        protocol = NULL_PROTOCOL if protocol is None else protocol
+        return (yield from protocol.guarded(
+            self._insert(reader, disks, key, k2, k3, page_process_us, owner, protocol), owner
+        ))
+
+    def _insert(self, reader, disks, key, k2, k3, page_process_us, owner, protocol):
+        row = None
+        for __ in range(protocol.retry_budget):
+            arrivals, __, __ = yield from descend(
+                self, reader, [key], protocol, owner, page_process_us
+            )
+            if arrivals:
+                leaf = arrivals[0]
+                leaf_pid = leaf.pid
+                if not leaf.fresh:
+                    row = self.insert(key, k2, k3)  # atomic fresh re-descent
+                    break
+                locked = yield from protocol.lock_leaf(self.index, leaf_pid, leaf.token, owner)
+                if locked:
+                    try:
+                        row = self._apply_insert(
+                            leaf_pid, leaf.above, (leaf_pid,), key, k2, k3, protocol
+                        )
+                    finally:
+                        protocol.unlatch((leaf_pid,), owner)
+                    break
+                if locked is None:
+                    break  # split-unsafe leaf: retrying optimistically cannot help
+            protocol.write_restarts += 1
+        if row is None:
+            protocol.pessimistic_writes += 1
+            leaf_pid, held, path = yield from protocol.escalate(
+                self, reader, key, owner, page_process_us, for_insert=True
+            )
+            try:
+                row = self._apply_insert(leaf_pid, path[:-1], held, key, k2, k3, protocol)
+            finally:
+                protocol.unlatch(held, owner)
         if self.wal is not None and self.wal.last_commit_write_us > 0:
-            yield env.timeout(self.wal.last_commit_write_us)
+            yield reader.env.timeout(self.wal.last_commit_write_us)
         # Write-through: the mutated leaf goes straight back to its spindle.
         yield disks.write_page(leaf_pid)
+        return row
+
+    def _apply_insert(self, leaf_pid, path_above, held, key, k2, k3, protocol) -> int:
+        """Atomically insert into the leaf a descent located (no re-descent).
+
+        Mutating the traversal's own leaf is what makes the latches
+        load-bearing: without them, a split between traversal and apply
+        puts the entry in a page proper descents no longer route to.
+        """
+        tree = self.index
+        page, base = tree._page(leaf_pid)
+        with protocol.structural(held), self._txn():
+            row = self.table.insert_row(key, k2, k3)
+            tree._insert_entry(leaf_pid, page, base, key, row + 1, list(path_above))
+            tree._entries += 1
         return row
 
     # -- the update path ------------------------------------------------------------

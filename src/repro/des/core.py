@@ -188,7 +188,8 @@ class _ConditionEvent(Event):
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self.events = list(events)
-        self._pending = 0
+        #: Events not yet observed; AllOf finalizes when this reaches zero.
+        self._pending = len(self.events)
         for event in self.events:
             if event.env is not env:
                 raise SimulationError("condition mixes events from different environments")
@@ -196,7 +197,6 @@ class _ConditionEvent(Event):
             if event.processed:
                 self._observe(event)
             else:
-                self._pending += 1
                 event.callbacks.append(self._observe)
         if not self._triggered and self._pending == 0:
             self._finalize()
@@ -223,7 +223,7 @@ class AllOf(_ConditionEvent):
             self.fail(event.value)
             return
         self._pending -= 1
-        if self._pending <= 0 and all(e.triggered for e in self.events):
+        if self._pending == 0:
             self._finalize()
 
     def _finalize(self) -> None:

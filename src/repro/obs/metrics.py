@@ -15,6 +15,7 @@ the attribute *is* the metric.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -105,11 +106,9 @@ class Histogram:
         self.max = float("-inf")
 
     def record(self, value: float) -> None:
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bound >= value; NaN compares false against every bound,
+        # so it belongs in the overflow bucket (bisect alone would say 0).
+        index = bisect_left(self.bounds, value) if value == value else len(self.bounds)
         self.counts[index] += 1
         self.count += 1
         self.total += value

@@ -23,11 +23,12 @@ import dataclasses
 from dataclasses import dataclass, fields
 from typing import Any, Optional, Sequence
 
+from ..btree.cc import CONCURRENCY_MODES
+
 __all__ = ["ScenarioSpec", "ScenarioError", "PAPER_SCALE_ROWS", "MIN_PAPER_DEADLINE_MS"]
 
 RUNNERS = ("serve", "chaos", "shard", "concurrency")
 ADMISSION_MODES = ("fifo", "batch")
-CONCURRENCY_MODES = ("none", "page", "coarse", "broken")
 DISTRIBUTIONS = ("uniform", "zipf")
 PLACEMENTS = ("equal_width", "optimized")
 
@@ -173,7 +174,7 @@ class ScenarioSpec:
         if self.concurrency not in CONCURRENCY_MODES:
             p.append(
                 f"{tag}: unknown concurrency mode {self.concurrency!r}; "
-                f"pick one of {', '.join(m for m in CONCURRENCY_MODES if m != 'broken')}"
+                f"pick one of {', '.join(CONCURRENCY_MODES)}"
             )
         if self.distribution not in DISTRIBUTIONS:
             p.append(
@@ -335,20 +336,13 @@ class ScenarioSpec:
             )
 
         # -- concurrency control --------------------------------------------
-        if self.concurrency == "broken":
-            p.append(
-                f"{tag}: concurrency = 'broken' is the negative control that "
-                "skips leaf re-validation and demonstrably loses updates — it "
-                "exists for the linearizability checker's tests, not for "
-                "scenario matrices; use 'page' or 'coarse'"
-            )
         if self.runner == "concurrency" and self.concurrency == "none":
             p.append(
                 f"{tag}: the concurrency runner compares latching regimes; pick "
                 "concurrency = 'page' or 'coarse' (or use the 'serve' runner "
                 "for uncontended serving)"
             )
-        if self.concurrency not in ("none", "broken") and self.runner == "shard":
+        if self.concurrency != "none" and self.runner == "shard":
             p.append(
                 f"{tag}: concurrency = {self.concurrency!r} is not wired into "
                 "the shard fleet (per-shard servers run without page latches); "

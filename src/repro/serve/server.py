@@ -29,14 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..btree.cc import ConcurrentTreeOps, PageLatchManager
+from ..btree.cc import PageLatchManager, make_protocol
 from ..dbms.engine import MiniDbms
 from ..des import Environment, Event, WaitTimeout, with_timeout
-from ..faults.errors import SimulatedCrash, StorageFault
+from ..faults.errors import SimulatedCrash
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..obs import MetricsRegistry, Observability
-from ..storage.buffer import BufferPoolExhausted
 from ..storage.config import StorageConfig
 from ..storage.prefetch import RetryPolicy
 from ..workloads.ops import FreshKeys
@@ -188,20 +187,16 @@ class DbmsServer:
             self.fresh_keys = FreshKeys(max_key + 2, stride=2)
         self._next_rid = 0
         self.requests: list[ServedRequest] = []
-        #: Concurrency control mode: "none" keeps the legacy serve_* paths
-        #: (ops interleave only at yield points, tree mutations are atomic
-        #: re-descents); "page" routes ops through
-        #: :class:`~repro.btree.cc.ConcurrentTreeOps` — optimistic reads
-        #: with version validation plus latch-crabbing writes, so sessions
-        #: genuinely race inside the tree; "coarse" serializes every op
-        #: behind one global latch (the benchmark baseline); "broken"
-        #: disables validation (for seeding known-bad histories).
-        if concurrency not in ("none",) + ConcurrentTreeOps.MODES:
-            raise ValueError(f"unknown concurrency mode {concurrency!r}")
+        #: Concurrency control mode, i.e. the latch protocol every served
+        #: op descends under (:mod:`repro.btree.cc`): "none" (ops interleave
+        #: only at yield points, tree mutations are atomic), "page"
+        #: (optimistic version-latch reads plus leaf-latched writes, so
+        #: sessions genuinely race inside the tree) or "coarse" (every op
+        #: behind one global latch — the benchmark baseline).  An unknown
+        #: mode raises ValueError when the substrate is wired below.
         self.concurrency = concurrency
         self.retry_budget = retry_budget
         self.latches: Optional[PageLatchManager] = None
-        self.cc_ops: Optional[ConcurrentTreeOps] = None
         #: Latch/traversal counters folded across substrate rebuilds.
         self.latch_totals: dict[str, int] = {}
         #: Optional linearizability history recorder (attach_history).
@@ -242,31 +237,18 @@ class DbmsServer:
         #: drained by fail_unfinished like every other in-flight op).
         self._open_batch = None
         if self.concurrency != "none":
-            self._fold_latch_counters()
+            self.latch_totals = self.latch_counters()
             self.latches = PageLatchManager(self.env, self.db.store)
             self.latches.attach_watchdog()
-            self.cc_ops = ConcurrentTreeOps(
-                self.db,
-                self.latches,
-                mode=self.concurrency,
-                page_process_us=self.page_process_us,
-                retry_budget=self.retry_budget,
-            )
-
-    def _fold_latch_counters(self) -> None:
-        """Fold the outgoing substrate's latch counters into the totals."""
-        for source in (self.latches, self.cc_ops):
-            if source is None:
-                continue
-            for name, value in source.counters().items():
-                self.latch_totals[name] = self.latch_totals.get(name, 0) + value
+        #: The latch protocol every served op (and batch) runs under.
+        self.protocol = make_protocol(self.concurrency, self.latches, self.retry_budget)
 
     def latch_counters(self) -> dict[str, int]:
         """Cumulative concurrency-control counters (across rebuilds)."""
         totals = dict(self.latch_totals)
-        for source in (self.latches, self.cc_ops):
-            if source is None:
-                continue
+        if self.latches is None:
+            return totals
+        for source in (self.latches, self.protocol):
             for name, value in source.counters().items():
                 totals[name] = totals.get(name, 0) + value
         return totals
@@ -373,16 +355,11 @@ class DbmsServer:
             # StorageFault, so without this re-raise the crash would be
             # silently absorbed as one failed request.
             raise
-        except (StorageFault, WaitTimeout, BufferPoolExhausted) as exc:
-            request.outcome = "failed"
-            request.error = exc
-            request.finished_at = self.env.now
-            self.stats.fail(request.kind)
-            return request
         except Exception as exc:
-            # Catch-all: an unexpected error (an unknown op kind, an engine
-            # bug) must still land the request in "failed", or it stays
-            # "pending" forever and the conservation identity breaks.
+            # A storage fault, a timed-out wait, an exhausted pool — or an
+            # unexpected error (an unknown op kind, an engine bug): each must
+            # land the request in "failed", or it stays "pending" forever and
+            # the conservation identity breaks.
             request.outcome = "failed"
             request.error = exc
             request.finished_at = self.env.now
@@ -412,50 +389,27 @@ class DbmsServer:
         hist_id = None
         if self.history is not None and kind in ("lookup", "scan", "insert"):
             hist_id = self.history.invoke(request.session, kind, request.op[1:])
+        served = dict(page_process_us=self.page_process_us, owner=owner, protocol=self.protocol)
         if kind == "lookup":
-            if self.cc_ops is not None:
-                row = yield from self.cc_ops.lookup(
-                    self.reader, request.op[1], owner=owner
-                )
-            else:
-                row = yield from self.db.serve_lookup(
-                    self.reader, request.op[1],
-                    page_process_us=self.page_process_us, owner=owner,
-                )
+            row = yield from self.db.serve_lookup(self.reader, request.op[1], **served)
             if hist_id is not None:
                 self.history.respond(hist_id, row is not None)
             return 1 if row is not None else 0
         if kind == "scan":
-            if self.cc_ops is not None:
-                count, truncated = yield from self.cc_ops.scan(
-                    self.reader, request.op[1], request.op[2],
-                    owner=owner, max_pages=self.max_scan_pages,
-                )
-            else:
-                count = yield from self.db.serve_scan(
-                    self.reader, request.op[1], request.op[2],
-                    page_process_us=self.page_process_us,
-                    prefetch_depth=self.scan_prefetch_depth,
-                    max_pages=self.max_scan_pages,
-                    owner=owner,
-                )
-                truncated = self.max_scan_pages is not None
+            count = yield from self.db.serve_scan(
+                self.reader, request.op[1], request.op[2],
+                prefetch_depth=self.scan_prefetch_depth,
+                max_pages=self.max_scan_pages,
+                **served,
+            )
             if hist_id is not None:
-                # A truncated scan's count is partial by design: record it
-                # as unconstrained rather than as a model violation.
+                # A possibly truncated scan's count is partial by design:
+                # record it as unconstrained rather than as a violation.
+                truncated = self.max_scan_pages is not None
                 self.history.respond(hist_id, None if truncated else int(count))
             return count
         if kind == "insert":
-            key = request.op[1]
-            if self.cc_ops is not None:
-                yield from self.cc_ops.insert(
-                    self.reader, self.disks, key, owner=owner
-                )
-            else:
-                yield from self.db.serve_insert(
-                    self.reader, self.disks, key,
-                    page_process_us=self.page_process_us, owner=owner,
-                )
+            yield from self.db.serve_insert(self.reader, self.disks, request.op[1], **served)
             if hist_id is not None:
                 self.history.respond(hist_id, True)
             return 1
@@ -567,7 +521,7 @@ class DbmsServer:
         yield from self.db.serve_lookup_batch(
             self.reader, keys,
             page_process_us=self.page_process_us,
-            owner=owner, cc=self.cc_ops, on_result=finish,
+            owner=owner, protocol=self.protocol, on_result=finish,
         )
 
     # -- crash handling ----------------------------------------------------

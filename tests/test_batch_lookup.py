@@ -182,7 +182,7 @@ def test_latched_batch_modes_match_individual_lookups(mode):
     expected = [db.lookup(k) for k in keys]
     rows = server.env.run(
         until=server.env.process(
-            db.serve_lookup_batch(server.reader, keys, owner="t", cc=server.cc_ops)
+            db.serve_lookup_batch(server.reader, keys, owner="t", protocol=server.protocol)
         )
     )
     assert rows == expected

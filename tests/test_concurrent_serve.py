@@ -5,10 +5,10 @@ race inside the tree (optimistic reads, latch-crabbing writes); these tests
 record the resulting histories on the DES clock and validate them with the
 Wing–Gong checker — including the two headline acceptance criteria:
 
-* the deliberately unsound ``"broken"`` mode (no validation, inserts
-  applied into the stale traversal leaf) manufactures lost updates the
-  checker must reject, while ``"page"`` histories under identical load are
-  accepted; and
+* the deliberately unsound test-only broken protocol (no validation,
+  inserts applied into the stale traversal leaf — see
+  ``tests/broken_protocol.py``) manufactures lost updates the checker must
+  reject, while ``"page"`` histories under identical load are accepted; and
 * a crash injected at the start of a page split *while concurrent writers
   race inside the tree* recovers via the WAL with zero acknowledged
   inserts lost, a scrub-clean tree, a linearizable acknowledged history,
@@ -26,6 +26,8 @@ from repro.serve.server import DbmsServer
 from repro.serve.stats import ServerStats
 from repro.verify.linearizability import HistoryRecorder, check_linearizable
 from repro.workloads.ops import MixedOpStream, OpMix
+
+from .broken_protocol import break_latches
 
 
 def make_server(seed: int, concurrency: str, num_rows: int = 300) -> DbmsServer:
@@ -56,10 +58,12 @@ def burst(server: DbmsServer, ops, sessions: int = 6):
     return requests
 
 
-def insert_burst_then_audit(seed: int, concurrency: str):
+def insert_burst_then_audit(seed: int, concurrency: str, broken: bool = False):
     """The seeded known-bad recipe: race 50 inserts across 6 sessions on a
     small-page tree (plenty of splits), then look up every acked key."""
     server = make_server(seed, concurrency)
+    if broken:
+        break_latches(server)
     inserts = burst(server, [("insert", None)] * 50)
     acked = [r.op[1] for r in inserts if r.outcome == "ok"]
     assert acked, "the burst must acknowledge some inserts"
@@ -69,7 +73,7 @@ def insert_burst_then_audit(seed: int, concurrency: str):
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_broken_mode_history_is_rejected(seed):
-    server, result = insert_burst_then_audit(seed, "broken")
+    server, result = insert_burst_then_audit(seed, "page", broken=True)
     assert not result.ok
     assert "no linearization" in result.reason
     # The rejection has a concrete cause: some acked insert is unreachable.
@@ -82,8 +86,8 @@ def test_page_mode_history_is_accepted(seed):
     server, result = insert_burst_then_audit(seed, "page")
     assert result.ok, result.reason
     server.db.index.validate()
-    # The latches genuinely arbitrated: the same load that breaks "broken"
-    # mode produced validation conflicts here, and none were lost.
+    # The latches genuinely arbitrated: the same load that breaks the broken
+    # protocol produced validation conflicts here, and none were lost.
     assert server.latch_counters()["validation_failures"] > 0
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, SimulationError
+from repro.des import AllOf, AnyOf, Environment, Event, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -167,6 +167,46 @@ def test_all_of_waits_for_slowest():
     env.process(proc())
     env.run()
     assert at == [9]
+
+
+class _ScanCountingEvent(Event):
+    """An event that counts reads of its ``triggered`` flag."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, env):
+        super().__init__(env)
+        self.reads = 0
+
+    @property
+    def triggered(self):
+        self.reads += 1
+        return self._triggered
+
+
+def test_all_of_over_processed_events_never_rescans():
+    """An AllOf over N already-processed events plus one pending event
+    counts down to the pending one and fires once — it does not re-scan
+    its whole event list on every observation (quadratic construction)."""
+    env = Environment()
+    n = 200
+    done = [_ScanCountingEvent(env) for __ in range(n)]
+    for event in done:
+        event.succeed(event)
+    env.run()
+    assert all(event.processed for event in done)
+    pending = _ScanCountingEvent(env)
+    condition = AllOf(env, done + [pending])
+    fired = []
+    condition.callbacks.append(fired.append)
+    assert not condition.triggered
+    pending.succeed(pending)
+    env.run()
+    assert fired == [condition]
+    assert condition.value == done + [pending]
+    # Each full-list scan reads the first event's flag once; collecting the
+    # values at the end is the only scan allowed.
+    assert done[0].reads <= 1
 
 
 def test_any_of_fires_on_fastest():

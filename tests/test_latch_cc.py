@@ -12,13 +12,16 @@ import pytest
 
 from repro.btree.cc import (
     GLOBAL_LATCH,
-    ConcurrentTreeOps,
     LatchDeadlockError,
     PageLatchManager,
+    make_protocol,
+    page_safe,
 )
 from repro.dbms.engine import MiniDbms
 from repro.des import Environment, Event, SimulationError
 from repro.serve.server import DbmsServer
+
+from .broken_protocol import break_latches
 
 
 def make_manager(wrap: int = 1 << 32) -> tuple[Environment, PageLatchManager]:
@@ -235,12 +238,25 @@ def serve_db(**kwargs) -> tuple[MiniDbms, DbmsServer]:
     return db, server
 
 
+def served_insert(server, key, owner):
+    return server.db.serve_insert(
+        server.reader, server.disks, key,
+        page_process_us=server.page_process_us, owner=owner, protocol=server.protocol,
+    )
+
+
+def served_lookup(server, key, owner):
+    return server.db.serve_lookup(
+        server.reader, key,
+        page_process_us=server.page_process_us, owner=owner, protocol=server.protocol,
+    )
+
+
 def test_root_split_under_optimistic_snapshot_of_old_root():
     """A reader snapshots the root version, a writer splits the root: the
     stale snapshot must fail validation, and a descent started after the
     split must route through the new root and still find its key."""
     db, server = serve_db()
-    ops = server.cc_ops
     latches = server.latches
     tree = db.index
     env = server.env
@@ -257,7 +273,7 @@ def test_root_split_under_optimistic_snapshot_of_old_root():
         key = int(db._workload.keys[-1])
         while tree.height == height:
             key += 2
-            yield from ops.insert(server.reader, server.disks, key, owner="writer")
+            yield from served_insert(server, key, owner="writer")
         root_split.succeed()
 
     def reader():
@@ -267,7 +283,7 @@ def test_root_split_under_optimistic_snapshot_of_old_root():
         # rewrote that page, so optimistic validation must fail.
         assert latches.validate(old_root, old_version) is False
         key = int(db._workload.keys[0])
-        row = yield from ops.lookup(server.reader, key, owner="reader")
+        row = yield from served_lookup(server, key, owner="reader")
         result["row"] = row
 
     env.process(writer())
@@ -279,14 +295,13 @@ def test_root_split_under_optimistic_snapshot_of_old_root():
 
 def test_reader_restarts_when_descent_validation_fails():
     db, server = serve_db()
-    ops = server.cc_ops
     latches = server.latches
     env = server.env
     key = int(db._workload.keys[5])
     done = {}
 
     def reader():
-        row = yield from ops.lookup(server.reader, key, owner="r")
+        row = yield from served_lookup(server, key, owner="r")
         done["row"] = row
 
     def meddler():
@@ -303,10 +318,10 @@ def test_reader_restarts_when_descent_validation_fails():
     env.process(meddler())
     env.run()
     assert done["row"] is not None
-    assert ops.read_restarts >= 1
+    assert server.protocol.read_restarts >= 1
 
 
-def _split_safe_key(db, ops) -> int:
+def _split_safe_key(db) -> int:
     """A fresh key routed to a leaf that one insert cannot split.
 
     Retry-budget exhaustion needs the optimistic path to fail on
@@ -316,21 +331,20 @@ def _split_safe_key(db, ops) -> int:
     for stored in db._workload.keys.tolist():
         key = int(stored) + 1  # between stored keys (stride 2): always fresh
         leaf_pid = db.index.page_path(key)[-1]
-        if ops._page_safe(db.index.store.page(leaf_pid)):
+        if page_safe(db.index, db.index.store.page(leaf_pid)):
             return key
     raise AssertionError("no split-safe leaf in a freshly bulkloaded tree")
 
 
 def test_writer_retry_budget_exhaustion_falls_back_to_crabbing():
     db, server = serve_db(retry_budget=2)
-    ops = server.cc_ops
     latches = server.latches
     env = server.env
-    key = _split_safe_key(db, ops)
+    key = _split_safe_key(db)
     finished = {}
 
     def writer():
-        row = yield from ops.insert(server.reader, server.disks, key, owner="w")
+        row = yield from served_insert(server, key, owner="w")
         finished["row"] = row
 
     def meddler():
@@ -345,22 +359,21 @@ def test_writer_retry_budget_exhaustion_falls_back_to_crabbing():
     env.process(meddler())
     env.run()
     assert "row" in finished
-    assert ops.pessimistic_writes == 1
-    assert ops.write_restarts >= 2  # burned the whole budget first
+    assert server.protocol.pessimistic_writes == 1
+    assert server.protocol.write_restarts >= 2  # burned the whole budget first
     assert db.index.search(key) is not None
     db.index.validate()
 
 
 def test_reader_retry_budget_exhaustion_falls_back_to_pessimistic():
     db, server = serve_db(retry_budget=2)
-    ops = server.cc_ops
     latches = server.latches
     env = server.env
     key = int(db._workload.keys[8])
     finished = {}
 
     def reader():
-        row = yield from ops.lookup(server.reader, key, owner="r")
+        row = yield from served_lookup(server, key, owner="r")
         finished["row"] = row
 
     def meddler():
@@ -372,7 +385,7 @@ def test_reader_retry_budget_exhaustion_falls_back_to_pessimistic():
     env.process(meddler())
     env.run()
     assert finished["row"] is not None
-    assert ops.pessimistic_reads == 1
+    assert server.protocol.pessimistic_reads == 1
 
 
 def test_coarse_mode_serializes_behind_global_latch():
@@ -396,10 +409,11 @@ def test_coarse_mode_serializes_behind_global_latch():
 
 
 def test_broken_mode_loses_updates_under_concurrent_splits():
-    """The deliberately unvalidated path misroutes inserts when a split
+    """The deliberately unvalidated protocol misroutes inserts when a split
     races the traversal — the seeded known-bad behaviour the
     linearizability checker must catch (see test_concurrent_serve)."""
-    db, server = serve_db(concurrency="broken", max_concurrency=12)
+    db, server = serve_db(concurrency="page", max_concurrency=12)
+    break_latches(server)
     reqs = []
     for i in range(50):
         req = server.make_request(("insert", None), session=f"w{i % 6}")
@@ -457,4 +471,10 @@ def test_concurrency_mode_is_validated():
     with pytest.raises(ValueError, match="concurrency"):
         DbmsServer(db, concurrency="optimistic")
     with pytest.raises(ValueError, match="mode"):
-        ConcurrentTreeOps(db, PageLatchManager(Environment()), mode="nope")
+        make_protocol("nope")
+
+
+def test_broken_is_not_a_served_mode():
+    db = MiniDbms(num_rows=100, num_disks=2, page_size=512, seed=3, mature=False)
+    with pytest.raises(ValueError, match="unknown concurrency mode 'broken'"):
+        DbmsServer(db, concurrency="broken")

@@ -10,6 +10,8 @@ drift, byte-identical exports per seed, and trace/stats reconciliation.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.dbms import MiniDbms
@@ -91,6 +93,33 @@ class TestHistogram:
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):
             Histogram("bad", bounds=(10.0, 10.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([1.0, 10.0, 100.0, 1000.0]),  # exactly on a bound
+                st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=30,
+        )
+    )
+    def test_bucket_choice_matches_linear_scan(self, values):
+        """The bisected bucket is the first bound >= value; NaN overflows."""
+        bounds = (1.0, 10.0, 100.0, 1000.0)
+        h = Histogram("lat", bounds=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            h.record(value)
+            # The original linear rule, kept here as the oracle.
+            index = len(bounds)
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    index = i
+                    break
+            expected[index] += 1
+        assert h.counts == expected
 
 
 class TestMetricAttrFacade:

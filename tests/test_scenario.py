@@ -107,8 +107,8 @@ REJECTIONS = [
     # paper-scale keys under a smoke deadline: every query would time out.
     (dict(num_rows=10_000_000, deadline_ms=5.0),
      "every query would time out"),
-    # the deliberately-broken concurrency mode is not a scenario.
-    (dict(concurrency="broken"), "negative control"),
+    # the broken negative control is a test-only protocol, not a mode.
+    (dict(concurrency="broken"), "unknown concurrency mode 'broken'"),
     # the concurrency runner exists to compare latching regimes.
     (dict(runner="concurrency", wal=True, concurrency="none"),
      "compares latching regimes"),

@@ -368,3 +368,76 @@ def test_stats_listener_sees_terminal_outcomes_only():
     stats.issue()
     stats.fail("insert")
     assert seen == [("scan", 2_000.0, True), ("insert", None, False)]
+
+
+# -- one served traversal: per-page routing and scan prefetch under latches ----
+
+
+def test_none_lookup_follows_a_split_that_lands_mid_descent():
+    """A ``none`` lookup routes each page only after reading it, so a split
+    that moves its key to a new leaf while the descent waits on disk sends
+    it to the new leaf — the stale up-front path would read the old one."""
+    from repro.storage.disk import DiskArray
+    from repro.storage.prefetch import AsyncPageReader
+
+    db = MiniDbms(num_rows=300, num_disks=2, page_size=512, seed=3, mature=False)
+    env = Environment()
+    config = StorageConfig(
+        page_size=db.page_size, num_disks=db.num_disks, buffer_pool_pages=48, disk=db.disk_params
+    )
+    reader = AsyncPageReader(env, DiskArray(env, config), BufferPool(config, db.store))
+    existing = set(int(k) for k in db._workload.keys)
+    firsts, pids = db.leaf_key_map()
+    mid = len(pids) // 2
+    lo, hi = int(firsts[mid]), int(firsts[mid + 1])
+    old_leaf = pids[mid]
+    key = max(k for k in existing if lo <= k < hi)  # upper half: moves on a split
+    expected = db.lookup(key)
+    gaps = [k for k in range(lo + 1, key) if k not in existing]
+
+    def splitter():
+        # Land inside the descent's (multi-ms) cold root read.
+        yield env.timeout(500.0)
+        before = db.index.page_splits
+        for gap in gaps:
+            db.insert(gap)
+            if db.index.page_splits > before:
+                return
+        raise AssertionError("the inserts must split the leaf")
+
+    env.process(splitter())
+    row = env.run(until=env.process(db.serve_lookup(reader, key, page_process_us=50.0)))
+    new_leaf = db.index.page_path(key)[-1]
+    assert new_leaf != old_leaf, "the split must have moved the key"
+    assert row == expected
+    assert reader.pool.contains(new_leaf), "the lookup must read the fresh route's leaf"
+    assert not reader.pool.contains(old_leaf), "the stale leaf must not be demanded"
+
+
+def test_page_scan_honours_brownout_shrunken_prefetch_depth():
+    """Page-latched scans walk the same prefetching leaf span as unlatched
+    ones, so the brownout ladder's shrunken ``scan_prefetch_depth`` slows
+    them down instead of being ignored."""
+    from repro.serve.resilience import BrownoutConfig, BrownoutController
+
+    def scan_latency(degraded: bool):
+        db = MiniDbms(num_rows=800, num_disks=2, page_size=512, seed=5, mature=False)
+        server = DbmsServer(
+            db, max_concurrency=4, queue_depth=16, pool_frames=64,
+            page_process_us=50.0, seed=5, concurrency="page",
+        )
+        if degraded:
+            BrownoutController(server, BrownoutConfig())._set_level(1)
+            assert server.scan_prefetch_depth == 1
+        keys = [int(k) for k in db._workload.keys]
+        request = server.make_request(("scan", keys[10], keys[400]))
+        server.submit(request)
+        server.run()
+        assert request.outcome == "ok"
+        assert request.rows == db.index.range_scan(keys[10], keys[400]).count
+        return request.latency_us, server.reader.prefetches
+
+    full_us, full_prefetches = scan_latency(degraded=False)
+    shrunk_us, shrunk_prefetches = scan_latency(degraded=True)
+    assert full_prefetches > 0, "a page scan must prefetch its leaf span"
+    assert shrunk_us > full_us, "a shallower prefetch window must cost latency"
