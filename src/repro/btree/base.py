@@ -9,7 +9,7 @@ experiments iterate over them uniformly.  The contract:
 * duplicate keys are permitted (stored adjacently);
 * ``range_scan`` is inclusive on both ends and returns a count plus a tuple-id
   checksum so implementations can be cross-validated without materializing
-  results;
+  results; ``range_count`` returns just that count;
 * ``validate()`` walks the whole structure checking invariants and raises
   ``IndexCorruptionError`` on any violation (used heavily by tests).
 """
@@ -96,6 +96,14 @@ class Index(ABC):
     @abstractmethod
     def range_scan(self, start_key: int, end_key: int) -> ScanResult:
         """Count entries with start_key <= key <= end_key (inclusive)."""
+
+    def range_count(self, start_key: int, end_key: int) -> int:
+        """``range_scan(start_key, end_key).count``, for callers that need no checksum.
+
+        Subclasses may override it with an untraced walk that skips the
+        per-entry work; the result must equal the scan's count.
+        """
+        return self.range_scan(start_key, end_key).count
 
     def range_scan_reverse(self, start_key: int, end_key: int) -> ScanResult:
         """Scan the same range walking leaves right-to-left.

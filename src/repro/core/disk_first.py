@@ -768,6 +768,50 @@ class DiskFirstFpTree(Index):
             page, base = self._page(page.next_page)
         return ScanResult(count, tid_sum)
 
+    def range_count(self, start_key: int, end_key: int) -> int:
+        """:meth:`range_scan`'s count from an untraced walk over page totals.
+
+        Descends and stops exactly as the scan does, but a page that lies
+        wholly inside the range (its first key ``>= start_key``, its
+        successor's first key ``<= end_key``) contributes its ``total``
+        without a look at its nodes; only the boundary pages are counted
+        node by node.
+        """
+        if end_key < start_key:
+            return 0
+        page = self.store.page(self.root_pid)
+        while page.level > 0:
+            page = self.store.page(self._route(page, start_key, side="left"))
+        first = page.first_key()
+        count = 0
+        while True:
+            following = (
+                self.store.page(page.next_page) if page.next_page != INVALID_PAGE_ID else None
+            )
+            next_first = following.first_key() if following is not None else None
+            if (
+                first is not None
+                and next_first is not None
+                and start_key <= first
+                and next_first <= end_key
+            ):
+                count += page.total
+            else:  # a boundary page (or an emptied one, whose nodes are all skipped)
+                for node in page.leaf_nodes_in_order():
+                    if node.count == 0 or node.keys[node.count - 1] < start_key:
+                        continue
+                    keys = node.keys[: node.count]
+                    if keys[0] >= start_key and keys[-1] <= end_key:
+                        count += node.count
+                        continue
+                    hi = int(keys.searchsorted(end_key, side="right"))
+                    count += hi - int(keys.searchsorted(start_key, side="left"))
+                    if hi < node.count:
+                        return count
+            if following is None:
+                return count
+            page, first = following, next_first
+
     def range_scan_reverse(self, start_key: int, end_key: int) -> ScanResult:
         """Scan [start_key, end_key] walking leaf pages right-to-left."""
         if end_key < start_key:
@@ -815,21 +859,23 @@ class DiskFirstFpTree(Index):
             pid = self.store.page(pid).next_page
         return pids
 
+    @staticmethod
+    def _route(page: FpPage, key: int, side: str = "right") -> int:
+        """Untraced :meth:`_locate_child_pid`: the child page id for ``key``."""
+        node = page.root
+        while True:
+            slot = max(int(np.searchsorted(node.keys[: node.count], key, side=side)) - 1, 0)
+            if node.kind == LEAF:
+                return int(node.ptrs[slot])
+            node = page.nodes[int(node.ptrs[slot])]
+
     def page_path(self, key: int) -> list[int]:
         """Page ids visited by a search (untraced; for I/O experiments)."""
         path = [self.root_pid]
         page = self.store.page(self.root_pid)
         while page.level > 0:
-            node = page.root
-            while node.kind == NONLEAF:
-                slot = max(
-                    int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0
-                )
-                node = page.nodes[int(node.ptrs[slot])]
-            slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
-            pid = int(node.ptrs[slot])
-            path.append(pid)
-            page = self.store.page(pid)
+            path.append(self._route(page, key))
+            page = self.store.page(path[-1])
         return path
 
     def leaf_pids_via_jump_pointers(self) -> list[int]:

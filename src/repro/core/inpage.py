@@ -135,6 +135,25 @@ class FpPage:
         visit(self.root_line)
         return out
 
+    def first_key(self) -> Optional[int]:
+        """Smallest key in the page, or None if it holds no entries.
+
+        Follows the leftmost in-page path (one node per in-page level); only
+        when that leaf node is empty — deletes are lazy — does it fall back
+        to the in-order walk for the first non-empty leaf node.
+        """
+        if self.root_line < 0:
+            return None
+        node = self.nodes[self.root_line]
+        while node.kind == NONLEAF:
+            node = self.nodes[int(node.ptrs[0])]
+        if node.count:
+            return int(node.keys[0])
+        for node in self.leaf_nodes_in_order():
+            if node.count:
+                return int(node.keys[0])
+        return None
+
 
 class DiskFirstLayout:
     """Geometry and simulated-address arithmetic for disk-first pages."""

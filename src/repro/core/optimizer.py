@@ -132,15 +132,22 @@ def optimize_disk_first(
             # fan-out), with ties broken toward the shallower (cheaper) tree.
             # Degenerate single-node "trees" (L=1) waste almost the whole
             # page and are not reasonable candidates unless nothing deeper
-            # fits.
+            # fits.  Once the root fan-out no longer limits the leaf count
+            # (nonleaf_capacity ** (L - 1) >= usable // leaf_bytes), every
+            # deeper tree has the same leaf bound and at least one more
+            # non-leaf node, so it holds no more leaves and never wins the
+            # tie: the search stops there.
             best = None
             levels = 2
+            leaf_bound = usable // (x * line_size)
             while True:
                 leaves = _inpage_tree_leaves(usable, levels, w * line_size, x * line_size, nonleaf_capacity)
                 if leaves <= 0:
                     break
                 if best is None or leaves * leaf_capacity > best[1]:
                     best = (levels, leaves * leaf_capacity, leaves)
+                if nonleaf_capacity ** (levels - 1) >= leaf_bound:
+                    break
                 levels += 1
             pool = candidates
             if best is None:

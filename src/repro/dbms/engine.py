@@ -138,6 +138,10 @@ class MiniDbms:
         workload = KeyWorkload(num_rows, seed=seed)
         rng = np.random.default_rng(seed + 1)
         keys, __ = workload.bulkload_arrays()
+        # Draw every key's payload in full-universe order, so a row's
+        # contents are a pure function of its key — a sharded fleet
+        # stores byte-identical rows to the unsharded database.
+        values = rng.integers(0, 1 << 31, size=keys.size)
         self.key_range = key_range
         if key_range is not None:
             # A shard of a fleet: store only the keys inside [lo, hi).  The
@@ -153,17 +157,8 @@ class MiniDbms:
                 mask &= keys < hi
             if not mask.any():
                 raise ValueError(f"key_range {key_range} holds no stored keys")
-            # Draw every key's payload in full-universe order, so a row's
-            # contents are a pure function of its key — a sharded fleet
-            # stores byte-identical rows to the unsharded database.
-            for key, keep in zip(keys.tolist(), mask.tolist()):
-                value = int(rng.integers(0, 1 << 31))
-                if keep:
-                    self.table.insert_row(int(key), value, int(key) % 997)
-            keys = keys[mask]
-        else:
-            for key in keys.tolist():
-                self.table.insert_row(int(key), int(rng.integers(0, 1 << 31)), int(key) % 997)
+            keys, values = keys[mask], values[mask]
+        self.table.append_rows(keys, values, keys % 997)
         #: The keys this database actually stores (the full universe, or
         #: this shard's slice of it) — what load generators should target.
         self.stored_keys = keys
@@ -437,16 +432,14 @@ class MiniDbms:
     def leaf_key_map(self) -> tuple[np.ndarray, list[int]]:
         """(first keys, leaf page ids) in leaf order, for range planning.
 
-        Recompute after inserts: page splits add leaves.  The serving layer
-        caches this and invalidates on its write path.
+        The first keys are non-decreasing: an emptied leaf page takes its
+        successor's first key (:func:`~repro.bench.io_scan.leaf_first_keys`).
+        Serving reads it through :meth:`cached_leaf_map`.
         """
-        from ..bench.io_scan import first_key_of_leaf_page  # late: avoids a cycle
+        from ..bench.io_scan import leaf_first_keys  # late: avoids a cycle
 
         pids = self.index.leaf_page_ids()
-        firsts = np.asarray(
-            [first_key_of_leaf_page(self.index, pid) for pid in pids], dtype=np.int64
-        )
-        return firsts, pids
+        return leaf_first_keys(self.index, pids), pids
 
     def leaf_map_epoch(self) -> tuple:
         """Cheap fingerprint of the leaf-page topology.
@@ -630,7 +623,7 @@ class MiniDbms:
         # cache makes this O(1) when nothing moved; splits during the walk
         # below are caught by validation, or — with no latches — are the
         # residual window per-key lookups live with, and untruncated counts
-        # come from an atomic fresh range_scan at the end.)
+        # come from an atomic fresh range_count at the end.)
         firsts, pids = self.cached_leaf_map()
         lo = max(int(np.searchsorted(firsts, start_key, side="right")) - 1, 0)
         hi = max(int(np.searchsorted(firsts, end_key, side="right")) - 1, lo)
@@ -664,7 +657,7 @@ class MiniDbms:
             return int(
                 sum(self._entries_in_leaf_page(pid) for pid in span_pids if pid in self.store)
             )
-        return int(self.index.range_scan(int(start_key), int(end_key)).count)
+        return self.index.range_count(int(start_key), int(end_key))
 
     def serve_insert(
         self,

@@ -80,6 +80,29 @@ class HeapTable:
         self.store.mark_dirty(self._page_ids[-1])
         return (len(self._page_ids) - 1) * self.rows_per_page + slot
 
+    def append_rows(self, k1, k2, k3) -> None:
+        """Append rows in bulk, column-wise.
+
+        Rows land on the same pages and slots, under the same tuple ids, as
+        :meth:`insert_row` called row by row; each page is restamped once.
+        """
+        columns = [np.asarray(column) for column in (k1, k2, k3)]
+        total = len(columns[0])
+        start = 0
+        while start < total:
+            if self._tail is None or self._tail.count >= self.rows_per_page:
+                self._tail = HeapPage(self.rows_per_page)
+                self._page_ids.append(self.store.allocate(self._tail))
+            tail = self._tail
+            take = min(self.rows_per_page - tail.count, total - start)
+            rows = slice(tail.count, tail.count + take)
+            for target, column in zip((tail.k1, tail.k2, tail.k3), columns):
+                target[rows] = column[start : start + take]
+            tail.count += take
+            self.store.mark_dirty(self._page_ids[-1])
+            start += take
+        self.num_rows += total
+
     def rebind(self, page_ids: list[int]) -> None:
         """Adopt a recovered store's surviving heap pages.
 

@@ -9,6 +9,8 @@ modules.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.btree import ScanResult
 
@@ -274,6 +276,45 @@ class IndexContract:
         assert result.count == len(expected)
         assert result.tid_sum == sum(t for __, t in expected)
         index.validate()
+
+    def test_range_count_matches_scan_count(self):
+        """Duplicates, splits, emptied pages, inverted and out-of-range bounds."""
+
+        # Defined per call: one @given function per concrete index class.
+        # Hypothesis picks the shape; a seeded generator fills in hundreds
+        # of operations, enough to split and empty pages.
+        @settings(max_examples=40, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            bulk=st.integers(0, 600),
+            updates=st.integers(0, 600),
+            key_hi=st.sampled_from([40, 400, 4000]),
+            delete_share=st.sampled_from([0.0, 0.5, 0.9]),
+            fill=st.sampled_from([0.5, 1.0]),
+            wipe=st.booleans(),
+        )
+        def check(seed, bulk, updates, key_hi, delete_share, fill, wipe):
+            rng = np.random.default_rng(seed)
+            index = self.make_index()
+            if bulk:
+                keys = np.sort(rng.integers(5, key_hi, bulk))
+                index.bulkload(keys, keys + 1, fill=fill)
+            for key in rng.integers(0, key_hi + 60, updates).tolist():
+                if rng.random() < delete_share:
+                    index.delete(key)
+                else:
+                    index.insert(key, key + 1)
+            if wipe:  # delete a whole key interval: empties the pages inside it
+                low = int(rng.integers(0, key_hi))
+                for key in range(low, low + key_hi // 2):
+                    while index.delete(key):
+                        pass
+            bounds = rng.integers(0, key_hi + 100, size=(20, 2)).tolist()
+            bounds += [[0, key_hi + 100], [0, 4], [key_hi + 60, key_hi + 100], [key_hi, 0]]
+            for start, end in bounds:
+                assert index.range_count(start, end) == index.range_scan(start, end).count
+
+        check()
 
     # -- leaf pages -----------------------------------------------------------------
 

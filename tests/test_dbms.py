@@ -1,9 +1,16 @@
 """Tests for the mini DBMS (heap table + index-only scans)."""
 
+import numpy as np
 import pytest
 
 from repro.dbms import DEFAULT_SCHEMA, HeapTable, MiniDbms
+from repro.des import Environment
 from repro.storage import PageStore
+from repro.storage.buffer import BufferPool
+from repro.storage.config import StorageConfig
+from repro.storage.disk import DiskArray
+from repro.storage.prefetch import AsyncPageReader
+from repro.workloads.generator import KeyWorkload
 
 
 class TestHeapTable:
@@ -46,6 +53,51 @@ class TestHeapTable:
         rows = list(table.rows())
         assert len(rows) == 50
         assert rows[10] == (10, 10, 11, 12)
+
+    def test_append_rows_matches_row_by_row_inserts(self):
+        """Same pages, slots and tuple ids, also onto a part-filled tail."""
+        bulk, single = HeapTable(PageStore(4096)), HeapTable(PageStore(4096))
+        for table in (bulk, single):
+            table.insert_row(1, 2, 3)
+        k1 = np.arange(100, 100 + 3 * bulk.rows_per_page + 2)
+        bulk.append_rows(k1, k1 * 2, k1 % 7)
+        for key in k1.tolist():
+            single.insert_row(key, key * 2, key % 7)
+        assert list(bulk.rows()) == list(single.rows())
+        assert bulk.page_ids() == single.page_ids() and bulk.num_rows == single.num_rows
+        assert all(bulk.store.verify_checksum(pid) for pid in bulk.page_ids())
+
+
+def row_by_row_table(num_rows, seed, page_size, key_range=None):
+    """The heap table built one row and one payload draw at a time."""
+    table = HeapTable(PageStore(page_size))
+    rng = np.random.default_rng(seed + 1)
+    keys, __ = KeyWorkload(num_rows, seed=seed).bulkload_arrays()
+    lo, hi = key_range if key_range is not None else (None, None)
+    for key in keys.tolist():
+        value = int(rng.integers(0, 1 << 31))
+        if (lo is None or key >= lo) and (hi is None or key < hi):
+            table.insert_row(key, value, key % 997)
+    return list(table.rows())
+
+
+@pytest.mark.parametrize(
+    "mature,key_range",
+    [
+        (True, None),
+        (False, None),
+        (False, (None, 3000)),
+        (False, (2000, 6000)),
+        (False, (5000, None)),
+    ],
+)
+def test_bulk_heap_build_matches_row_by_row(mature, key_range):
+    db = MiniDbms(
+        num_rows=3000, num_disks=2, page_size=4096, seed=11, mature=mature, key_range=key_range
+    )
+    expected = row_by_row_table(3000, 11, 4096, key_range)
+    assert list(db.table.rows()) == expected
+    assert [row[1] for row in expected] == db.stored_keys.tolist()
 
 
 class TestMiniDbms:
@@ -116,3 +168,77 @@ class TestIndexKinds:
     def test_unknown_index_kind_rejected(self):
         with pytest.raises(ValueError):
             MiniDbms(num_rows=100, index_kind="btree-9000")
+
+
+# -- the leaf map -------------------------------------------------------------
+
+
+def parent_rule_firsts(db):
+    """First keys by the in-order walk, 0 for an empty page."""
+    firsts = []
+    for pid in db.index.leaf_page_ids():
+        nodes = [node for node in db.store.page(pid).leaf_nodes_in_order() if node.count]
+        firsts.append(int(nodes[0].keys[0]) if nodes else 0)
+    return firsts
+
+
+def test_leaf_key_map_unchanged_without_empty_pages():
+    db = MiniDbms(num_rows=6000, num_disks=2, page_size=4096, seed=4)
+    for key in range(1, 4000, 7):
+        db.insert(key)
+    assert db.index.page_splits > 0
+    firsts, pids = db.leaf_key_map()
+    assert pids == db.index.leaf_page_ids()
+    assert firsts.dtype == np.int64 and firsts.tolist() == parent_rule_firsts(db)
+
+
+def scan_leaves(db, start_key, end_key):
+    """(count, leaf pages demanded) of one served scan on a cold pool."""
+    env = Environment()
+    config = StorageConfig(
+        page_size=db.page_size, num_disks=db.num_disks, buffer_pool_pages=64, disk=db.disk_params
+    )
+    reader = AsyncPageReader(env, DiskArray(env, config), BufferPool(config, db.store))
+    demanded = []
+    demand = reader.demand
+
+    def recording_demand(pid, *args, **kwargs):
+        demanded.append(pid)
+        return (yield from demand(pid, *args, **kwargs))
+
+    reader.demand = recording_demand
+    count = env.run(until=env.process(db.serve_scan(reader, start_key, end_key)))
+    leaves = set(db.index.leaf_page_ids())
+    return count, [pid for pid in demanded if pid in leaves]
+
+
+def test_emptied_leaf_page_keeps_the_leaf_map_sorted():
+    """Deletes are lazy, so a leaf page can empty out and stay in the chain.
+
+    Its routing key used to be 0, which unsorted the map and sent every
+    scan starting left of the page to the empty page.
+    """
+    db = MiniDbms(num_rows=8000, num_disks=2, page_size=4096, seed=6, mature=False)
+    pids = db.index.leaf_page_ids()
+    middle = len(pids) // 2
+    page = db.store.page(pids[middle])
+    for node in page.leaf_nodes_in_order():
+        for key in node.keys[: node.count].tolist():
+            assert db.delete(key)
+    assert page.total == 0 and db.index.leaf_page_ids() == pids
+    in_order = parent_rule_firsts(db)
+    before, after = in_order[middle - 1], in_order[middle + 1]
+    firsts, map_pids = db.leaf_key_map()
+    assert map_pids == pids
+    assert np.all(np.diff(firsts) >= 0)
+    assert firsts[middle] == after  # the successor's first key
+    cases = [
+        (before + 1, after + 1, pids[middle - 1 : middle + 2]),  # starts just left of it
+        (int(firsts[1]) + 1, after, pids[1 : middle + 2]),  # starts further left
+        (before, before + 2, pids[middle - 1 : middle]),  # ends before it
+        (after, after + 5, pids[middle + 1 : middle + 2]),  # starts right of it
+    ]
+    for start, end, expected in cases:
+        count, leaves = scan_leaves(db, start, end)
+        assert leaves == expected, (start, end)
+        assert count == db.index.range_scan(start, end).count

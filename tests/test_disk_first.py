@@ -199,6 +199,62 @@ class TestDiskFirstStructure:
         tree.validate()
 
 
+def in_order_first_key(page):
+    """The first key by the in-order walk of every in-page leaf node."""
+    for node in page.leaf_nodes_in_order():
+        if node.count:
+            return int(node.keys[0])
+    return None
+
+
+class TestFirstKeyAndRangeCount:
+    def make_tree(self):
+        tree = DiskFirstFpTree(TreeEnvironment(page_size=1024, buffer_pages=512))
+        keys = dense_keys(3000)
+        tree.bulkload(keys, keys)
+        rng = np.random.default_rng(5)
+        fresh = rng.choice(np.arange(1, keys[-1]), size=900, replace=False)
+        for key in fresh[fresh % 3 != 1].tolist():  # distinct from the bulkloaded keys
+            tree.insert(key, key)
+        for key in rng.choice(keys, 400, replace=False).tolist():
+            tree.delete(key)
+        tree.validate()
+        return tree, keys
+
+    def test_first_key_matches_in_order_rule_on_every_page(self):
+        tree, __ = self.make_tree()
+        assert tree.height > 1 and tree.page_splits > 0
+        pages = [tree.store.page(pid) for pid in tree.store.page_ids()]
+        assert all(page.first_key() == in_order_first_key(page) for page in pages)
+
+    def test_first_key_skips_an_emptied_leftmost_node(self):
+        tree, __ = self.make_tree()
+        page = tree.store.page(tree.leaf_page_ids()[5])
+        leftmost, second = page.leaf_nodes_in_order()[:2]
+        for key in leftmost.keys[: leftmost.count].tolist():
+            assert tree.delete(key)
+        assert leftmost.count == 0 and page.total > 0
+        assert page.first_key() == in_order_first_key(page) == int(second.keys[0])
+        for node in page.leaf_nodes_in_order():
+            for key in node.keys[: node.count].tolist():
+                assert tree.delete(key)
+        assert page.total == 0
+        assert page.first_key() is None and in_order_first_key(page) is None
+
+    def test_range_count_crosses_an_emptied_page(self):
+        tree, keys = self.make_tree()
+        pids = tree.leaf_page_ids()
+        page = tree.store.page(pids[len(pids) // 2])
+        for node in page.leaf_nodes_in_order():
+            for key in node.keys[: node.count].tolist():
+                assert tree.delete(key)
+        assert page.total == 0
+        rng = np.random.default_rng(9)
+        for start, end in rng.integers(0, keys[-1] + 50, size=(300, 2)).tolist():
+            assert tree.range_count(start, end) == tree.range_scan(start, end).count
+        assert tree.range_count(0, keys[-1] + 50) == tree.num_entries
+
+
 class TestDiskFirstCacheBehaviour:
     def build_pair(self, n=60000, page_size=16384):
         mem = MemorySystem()

@@ -4,7 +4,11 @@ import pytest
 
 from repro.core.optimizer import (
     CACHE_FIRST_NODE_HEADER_BYTES,
+    INPAGE_NODE_HEADER_BYTES,
     PAGE_HEADER_BYTES,
+    DiskFirstWidths,
+    _inpage_tree_leaves,
+    _select,
     micro_page_capacity,
     optimal_pbtree_width,
     optimize_cache_first,
@@ -74,6 +78,77 @@ class TestDiskFirstTable2:
         r = optimize_disk_first(16384, key_size=8)
         assert r.page_fanout > 0
         assert r.nonleaf_capacity >= 2
+
+
+def unpruned_disk_first(
+    page_size, key_size=4, line_size=64, t1=150, tnext=10, max_lines=32, tolerance=0.10
+):
+    """The exhaustive enumeration: every level count until none fits."""
+    usable = page_size - PAGE_HEADER_BYTES
+    candidates, fallbacks = [], []
+    for w in range(1, max_lines + 1):
+        nonleaf_capacity = (w * line_size - INPAGE_NODE_HEADER_BYTES) // (key_size + 2)
+        if nonleaf_capacity < 2:
+            continue
+        for x in range(1, max_lines + 1):
+            leaf_capacity = (x * line_size - INPAGE_NODE_HEADER_BYTES) // (key_size + 4)
+            if leaf_capacity < 1:
+                continue
+            best = None
+            levels = 2
+            while True:
+                leaves = _inpage_tree_leaves(
+                    usable, levels, w * line_size, x * line_size, nonleaf_capacity
+                )
+                if leaves <= 0:
+                    break
+                if best is None or leaves * leaf_capacity > best[1]:
+                    best = (levels, leaves * leaf_capacity, leaves)
+                levels += 1
+            pool = candidates
+            if best is None:
+                leaves = _inpage_tree_leaves(
+                    usable, 1, w * line_size, x * line_size, nonleaf_capacity
+                )
+                if leaves <= 0:
+                    continue
+                best = (1, leaves * leaf_capacity, leaves)
+                pool = fallbacks
+            levels, fanout, leaves = best
+            pool.append(
+                DiskFirstWidths(
+                    nonleaf_bytes=w * line_size,
+                    leaf_bytes=x * line_size,
+                    levels=levels,
+                    leaf_nodes=leaves,
+                    nonleaf_capacity=nonleaf_capacity,
+                    leaf_capacity=leaf_capacity,
+                    page_fanout=fanout,
+                    cost=search_cost(levels, w, x, t1, tnext),
+                    cost_ratio=0.0,
+                )
+            )
+    return _select(candidates if candidates else fallbacks, tolerance)
+
+
+#: (page, key, line) shapes of at most 128 lines per page; the exhaustive
+#: oracle's cost grows with the square of the line count.
+PRUNING_SHAPES = [
+    (page, key, line)
+    for page in (1024, 2048, 4096, 8192, 16384)
+    for key in (4, 8)
+    for line in (32, 64, 128)
+    if page // line <= 128
+]
+
+
+@pytest.mark.parametrize("t1,tnext", [(150, 10), (250, 15)])
+@pytest.mark.parametrize("page,key,line", PRUNING_SHAPES)
+def test_level_pruning_matches_exhaustive_enumeration(page, key, line, t1, tnext):
+    """Stopping once the root fan-out stops binding picks the same widths."""
+    assert optimize_disk_first(
+        page, key_size=key, line_size=line, t1=t1, tnext=tnext
+    ) == unpruned_disk_first(page, key_size=key, line_size=line, t1=t1, tnext=tnext)
 
 
 class TestCacheFirstTable2:
