@@ -171,6 +171,7 @@ def descend(
     """
     tree = db.index
     env = reader.env
+    pool = reader.pool
     epoch = None if protocol.trusts_routes or not visit_leaf else db.leaf_map_epoch()
     # Key indices in sorted-key order: every per-page group built below is
     # then sorted too, and sibling leaves are visited left-to-right (the
@@ -197,8 +198,11 @@ def descend(
                 arrivals.append(Arrival(pid, idxs, above[pid], tokens[pid], True, None))
                 continue
             yield from reader.demand(pid)
-            with reader.pool.pinned(pid, owner=owner):
+            pin = pool.pin(pid, owner)
+            try:
                 yield env.timeout(page_process_us)
+            finally:
+                pool.unpin(pid, pin, owner)
             pages += 1
             # Everything below here is atomic in simulated time: the page
             # is decoded, routed/searched and validated with no yield.

@@ -40,8 +40,6 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import Iterator, Optional
 
-import numpy as np
-
 from ..des import Environment, Event, SimulationError
 
 __all__ = [
@@ -300,9 +298,9 @@ def _route_in_page(page, key: int) -> int:
     """Route ``key`` through an interior page to a child page id (atomic)."""
     node = page.root
     while node.kind == 0:  # NONLEAF (repro.core.inpage): walk to an in-page leaf
-        slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
+        slot = max(int(node.keys[: node.count].searchsorted(key, side="right")) - 1, 0)
         node = page.nodes[int(node.ptrs[slot])]
-    slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
+    slot = max(int(node.keys[: node.count].searchsorted(key, side="right")) - 1, 0)
     return int(node.ptrs[slot])
 
 
@@ -310,9 +308,9 @@ def _search_leaf_page(page, key: int) -> Optional[int]:
     """Find ``key``'s tuple id inside one leaf page (atomic)."""
     node = page.root
     while node.kind == 0:
-        slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
+        slot = max(int(node.keys[: node.count].searchsorted(key, side="right")) - 1, 0)
         node = page.nodes[int(node.ptrs[slot])]
-    slot = int(np.searchsorted(node.keys[: node.count], key, side="left"))
+    slot = int(node.keys[: node.count].searchsorted(key, side="left"))
     if slot < node.count and int(node.keys[slot]) == key:
         return int(node.ptrs[slot])
     return None
@@ -366,8 +364,9 @@ class NullProtocol:
         }
 
     def guarded(self, body, owner):
-        """Process generator: run one whole op (or batch) under the protocol."""
-        return (yield from body)
+        """The process generator that runs one whole op (or batch) under the
+        protocol; with no latches to take, that is ``body`` itself."""
+        return body
 
     def begin(self, pid: int, owner):
         """Process generator: a token to validate ``pid`` against later."""
@@ -452,6 +451,7 @@ class PageProtocol(NullProtocol):
         tree = db.index
         latches = self.latches
         env = reader.env
+        pool = reader.pool
         while True:
             root = tree.root_pid
             yield from latches.write_acquire(root, owner)
@@ -467,8 +467,11 @@ class PageProtocol(NullProtocol):
                 if not visit_leaf and tree.store.page(pid).level == 0:
                     return pid, held, path
                 yield from reader.demand(pid)
-                with reader.pool.pinned(pid, owner=owner):
+                pin = pool.pin(pid, owner)
+                try:
                     yield env.timeout(page_process_us)
+                finally:
+                    pool.unpin(pid, pin, owner)
                 page = tree.store.page(pid)
                 if page.level == 0:
                     return pid, held, path

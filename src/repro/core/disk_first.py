@@ -674,7 +674,7 @@ class DiskFirstFpTree(Index):
         the new separator.
         """
         node, __ = self._inpage_descend(parent_page, parent_base, separator)
-        slot = int(np.searchsorted(node.keys[: node.count], separator, side="left"))
+        slot = int(node.keys[: node.count].searchsorted(separator, side="left"))
         # Skip over equal-key entries for other children.
         while (
             slot < node.count
@@ -749,8 +749,8 @@ class DiskFirstFpTree(Index):
             for node in nodes:
                 if node.count == 0:
                     continue
-                lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-                hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
+                lo = int(node.keys[: node.count].searchsorted(start_key, side="left"))
+                hi = int(node.keys[: node.count].searchsorted(end_key, side="right"))
                 taken = hi - lo
                 if taken > 0:
                     self.tracer.scan(
@@ -830,8 +830,8 @@ class DiskFirstFpTree(Index):
             for node in reversed(nodes):
                 if node.count == 0:
                     continue
-                lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-                hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
+                lo = int(node.keys[: node.count].searchsorted(start_key, side="left"))
+                hi = int(node.keys[: node.count].searchsorted(end_key, side="right"))
                 taken = hi - lo
                 if taken > 0:
                     self.tracer.scan(
@@ -864,7 +864,7 @@ class DiskFirstFpTree(Index):
         """Untraced :meth:`_locate_child_pid`: the child page id for ``key``."""
         node = page.root
         while True:
-            slot = max(int(np.searchsorted(node.keys[: node.count], key, side=side)) - 1, 0)
+            slot = max(int(node.keys[: node.count].searchsorted(key, side=side)) - 1, 0)
             if node.kind == LEAF:
                 return int(node.ptrs[slot])
             node = page.nodes[int(node.ptrs[slot])]

@@ -617,6 +617,7 @@ class MiniDbms:
         token, so that leaf is not begun twice.
         """
         env = reader.env
+        pool = reader.pool
         # Resolve the covering leaf span only *after* the descent's blocking
         # reads: a split landing during them re-routes the scan instead of
         # leaving it on the stale side of the boundary.  (The epoch-checked
@@ -625,8 +626,8 @@ class MiniDbms:
         # residual window per-key lookups live with, and untruncated counts
         # come from an atomic fresh range_count at the end.)
         firsts, pids = self.cached_leaf_map()
-        lo = max(int(np.searchsorted(firsts, start_key, side="right")) - 1, 0)
-        hi = max(int(np.searchsorted(firsts, end_key, side="right")) - 1, lo)
+        lo = max(int(firsts.searchsorted(start_key, side="right")) - 1, 0)
+        hi = max(int(firsts.searchsorted(end_key, side="right")) - 1, lo)
         span_pids = pids[lo : hi + 1]
         truncated = max_pages is not None and len(span_pids) > max_pages
         if truncated:
@@ -645,8 +646,11 @@ class MiniDbms:
             token = tokens.pop(pid) if pid in tokens else (yield from protocol.begin(pid, owner))
             visited.append((pid, token))
             yield from reader.demand(pid)
-            with reader.pool.pinned(pid, owner=owner):
+            pin = pool.pin(pid, owner)
+            try:
                 yield env.timeout(page_process_us)
+            finally:
+                pool.unpin(pid, pin, owner)
             if not protocol.validate(pid, token):
                 return None
         # End-to-end revalidation: every leaf unchanged since it was read

@@ -9,7 +9,7 @@ always considered handled and never crashes the event loop.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import Environment, Event
 
@@ -43,8 +43,8 @@ def with_timeout(env: Environment, event: Event, delay: float, detail: str = "")
     event is left to run to completion; its late result (success *or*
     failure) is silently absorbed.
     """
-    if delay < 0:
-        raise ValueError(f"negative delay {delay}")
+    if not delay >= 0:  # NaN too (see Timeout)
+        raise ValueError(f"delay must be a non-negative number, got {delay}")
     result = Event(env)
     if event.processed:
         _forward(event, result)

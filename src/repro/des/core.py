@@ -14,7 +14,7 @@ in-flight work.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -76,7 +76,9 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        self.env._schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now, env._next_id, self))
+        env._next_id += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -91,7 +93,9 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.env._schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now, env._next_id, self))
+        env._next_id += 1
         return self
 
     def __repr__(self) -> str:
@@ -105,14 +109,18 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # ``not >=`` rather than ``<``: a NaN delay compares false both ways
+        # and would otherwise fire first and set the clock to NaN.
+        if not delay >= 0:
+            raise ValueError(f"delay must be a non-negative number, got {delay}")
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._triggered = True
-        env._schedule(self, delay=delay)
+        self.delay = delay
+        heappush(env._queue, (env._now + delay, env._next_id, self))
+        env._next_id += 1
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -126,57 +134,71 @@ class Process(Event):
     (``yield env.process(work())``).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_resumer")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"process() requires a generator, got {generator!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        #: The bound ``_resume``, made once rather than once per wait.
+        self._resumer = self._resume
         # Bootstrap: resume the process at the current simulation time.
-        bootstrap = Event(env)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        self._resume_now(True, None)
 
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
         return not self._triggered
 
+    def _resume_now(self, ok: bool, value: Any) -> None:
+        """Schedule a resumption with ``(ok, value)`` at the current time."""
+        env = self.env
+        event = Event(env)
+        event.callbacks.append(self._resumer)
+        event._ok = ok
+        event._value = value
+        event._triggered = True
+        heappush(env._queue, (env._now, env._next_id, event))
+        env._next_id += 1
+
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        self.env._active_process = self
+        env = self.env
+        env._active_process = self
         try:
-            if event.ok:
-                target = self._generator.send(event.value)
+            if event._ok:
+                target = self._generator.send(event._value)
             else:
-                target = self._generator.throw(event.value)
+                target = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.env._active_process = None
+            env._active_process = None
+            self._resumer = None  # break the self-cycle: refcounting frees us
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
+            env._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
+            self._resumer = None
             self.fail(exc)
             return
-        self.env._active_process = None
+        env._active_process = None
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process yielded {target!r}; processes must yield Event objects"
             )
-        if target.processed:
+        callbacks = target.callbacks
+        if callbacks is None:
             # Already processed: resume immediately at the current time.
-            immediate = Event(self.env)
-            immediate.callbacks.append(self._resume)
-            immediate._ok = target.ok
-            immediate._value = target.value
-            immediate._triggered = True
-            self.env._schedule(immediate)
+            self._resume_now(target._ok, target._value)
         else:
-            target.callbacks.append(self._resume)
+            callbacks.append(self._resumer)
             self._waiting_on = target
 
 
@@ -307,13 +329,9 @@ class Environment:
 
     # -- scheduling / execution --------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._queue, (self._now + delay, self._next_id, event))
-        self._next_id += 1
-
     def step(self) -> None:
         """Process the single next event in the queue."""
-        when, __, event = heapq.heappop(self._queue)
+        when, __, event = heappop(self._queue)
         self._now = when
         if self.observer is not None:
             self.observer("step", event)
@@ -322,10 +340,10 @@ class Environment:
         if callbacks:
             for callback in callbacks:
                 callback(event)
-        elif not event.ok:
+        elif not event._ok:
             # A failed event nobody waited for: surface the error rather
             # than letting it pass silently.
-            raise event.value
+            raise event._value
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
@@ -334,12 +352,14 @@ class Environment:
         (run until it triggers, returning its value), or ``None`` (run until
         the queue drains).
         """
+        # Every event goes through ``self.step`` (bound once per call), the
+        # one dispatch that observers and profilers wrap.
+        queue = self._queue
+        step = self.step
         if isinstance(until, Event):
             stop_event = until
-            while self._queue:
-                if stop_event.processed:
-                    break
-                self.step()
+            while queue and stop_event.callbacks is not None:
+                step()
             if not stop_event.triggered:
                 self._run_drain_checks()
                 raise SimulationError("run(until=event): queue drained before event fired")
@@ -350,12 +370,12 @@ class Environment:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(f"until={horizon} is in the past (now={self._now})")
-            while self._queue and self._queue[0][0] <= horizon:
-                self.step()
+            while queue and queue[0][0] <= horizon:
+                step()
             self._now = horizon
             return None
-        while self._queue:
-            self.step()
+        while queue:
+            step()
         self._run_drain_checks()
         return None
 

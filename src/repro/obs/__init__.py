@@ -7,9 +7,10 @@ Two planes, one bundle:
   (``export.py``).  Off by default via :data:`NULL_TRACER`; traces observe
   clocks, never advance them, and are deterministic per seed.
 * :class:`MetricsRegistry` (``metrics.py``) — named counters, gauges and
-  histograms.  Components expose their historical counter attributes
-  through the :class:`MetricAttr` facade, so the registry replaces the
-  hand-rolled counters without changing any call site.
+  histograms.  Components keep their historical counters as plain
+  attributes, and :func:`bind_counters` registers pull-based
+  :class:`BoundCounter` views of them, so the registry sees every counter
+  without changing any call site or slowing its increments.
 
 :class:`Observability` bundles one tracer and one registry; every
 instrumented component (disk array, buffer pool, page reader, WAL) accepts
@@ -18,24 +19,24 @@ an optional ``obs`` and shares the bundle it is given.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .export import QueryTrace, chrome_trace_dict, to_chrome_json, validate_chrome_trace
 from .metrics import (
+    BoundCounter,
     Counter,
     Gauge,
     Histogram,
-    MetricAttr,
     MetricsRegistry,
     bind_counters,
 )
 from .trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
+    "BoundCounter",
     "Counter",
     "Gauge",
     "Histogram",
-    "MetricAttr",
     "MetricsRegistry",
     "bind_counters",
     "NULL_TRACER",

@@ -5,12 +5,19 @@ dotted name (``disk0.read_latency_us``, ``reader.retries``).  Everything is
 zero-dependency, deterministic, and purely observational: recording a value
 never touches any simulation clock.
 
-Components keep their historical counter attributes (``reader.retries``,
-``pool.misses``, ``disk.busy_time_us``) through :class:`MetricAttr`, a
-descriptor that stores the value in a registry :class:`Counter` while
-leaving every existing call site — including ``+= 1`` increments and
-``reset_stats()`` zeroing — untouched.  That is the "compatible facade":
-the attribute *is* the metric.
+Components keep their historical counters as plain instance attributes
+(``reader.retries``, ``pool.misses``, ``disk.busy_time_us``), so a hot-path
+``pool.hits += 1`` is a native attribute increment.  :func:`bind_counters`
+registers a pull-based :class:`BoundCounter` view for each of them: the
+registry *reads* the owner's attribute whenever it is asked for a value or
+a snapshot, and writes through it on merge.  That is the "compatible
+facade": the attribute *is* the metric, and ``reset_stats()`` zeroing the
+attribute zeroes the metric.
+
+Rebinding a name — a crash rebuild constructs a fresh buffer pool, reader
+and disk array over the same registry — continues the total: the new owner's
+attribute starts at the view's current value, and the view then reads the
+new owner only, detaching the old one.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricAttr",
+    "BoundCounter",
     "bind_counters",
 ]
 
@@ -52,6 +59,30 @@ class Counter:
 
     def snapshot(self) -> Number:
         return self.value
+
+
+class BoundCounter(Counter):
+    """A :class:`Counter` view whose value is an owner's plain attribute.
+
+    Made by :func:`bind_counters`; reading ``value`` pulls the owner's
+    attribute and assigning it writes the attribute back, so the owner's
+    own ``+=`` and the registry always agree.
+    """
+
+    __slots__ = ("owner", "attr")
+
+    def __init__(self, name: str, owner, attr: str) -> None:
+        self.name = name
+        self.owner = owner
+        self.attr = attr
+
+    @property
+    def value(self) -> Number:
+        return getattr(self.owner, self.attr)
+
+    @value.setter
+    def value(self, value: Number) -> None:
+        setattr(self.owner, self.attr, value)
 
 
 class Gauge:
@@ -185,7 +216,7 @@ class MetricsRegistry:
         if metric is None:
             metric = kind(name, *args)
             self._metrics[name] = metric
-        elif type(metric) is not kind:
+        elif not isinstance(metric, kind):
             raise TypeError(
                 f"metric {name!r} is a {type(metric).__name__}, not a {kind.__name__}"
             )
@@ -253,29 +284,22 @@ class MetricsRegistry:
         return {name: self._metrics[name].snapshot() for name in self.names()}
 
 
-class MetricAttr:
-    """Descriptor exposing a registry counter as a plain instance attribute.
-
-    The owning class calls :func:`bind_counters` in ``__init__`` to map
-    attribute names to registry counters; after that, ``obj.retries += 1``
-    and ``obj.retries = 0`` read and write the counter's value directly, so
-    pre-observability code and tests keep working unchanged.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        return obj._metric_counters[self.name].value
-
-    def __set__(self, obj, value) -> None:
-        obj._metric_counters[self.name].value = value
-
-
 def bind_counters(obj, registry: MetricsRegistry, prefix: str, names: Iterable[str]) -> None:
-    """Wire an object's :class:`MetricAttr` descriptors to ``registry``."""
-    obj._metric_counters = {name: registry.counter(prefix + name) for name in names}
+    """Expose ``obj``'s plain counter attributes ``names`` as registry counters.
+
+    Each ``prefix + name`` becomes a :class:`BoundCounter` reading
+    ``obj.<name>``, which this sets to the name's running total (0 for a
+    new name).  A name already bound to another owner is rebound in place:
+    the total carries over to ``obj`` and the old owner is detached.
+    """
+    for name in names:
+        full = prefix + name
+        metric = registry._metrics.get(full)
+        if metric is not None and not isinstance(metric, Counter):
+            raise TypeError(f"metric {full!r} is a {type(metric).__name__}, not a Counter")
+        setattr(obj, name, 0 if metric is None else metric.value)
+        if isinstance(metric, BoundCounter):
+            metric.owner = obj
+        else:
+            # New, or a plain counter made before any owner: view it from here.
+            registry._metrics[full] = BoundCounter(full, obj, name)

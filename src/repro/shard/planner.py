@@ -81,11 +81,11 @@ class ShardPlan:
 
     def shard_for_key(self, key: int) -> int:
         """The shard owning ``key`` (a key equal to a cut goes *above* it)."""
-        return int(np.searchsorted(self._cuts_arr, key, side="right"))
+        return int(self._cuts_arr.searchsorted(key, side="right"))
 
     def shard_for_position(self, position: int) -> int:
         """The shard owning universe rank ``position``."""
-        return int(np.searchsorted(self._pos_arr, position, side="right"))
+        return int(self._pos_arr.searchsorted(position, side="right"))
 
     def key_ranges(self) -> list:
         """Per-shard ``(lo, hi)`` half-open key ranges (``None`` = unbounded)."""

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterator, Optional
 from ..faults.errors import PageChecksumError
 from ..mem.hierarchy import MemorySystem
 from ..mem.layout import AddressSpace
-from ..obs import MetricAttr, Observability, bind_counters
+from ..obs import Observability, bind_counters
 from .config import StorageConfig
 from .pager import PageStore
 
@@ -74,10 +74,10 @@ class BufferPool:
     events for misses, evictions and flush-on-evict when tracing is on.
     """
 
-    hits = MetricAttr("hits")
-    misses = MetricAttr("misses")
-    checksum_failures = MetricAttr("checksum_failures")
-    evict_flushes = MetricAttr("evict_flushes")
+    hits: int
+    misses: int
+    checksum_failures: int
+    evict_flushes: int
 
     def __init__(
         self,
@@ -109,10 +109,13 @@ class BufferPool:
         #: populated only for pins that pass ``owner=``, so the common
         #: anonymous path costs nothing but an empty list.
         self._pin_owners: list[list[Any]] = [[] for __ in range(frames)]
-        #: Per-frame occupancy generation, bumped whenever a frame changes
-        #: (or loses) its page.  Lets :meth:`pinned` tell "the same page is
-        #: back in the same frame" apart from "my pin is still the holder".
+        #: Per-frame occupancy stamp, renewed from ``_occupancy`` whenever a
+        #: frame changes (or loses) its page.  Stamps are unique across
+        #: frames, so a pin token alone lets :meth:`unpin` tell "the same
+        #: page is back in the same frame" apart from "my pin is still the
+        #: holder".
         self._frame_gen: list[int] = [0] * frames
+        self._occupancy = 0
         self._page_frame: dict[int, int] = {}
         self._hand = 0
         #: Pages whose in-memory content is newer than the durable image.
@@ -240,12 +243,16 @@ class BufferPool:
                 self._tracer.instant("evict", track="pool", cat="pool", page=old)
         self._frame_page[frame] = page_id
         self._ref_bit[frame] = 1
-        self._frame_gen[frame] += 1
+        self._restamp(frame)
         self._page_frame[page_id] = frame
         self._residency.set(len(self._page_frame))
         if self._tracer.enabled:
             self._tracer.instant("install", track="pool", cat="pool", page=page_id, frame=frame)
         return frame
+
+    def _restamp(self, frame: int) -> None:
+        self._occupancy += 1
+        self._frame_gen[frame] = self._occupancy
 
     def _find_victim(self) -> int:
         frames = len(self._frame_page)
@@ -276,40 +283,48 @@ class BufferPool:
 
     # -- pinning -------------------------------------------------------------
 
-    @contextmanager
-    def pinned(self, page_id: int, owner: Any = None) -> Iterator[Any]:
-        """Keep a page resident for the duration of a block.
+    def pin(self, page_id: int, owner: Any = None) -> int:
+        """Fetch a page through the pool and pin it; returns the pin token.
 
-        ``owner`` (optional) labels the pin for diagnostics: if the pool is
-        later exhausted while this pin is live, the
+        The page stays resident until :meth:`unpin` with the returned
+        token.  ``owner`` (optional) labels the pin for diagnostics: if the
+        pool is later exhausted while this pin is live, the
         :class:`BufferPoolExhausted` error names it in ``pin_holders`` —
         the serving layer passes its session/request ids here so pool
         deadlocks under concurrency are attributable.
         """
-        page, __ = self.access(page_id)
+        self.access(page_id)
         frame = self._page_frame[page_id]
-        generation = self._frame_gen[frame]
         self._pin_count[frame] += 1
         if owner is not None:
             self._pin_owners[frame].append(owner)
+        return self._frame_gen[frame]
+
+    def unpin(self, page_id: int, token: int, owner: Any = None) -> None:
+        """Release a pin taken by :meth:`pin`.
+
+        The page may have been invalidated (pin count reset) and the frame
+        handed to another occupant while pinned; only unpin if this pin's
+        occupancy still holds the frame.  Matching on the page id alone is
+        not enough: the same page can be re-installed into the same frame
+        after an invalidate, and decrementing then would steal a newer
+        holder's pin — the token (the frame's occupancy stamp, unique
+        across frames) tells the two occupancies apart.
+        """
+        frame = self._page_frame.get(page_id)
+        if frame is not None and self._frame_gen[frame] == token and self._pin_count[frame] > 0:
+            self._pin_count[frame] -= 1
+            if owner is not None and owner in self._pin_owners[frame]:
+                self._pin_owners[frame].remove(owner)
+
+    @contextmanager
+    def pinned(self, page_id: int, owner: Any = None) -> Iterator[Any]:
+        """Keep a page resident for the duration of a block (:meth:`pin`)."""
+        token = self.pin(page_id, owner)
         try:
-            yield page
+            yield self.store.page(page_id)
         finally:
-            # The page may have been invalidated (pin count reset) and the
-            # frame handed to another occupant mid-block; only unpin if this
-            # pin's occupancy still holds the frame.  Matching on the page
-            # id alone is not enough: the same page can be re-installed into
-            # the same frame after an invalidate, and decrementing then
-            # would steal a newer holder's pin — the generation stamp tells
-            # the two occupancies apart.
-            if (
-                self._page_frame.get(page_id) == frame
-                and self._frame_gen[frame] == generation
-                and self._pin_count[frame] > 0
-            ):
-                self._pin_count[frame] -= 1
-                if owner is not None and owner in self._pin_owners[frame]:
-                    self._pin_owners[frame].remove(owner)
+            self.unpin(page_id, token, owner)
 
     # -- dirty tracking ----------------------------------------------------------
 
@@ -354,7 +369,7 @@ class BufferPool:
             self._ref_bit[frame] = 0
             self._pin_count[frame] = 0
             self._pin_owners[frame].clear()
-            self._frame_gen[frame] += 1
+            self._restamp(frame)
             self._residency.set(len(self._page_frame))
         self._dirty.discard(page_id)
         self._no_steal.discard(page_id)
@@ -366,7 +381,7 @@ class BufferPool:
             self._ref_bit[frame] = 0
             self._pin_count[frame] = 0
             self._pin_owners[frame].clear()
-            self._frame_gen[frame] += 1
+            self._restamp(frame)
         self._page_frame.clear()
         self._residency.set(0)
         self._dirty.clear()

@@ -28,7 +28,7 @@ from typing import Optional
 from ..des import Environment, Event, Resource
 from ..faults.errors import DiskFailedError, DiskTimeoutError
 from ..faults.injector import FaultInjector, ReadOutcome
-from ..obs import MetricAttr, Observability, bind_counters
+from ..obs import Observability, bind_counters
 from .config import StorageConfig
 
 __all__ = ["Disk", "DiskArray", "ReadReceipt", "WriteReceipt"]
@@ -66,10 +66,10 @@ class Disk:
     arrival samples the per-disk queue depth.
     """
 
-    reads = MetricAttr("reads")
-    writes = MetricAttr("writes")
-    busy_time_us = MetricAttr("busy_time_us")
-    faults = MetricAttr("faults")
+    reads: int
+    writes: int
+    busy_time_us: float
+    faults: int
 
     def __init__(self, env: Environment, array: "DiskArray", disk_id: int) -> None:
         self.env = env
@@ -191,8 +191,8 @@ class DiskArray:
     replica via ``read_page(page_id, replica=...)``.
     """
 
-    total_reads = MetricAttr("total_reads")
-    total_writes = MetricAttr("total_writes")
+    total_reads: int
+    total_writes: int
 
     def __init__(
         self,

@@ -11,8 +11,9 @@ Every write (``allocate``/``place``/``replace``) also stamps a **page
 checksum**.  Page objects are opaque, so the store models a page's bit
 content with a per-page *media token*: the checksum recorded at write time
 is a CRC over ``(page_id, token)``, and fault injection corrupts a page by
-flipping bits in the token without restamping.  :meth:`checksum` recomputes
-the CRC from the current token ("hash the bits as they are now");
+flipping bits in the token without restamping.  :meth:`checksum` is the
+CRC of the current token ("hash the bits as they are now"), computed
+whenever the token changes;
 :meth:`expected_checksum` returns the value recorded at write time — a
 mismatch means the media rotted underneath us, exactly the latent-sector
 errors the resilience layer must catch at the buffer-pool boundary.
@@ -42,7 +43,9 @@ class PageStore:
         self._free_ids: list[int] = []
         self._next_id = 0
         self._tokens: dict[int, int] = {}
+        #: Checksum recorded at the last write, and of the current token.
         self._checksums: dict[int, int] = {}
+        self._current: dict[int, int] = {}
         self._write_counter = 0
         self._corruptions = 0
         self.allocations = 0
@@ -60,13 +63,13 @@ class PageStore:
         self._write_counter += 1
         token = self._write_counter
         self._tokens[page_id] = token
-        self._checksums[page_id] = page_checksum(page_id, token)
+        self._checksums[page_id] = self._current[page_id] = page_checksum(page_id, token)
 
     def checksum(self, page_id: int) -> int:
         """Checksum of the page's bits *as stored right now*."""
         if page_id not in self._pages:
             raise KeyError(f"page {page_id} is not allocated")
-        return page_checksum(page_id, self._tokens[page_id])
+        return self._current[page_id]
 
     def expected_checksum(self, page_id: int) -> int:
         """Checksum recorded when the page was last written."""
@@ -93,6 +96,7 @@ class PageStore:
         # modulo 2**32 and no two corruptions can cancel each other out.
         mask = (0x5A5A5A5A ^ (self._corruptions * 0x9E3779B1)) & 0xFFFFFFFF
         self._tokens[page_id] ^= mask or 1
+        self._current[page_id] = page_checksum(page_id, self._tokens[page_id])
 
     def mark_dirty(self, page_id: int) -> None:
         """Record an in-place mutation of a page's content.
@@ -136,6 +140,7 @@ class PageStore:
         del self._pages[page_id]
         del self._tokens[page_id]
         del self._checksums[page_id]
+        del self._current[page_id]
         self._free_ids.append(page_id)
         self.frees += 1
         if self.write_observer is not None:

@@ -38,7 +38,7 @@ from ..faults.errors import (
     ReadFailedError,
     StorageFault,
 )
-from ..obs import MetricAttr, Observability, bind_counters
+from ..obs import Observability, bind_counters
 from .buffer import BufferPool
 from .disk import DiskArray, ReadReceipt
 
@@ -103,20 +103,20 @@ class AsyncPageReader:
     backoff, hedges and faults on the ``reader`` track.
     """
 
-    demand_hits = MetricAttr("demand_hits")
-    demand_reads = MetricAttr("demand_reads")
-    demand_covered = MetricAttr("demand_covered")
-    prefetches = MetricAttr("prefetches")
-    prefetches_suppressed = MetricAttr("prefetches_suppressed")
-    prefetch_waves = MetricAttr("prefetch_waves")
-    prefetch_wave_pages = MetricAttr("prefetch_wave_pages")
-    faults_seen = MetricAttr("faults_seen")
-    retries = MetricAttr("retries")
-    timeouts = MetricAttr("timeouts")
-    checksum_failures = MetricAttr("checksum_failures")
-    hedges = MetricAttr("hedges")
-    hedge_wins = MetricAttr("hedge_wins")
-    backoff_us = MetricAttr("backoff_us")
+    demand_hits: int
+    demand_reads: int
+    demand_covered: int
+    prefetches: int
+    prefetches_suppressed: int
+    prefetch_waves: int
+    prefetch_wave_pages: int
+    faults_seen: int
+    retries: int
+    timeouts: int
+    checksum_failures: int
+    hedges: int
+    hedge_wins: int
+    backoff_us: float
 
     def __init__(
         self,
@@ -154,8 +154,9 @@ class AsyncPageReader:
         self.max_outstanding_prefetches: Optional[int] = None
 
     def _mark(self, name: str, **args) -> None:
-        if self._tracer.enabled:
-            self._tracer.instant(name, track="reader", cat="reader", **args)
+        # Callers check ``self._tracer.enabled`` first, so the untraced
+        # path never builds the keyword arguments.
+        self._tracer.instant(name, track="reader", cat="reader", **args)
 
     @property
     def outstanding(self) -> int:
@@ -176,11 +177,13 @@ class AsyncPageReader:
         coalesced = event is not None
         if coalesced:
             self.demand_covered += 1
-            self._mark("demand-coalesced", page=page_id)
+            if self._tracer.enabled:
+                self._mark("demand-coalesced", page=page_id)
         else:
             event = self._start_read(page_id)
             self.demand_reads += 1
-            self._mark("demand", page=page_id)
+            if self._tracer.enabled:
+                self._mark("demand", page=page_id)
         receipt = None
         try:
             receipt = yield event
@@ -218,7 +221,8 @@ class AsyncPageReader:
             self.prefetches_suppressed += 1
             return None
         self.prefetches += 1
-        self._mark("prefetch", page=page_id)
+        if self._tracer.enabled:
+            self._mark("prefetch", page=page_id)
         return self._start_read(page_id)
 
     def prefetch_wave(self, page_ids) -> int:
@@ -263,7 +267,8 @@ class AsyncPageReader:
                 delay = policy.backoff_delay_us(attempt, self._rng)
                 self.retries += 1
                 self.backoff_us += delay
-                self._mark("retry", page=page_id, attempt=attempt, backoff_us=delay)
+                if self._tracer.enabled:
+                    self._mark("retry", page=page_id, attempt=attempt, backoff_us=delay)
                 yield self.env.timeout(delay)
             try:
                 receipt = yield from self._attempt(page_id, attempt)
@@ -271,7 +276,8 @@ class AsyncPageReader:
                 self.faults_seen += 1
                 if isinstance(fault, (DiskTimeoutError, WaitTimeout)):
                     self.timeouts += 1
-                self._mark("fault", page=page_id, attempt=attempt, kind=type(fault).__name__)
+                if self._tracer.enabled:
+                    self._mark("fault", page=page_id, attempt=attempt, kind=type(fault).__name__)
                 last_error = fault
                 continue
             try:
@@ -320,7 +326,8 @@ class AsyncPageReader:
             # attempt is out of time before a hedge could help.
             raise WaitTimeout(deadline, f"page {page_id}")
         self.hedges += 1
-        self._mark("hedge", page=page_id, attempt=attempt)
+        if self._tracer.enabled:
+            self._mark("hedge", page=page_id, attempt=attempt)
         hedge = self.disks.read_page(page_id, replica=attempt + 1)
         race = first_success(self.env, [primary, hedge])
         if deadline is not None:
@@ -328,7 +335,8 @@ class AsyncPageReader:
         winner, receipt = yield race
         if winner == 1:
             self.hedge_wins += 1
-            self._mark("hedge-win", page=page_id, attempt=attempt)
+            if self._tracer.enabled:
+                self._mark("hedge-win", page=page_id, attempt=attempt)
         return receipt
 
     def _delivered_checksum(self, receipt: ReadReceipt) -> int:

@@ -21,7 +21,7 @@ from typing import Optional
 from ..des import Environment
 from ..faults.errors import SimulatedCrash
 from ..faults.injector import CrashInjector, WriteOutcome
-from ..obs import MetricAttr, Observability, bind_counters
+from ..obs import Observability, bind_counters
 from ..storage.config import DiskParameters, StorageConfig
 from ..storage.disk import DiskArray
 from .records import LogRecord, NO_PAGE, RecordType, encode_record, scan_records
@@ -37,10 +37,10 @@ class WriteAheadLog:
     timestamped on the log's own I/O clock.
     """
 
-    appends = MetricAttr("appends")
-    torn_appends = MetricAttr("torn_appends")
-    bytes_written = MetricAttr("bytes_written")
-    write_us = MetricAttr("write_us")
+    appends: int
+    torn_appends: int
+    bytes_written: int
+    write_us: float
 
     def __init__(
         self,

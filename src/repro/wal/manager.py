@@ -37,7 +37,7 @@ from ..faults.errors import SimulatedCrash
 from ..faults.injector import CrashInjector, WriteOutcome
 from ..faults.plan import FaultPlan
 from ..image import encode_page
-from ..obs import MetricAttr, Observability, bind_counters
+from ..obs import Observability, bind_counters
 from ..storage.config import DiskParameters, StorageConfig
 from ..storage.disk import DiskArray
 from .log import WriteAheadLog
@@ -95,9 +95,9 @@ class WalStats:
 class WalManager:
     """Crash consistency for one tree: WAL, write-back, checkpoints."""
 
-    commits = MetricAttr("commits")
-    checkpoints = MetricAttr("checkpoints")
-    pages_flushed = MetricAttr("pages_flushed")
+    commits: int
+    checkpoints: int
+    pages_flushed: int
 
     def __init__(
         self,

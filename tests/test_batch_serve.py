@@ -30,7 +30,6 @@ Three bugs are pinned here, each demonstrated to fail on the pre-fix code:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,11 +1,10 @@
 """Tests for the cache-first fpB+-Tree."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import DiskBPlusTree
 from repro.btree.context import TreeEnvironment
-from repro.core.cache_first import PAGE_LEAF, PAGE_NONLEAF, PAGE_OVERFLOW, CacheFirstFpTree
+from repro.core.cache_first import PAGE_LEAF, PAGE_OVERFLOW, CacheFirstFpTree
 from repro.mem import MemorySystem
 
 from index_contract import IndexContract, dense_keys

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event, SimulationError
+from repro.des import AllOf, AnyOf, Environment, Event, Process, SimulationError, with_timeout
 
 
 def test_timeout_advances_clock():
@@ -301,3 +303,121 @@ def test_nested_processes_compose():
     result = env.run(until=env.process(outer()))
     assert result == 10
     assert env.now == 5
+
+
+def test_nan_delay_rejected():
+    # NaN compares false against 0 both ways: accepted, it would fire first
+    # and drag the clock to NaN and then back to finite times.
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    assert env._queue == [] and env._next_id == 0
+    with pytest.raises(ValueError):
+        with_timeout(env, env.event(), float("nan"))
+
+
+def test_same_time_events_fire_in_scheduling_order_across_sites():
+    # Every scheduling site pushes (now + delay, next_id): at one instant,
+    # events fire in the order they were scheduled, whichever site made them.
+    env = Environment()
+    log = []
+    done = env.event()
+    done.succeed()
+    env.run()
+    early = env.timeout(5)  # scheduled before everything below, same time
+    early.callbacks.append(lambda ev: log.append("early-timeout"))
+
+    def record(label):
+        return lambda ev: log.append(label)
+
+    def spawned():
+        log.append("bootstrap")
+        yield env.timeout(0)
+
+    def driver():
+        yield env.timeout(5)
+        ok = env.event()
+        ok.callbacks.append(record("succeed"))
+        ok.succeed()
+        bad = env.event()
+        bad.callbacks.append(record("fail"))
+        bad.fail(RuntimeError("observed"))
+        yield done  # already processed: an immediate resume, queued here
+        log.append("immediate-resume")
+        env.timeout(0).callbacks.append(record("timeout"))
+        env.process(spawned())
+        last = env.event()
+        last.callbacks.append(record("succeed-again"))
+        last.succeed()
+
+    env.process(driver())
+    env.run()
+    assert log == [
+        "early-timeout", "succeed", "fail", "immediate-resume",
+        "timeout", "bootstrap", "succeed-again",
+    ]
+    assert env.now == 5
+
+
+@pytest.mark.parametrize("form", ["drain", "time", "event"])
+def test_run_dispatches_every_event_through_step(monkeypatch, form):
+    # Profilers count events by wrapping Environment.step, so run() must
+    # never process an event any other way, in any of its three forms.
+    steps = []
+    original = Environment.step
+
+    def counting_step(self):
+        steps.append(self.peek())
+        original(self)
+
+    monkeypatch.setattr(Environment, "step", counting_step)
+    env = Environment()
+
+    def worker(n):
+        for __ in range(n):
+            yield env.timeout(1)
+            yield env.process(child())
+        return n
+
+    def child():
+        yield env.timeout(0.5)
+
+    workers = [env.process(worker(n)) for n in (2, 3, 4)]
+    if form == "drain":
+        env.run()
+        assert not env._queue
+    elif form == "time":
+        env.run(until=4)
+        assert env._queue  # stopped early: some events still pending
+    else:
+        assert env.run(until=workers[1]) == 3
+        assert env._queue
+    assert len(steps) == env._next_id - len(env._queue)
+    assert steps == sorted(steps)
+
+
+def test_finished_processes_need_no_cycle_collector():
+    # A process holds its bound resume callback; once it finishes, that
+    # self-reference must be gone, or every finished process lingers until
+    # the cyclic collector runs.
+    def live_processes() -> int:
+        return sum(isinstance(obj, Process) for obj in gc.get_objects())
+
+    gc.disable()
+    try:
+        before = live_processes()
+        env = Environment()
+
+        def work():
+            yield env.timeout(1)
+            return 1
+
+        def waiter():
+            return (yield env.process(work()))
+
+        for __ in range(10):
+            env.process(waiter())
+        env.run()
+        assert live_processes() == before
+    finally:
+        gc.enable()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import DiskBPlusTree, DiskPageLayout
-from repro.btree import KEY4, KEY8
+from repro.btree import KEY8
 from repro.btree.context import TreeEnvironment
 from repro.mem import MemorySystem
 

@@ -8,10 +8,8 @@ library evolves.
 import importlib.util
 import io
 import os
-import sys
 from contextlib import redirect_stdout
 
-import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 

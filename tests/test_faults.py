@@ -6,7 +6,6 @@ helpers, retrying and hedged reads in the AsyncPageReader, and graceful
 degradation in the MiniDbms scan path.
 """
 
-import dataclasses
 import random
 
 import pytest

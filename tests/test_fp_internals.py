@@ -1,7 +1,6 @@
 """White-box tests for fpB+-Tree internals: placement, splits, space management."""
 
 import numpy as np
-import pytest
 
 from repro.btree.context import TreeEnvironment
 from repro.core.cache_first import PAGE_LEAF, PAGE_NONLEAF, PAGE_OVERFLOW, CacheFirstFpTree

@@ -1,6 +1,5 @@
 """Tests for the optional hardware next-line prefetcher ablation."""
 
-import numpy as np
 
 from repro.bench.cache_runner import build_tree, measure_operations
 from repro.mem import CpuCostModel, MemoryConfig, MemorySystem

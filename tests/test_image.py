@@ -1,6 +1,5 @@
 """Tests for tree images (save/load round trips)."""
 
-import numpy as np
 import pytest
 
 from repro import (

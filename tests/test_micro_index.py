@@ -1,7 +1,6 @@
 """Tests for the micro-indexing B+-Tree."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import DiskBPlusTree, MicroIndexTree, MicroPageLayout
 from repro.btree.context import TreeEnvironment

@@ -1,6 +1,5 @@
 """Tests for the multipage-node trade-off experiment (paper Section 2.1)."""
 
-import pytest
 
 from repro.bench.multipage import (
     MultipageSearchModel,

@@ -1,7 +1,7 @@
 """Tests for the observability subsystem (repro.obs).
 
-Covers the metrics registry (counters, gauges, histograms, the MetricAttr
-facade), the tracer (ring buffer, spans, determinism of track ids), the
+Covers the metrics registry (counters, gauges, histograms, the
+pull-based counter facade), the tracer (ring buffer, spans, determinism of track ids), the
 Chrome-trace exporter and validator, the DES observer hook, and the
 end-to-end contracts on ``MiniDbms.scan(trace=True)``: no simulated-time
 drift, byte-identical exports per seed, and trace/stats reconciliation.
@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 from repro.des import Environment
 from repro.dbms import MiniDbms
 from repro.faults import FaultPlan
+from repro.serve import DbmsServer
+from repro.storage import BufferPool, PageStore, StorageConfig
 from repro.obs import (
     NULL_TRACER,
+    BoundCounter,
+    Counter,
     Histogram,
-    MetricAttr,
     MetricsRegistry,
     Observability,
     QueryTrace,
@@ -124,9 +127,6 @@ class TestHistogram:
 
 class TestMetricAttrFacade:
     class Thing:
-        retries = MetricAttr("retries")
-        faults = MetricAttr("faults")
-
         def __init__(self, registry):
             bind_counters(self, registry, "thing.", ("retries", "faults"))
 
@@ -141,6 +141,76 @@ class TestMetricAttrFacade:
         assert reg.value("thing.faults") == 7
         thing.retries = 0  # reset_stats() idiom
         assert reg.value("thing.retries") == 0
+
+    def test_attribute_is_a_plain_value_and_the_registry_pulls_it(self):
+        reg = MetricsRegistry()
+        thing = self.Thing(reg)
+        assert "retries" in vars(thing)  # no descriptor on the class
+        thing.retries += 3
+        assert reg.snapshot() == {"thing.faults": 0, "thing.retries": 3}
+        view = reg.counter("thing.retries")
+        assert isinstance(view, BoundCounter) and view is reg.get("thing.retries")
+        thing.retries += 1
+        assert view.value == 4
+        view.inc(2)  # writes through to the owner
+        assert thing.retries == 6
+
+    def test_reset_stats_zeroes_bound_counters(self):
+        config = StorageConfig(page_size=4096, buffer_pool_pages=2)
+        store = PageStore(config.page_size)
+        reg = MetricsRegistry()
+        pool = BufferPool(config, store, obs=Observability(metrics=reg))
+        pid = store.allocate(object())
+        pool.access(pid)
+        pool.access(pid)
+        assert (reg.value("pool.hits"), reg.value("pool.misses")) == (1, 1)
+        pool.reset_stats()
+        assert (reg.value("pool.hits"), reg.value("pool.misses")) == (0, 0)
+
+    def test_rebind_continues_the_total_and_detaches_the_old_owner(self):
+        db = MiniDbms(num_rows=2_000, num_disks=2, page_size=4096, seed=7, mature=False)
+        server = DbmsServer(db, pool_frames=16)
+        for key in db.stored_keys[:40:4]:
+            server.submit(server.make_request(("lookup", int(key))))
+        server.run()
+        reg = server.obs.metrics
+        old_pool, old_reader = server.pool, server.reader
+        hits, demands = reg.value("pool.hits"), reg.value("reader.demand_reads")
+        assert hits > 0 and demands > 0
+        server.rebuild_substrate()
+        assert server.pool is not old_pool
+        assert (server.pool.hits, server.reader.demand_reads) == (hits, demands)
+        old_pool.hits += 100  # a dead owner no longer feeds the registry
+        old_reader.demand_reads += 100
+        assert (reg.value("pool.hits"), reg.value("reader.demand_reads")) == (hits, demands)
+        server.pool.hits += 1
+        assert reg.value("pool.hits") == hits + 1
+
+    def test_merges_sum_bound_counters(self):
+        regs = [MetricsRegistry(), MetricsRegistry()]
+        things = [self.Thing(reg) for reg in regs]
+        things[0].retries, things[1].retries = 2, 5
+        merged = MetricsRegistry()
+        for reg in regs:
+            merged.merge_from(reg)
+        assert merged.value("thing.retries") == 7
+        assert type(merged.get("thing.retries")) is Counter
+        regs[0].merge_from(regs[1])  # into a bound view: writes through
+        assert things[0].retries == 7 and things[1].retries == 5
+
+    def test_server_stats_merge_sums_storage_counters(self):
+        servers = []
+        for seed in (1, 2):
+            db = MiniDbms(num_rows=1_000, num_disks=2, page_size=4096, seed=seed, mature=False)
+            server = DbmsServer(db, pool_frames=16)
+            for key in db.stored_keys[:30:3]:
+                server.submit(server.make_request(("lookup", int(key))))
+            server.run()
+            servers.append(server)
+        merged = servers[0].stats.merge(servers[1].stats)
+        for name in ("pool.hits", "pool.misses", "reader.demand_reads", "disk-array.total_reads"):
+            expected = sum(server.obs.metrics.value(name) for server in servers)
+            assert expected > 0 and merged.metrics.value(name) == expected
 
 
 # -- tracer --------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Tests for the prefetching B+-Tree (pB+-Tree) baseline."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import DiskBPlusTree, PrefetchingBPlusTree
 from repro.btree.context import TreeEnvironment

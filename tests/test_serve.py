@@ -14,7 +14,6 @@ from repro.serve import (
 from repro.serve.stats import SERVE_LATENCY_BOUNDS_US, ServerStats
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.config import StorageConfig
-from repro.workloads import OpMix
 
 
 def small_db(num_rows=2_000, seed=7):
@@ -267,6 +266,37 @@ def test_buffer_pool_exhausted_names_pin_holders():
     assert "session-a#1" in str(exc) and "session-b#2" in str(exc)
     # Both pins released: the access now succeeds.
     pool.access(int(pids[2]))
+
+
+@pytest.mark.parametrize("concurrency", ["none", "page"])
+@pytest.mark.parametrize("kind", ["lookup", "scan"])
+def test_served_op_closed_mid_page_cpu_releases_every_pin(kind, concurrency):
+    # The crash-teardown path closes in-flight op generators wherever they
+    # are parked; one parked in a leaf's page-CPU charge holds a pin, and
+    # closing it must release the pin.
+    db = small_db()
+    server = DbmsServer(db, pool_frames=32, concurrency=concurrency)
+    keys = db.stored_keys
+    served = dict(owner="s#1", protocol=server.protocol)
+    if kind == "lookup":
+        op = db.serve_lookup(server.reader, int(keys[500]), **served)
+    else:
+        op = db.serve_scan(server.reader, int(keys[100]), int(keys[900]), **served)
+    process = server.env.process(op)
+    pool = server.pool
+
+    def leaf_pinned() -> bool:
+        return any(
+            count and getattr(db.store.page(pool._frame_page[frame]), "level", None) == 0
+            for frame, count in enumerate(pool._pin_count)
+        )
+
+    while not leaf_pinned():
+        server.env.step()
+    assert pool._pin_owners[pool._pin_count.index(1)] == ["s#1"]
+    process._generator.close()
+    assert sum(pool._pin_count) == 0
+    assert not any(pool._pin_owners)
 
 
 # -- failure paths keep the accounting closed ------------------------------

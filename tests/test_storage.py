@@ -7,6 +7,7 @@ from repro.mem import AddressSpace, MemorySystem
 from repro.storage import (
     AsyncPageReader,
     BufferPool,
+    BufferPoolExhausted,
     DiskArray,
     DiskParameters,
     PageStore,
@@ -140,6 +141,93 @@ def test_buffer_pool_invalidate():
     pool.access(pid)
     pool.invalidate(pid)
     assert not pool.contains(pid)
+
+
+def pool_state(pool):
+    return (
+        pool.hits, pool.misses, list(pool._frame_page), bytes(pool._ref_bit),
+        list(pool._pin_count), pool._hand,
+    )
+
+
+def test_pin_has_the_side_effects_of_pinned():
+    # pin()/unpin() are what pinned() wraps: the same access (hit or miss,
+    # CLOCK reference bit, eviction) and the same pin bookkeeping.
+    __, store_a, explicit = make_pool(frames=2)
+    __, store_b, wrapped = make_pool(frames=2)
+    for store in (store_a, store_b):
+        for i in range(4):
+            store.allocate(FakePage(i))
+    for pid in (0, 1, 0, 2, 3, 2):
+        token = explicit.pin(pid, owner="s#1")
+        with wrapped.pinned(pid, owner="s#1") as page:
+            assert page is store_b.page(pid)
+            assert pool_state(explicit) == pool_state(wrapped)
+        explicit.unpin(pid, token, owner="s#1")
+        assert pool_state(explicit) == pool_state(wrapped)
+    assert explicit._pin_count == [0, 0]
+    assert explicit._pin_owners == [[], []]
+
+
+def test_unpin_keeps_the_generation_stamp():
+    # An invalidate plus a reinstall of the same page into the same frame
+    # while pinned must not let the old token steal the newer pin.
+    __, store, pool = make_pool(frames=1)
+    a = store.allocate(FakePage("a"))
+    b = store.allocate(FakePage("b"))
+    stale = pool.pin(a, owner="old")
+    pool.invalidate(a)
+    frame = pool.install(a)
+    fresh = pool.pin(a, owner="new")
+    assert fresh != stale
+    pool.unpin(a, stale, owner="old")
+    assert pool._pin_count[frame] == 1
+    assert pool._pin_owners[frame] == ["new"]
+    with pytest.raises(BufferPoolExhausted):
+        pool.access(b)
+    pool.unpin(a, fresh, owner="new")
+    assert pool._pin_count[frame] == 0
+    pool.access(b)
+    assert pool.contains(b)
+
+
+def test_pin_tokens_are_unique_across_frames():
+    # A token names one occupancy of one frame: after any mix of installs,
+    # evictions and invalidations no two frames carry the same stamp, so a
+    # stale token can never match a page that moved to another frame.
+    __, store, pool = make_pool(frames=3)
+    pids = [store.allocate(FakePage(i)) for i in range(5)]
+    for pid in (0, 1, 2, 3, 0, 4, 1):
+        pool.unpin(pids[pid], pool.pin(pids[pid]))
+        if pid == 3:
+            pool.invalidate(pids[0])
+    assert pool._pin_count == [0, 0, 0]
+    assert len(set(pool._frame_gen)) == 3
+    stale = pool.pin(pids[1])
+    pool.invalidate(pids[1])
+    pool.access(pids[1])
+    fresh = pool.pin(pids[1])
+    pool.unpin(pids[1], stale)
+    assert pool._pin_count[pool.frame_of(pids[1])] == 1
+    pool.unpin(pids[1], fresh)
+    assert pool._pin_count == [0, 0, 0]
+
+
+def test_pin_owners_appear_in_pin_holders():
+    __, store, pool = make_pool(frames=2)
+    a, b, c = (store.allocate(FakePage(i)) for i in range(3))
+    token_a = pool.pin(a, owner="session-a#1")
+    pool.pin(b, owner="session-b#2")
+    pool.pin(b, owner="session-c#3")
+    with pytest.raises(BufferPoolExhausted) as excinfo:
+        pool.access(c)
+    assert excinfo.value.pin_holders == {
+        a: ("session-a#1",), b: ("session-b#2", "session-c#3"),
+    }
+    assert excinfo.value.pinned_pages == {a: 1, b: 2}
+    pool.unpin(a, token_a, owner="session-a#1")
+    pool.access(c)  # a's frame is free again
+    assert not pool.contains(a)
 
 
 def test_buffer_pool_frame_addresses_are_page_strided():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Resource, SimulationError, Store
+from repro.des import AllOf, AnyOf, Environment, Resource, Store
 from repro.mem import AddressSpace, CpuCostModel, MemoryConfig, MemorySystem, align_up
 from repro.storage import DiskParameters, PageStore, StorageConfig
 
