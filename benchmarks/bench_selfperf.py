@@ -7,7 +7,7 @@ Races the two memory-trace engines on the *same* recorded search workload:
 2. Compile the recorded ops into per-engine call lists, each using the
    engine's native entry points — the batched engine gets one
    ``probe_run``/``read_run``/``prefetch_run`` call per op, the frozen
-   pre-change engine (:mod:`repro.mem.legacy`) gets the old tracer's
+   reference engine (:mod:`repro.mem.legacy`) gets the old tracer's
    scalar expansion (``read`` + ``probe_penalty`` per probe).  Compiling
    to bound methods up front keeps dispatch overhead out of the race.
 3. Time several interleaved repetitions of each list with GC paused and
@@ -16,7 +16,9 @@ Races the two memory-trace engines on the *same* recorded search workload:
 4. Assert golden equivalence on the raced trace — both engines must end
    with field-identical MemoryStats and clocks — then write both
    wall-clock numbers, the speedup, and throughput (simulated accesses/sec
-   and trace ops/sec) to ``BENCH_selfperf.json``.
+   and trace ops/sec) to ``BENCH_selfperf.json`` (``--smoke`` writes
+   ``selfperf_smoke.json`` instead, so a wiring check never overwrites the
+   committed trajectory).
 
 A second race covers the serving tree's batched in-page search: the
 vectorized ``route_batch_in_page``/``search_leaf_page_batch`` helpers vs
@@ -72,6 +74,10 @@ SEED = 42
 #: work).
 INPAGE_DEFAULT = dict(num_rows=8_000, page_size=4096, probes=1_000, reps=5)
 INPAGE_SMOKE = dict(num_rows=2_000, page_size=1024, probes=200, reps=2)
+
+#: The committed trajectory, and the (git-ignored) smoke-run payload.
+FULL_OUT = "BENCH_selfperf.json"
+SMOKE_OUT = "selfperf_smoke.json"
 
 
 def record_search_ops(page_size: int, num_keys: int, searches: int) -> list[tuple]:
@@ -298,8 +304,16 @@ def main(argv=None) -> int:
         help="tiny workload + 2 reps (CI wiring check, not a measurement)",
     )
     parser.add_argument("--reps", type=int, default=None, help="timed repetitions per engine")
-    parser.add_argument("--out", default="BENCH_selfperf.json", help="result file")
+    parser.add_argument(
+        "--out",
+        default=None,
+        help=f"result file (default {FULL_OUT}; {SMOKE_OUT} with --smoke)",
+    )
     args = parser.parse_args(argv)
+    if args.out is None:
+        # A smoke run is a wiring check, not a measurement: it must never
+        # overwrite the committed trajectory.
+        args.out = SMOKE_OUT if args.smoke else FULL_OUT
 
     params = dict(SMOKE if args.smoke else DEFAULT)
     if args.reps is not None:

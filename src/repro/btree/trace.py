@@ -9,9 +9,10 @@ for every tree operation regardless of the measurement plane.
 Every forwarded access is *batched*: one ``read_run``/``write_run``/
 ``prefetch_run``/``probe_run`` call per byte range, so the memory system
 walks the covered cache lines in a single tight loop instead of paying a
-Python call per line.  The batched entry points are pinned to the scalar
-ones by the golden-equivalence tests (DESIGN.md §8) — simulated cycles are
-identical, only wall-clock overhead changes.
+Python call per line.  Those entry points are the memory system's only
+access implementation; the golden-equivalence tests (DESIGN.md §8) pin them
+to the frozen scalar engine in :mod:`repro.mem.legacy`, which exposes the
+same four names, so this one tracer drives either engine.
 
 The tracer also centralizes the CPU cost conventions:
 

@@ -3,9 +3,13 @@
 Caches operate on *line indices* (byte address // line size); the caller is
 responsible for the address-to-line mapping (see
 :meth:`repro.mem.config.MemoryConfig.line_of`).  Each set is a dict whose
-insertion order doubles as the LRU order — a hit moves the line to the
-most-recently-used end via :meth:`_touch_mru`, the single move-to-MRU
-helper shared by :meth:`lookup` and :meth:`insert`.
+insertion order doubles as the LRU order — re-inserting a resident line
+moves it to the most-recently-used end.
+
+:class:`repro.mem.hierarchy.MemorySystem` inlines the counted lookup (and
+the hit/miss counter updates) into its batched access loops, reading the
+set containers directly; this class owns the geometry, residency checks,
+installs and flushes.
 
 Direct-mapped caches (``associativity == 1``, e.g. the paper's 2 MB L2) take
 a fast path: each set holds at most one line, so LRU order is meaningless
@@ -55,43 +59,12 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
-    def _set_of(self, line: int) -> dict[int, None]:
-        return self._sets[line % self.num_sets]
-
-    @staticmethod
-    def _touch_mru(cache_set: dict[int, None], line: int) -> None:
-        """Move a resident line to the MRU end of its set.
-
-        Dict insertion order is the LRU order, so delete-and-reinsert is the
-        one move-to-MRU idiom; every path that refreshes recency must go
-        through here so lookup and insert cannot diverge.
-        """
-        del cache_set[line]
-        cache_set[line] = None
-
     def contains(self, line: int) -> bool:
         """Check residency without updating LRU order or counters."""
         slots = self._dm_slots
         if slots is not None:
             return slots[line % self.num_sets] == line
         return line in self._sets[line % self.num_sets]
-
-    def lookup(self, line: int) -> bool:
-        """Probe the cache; updates LRU order and hit/miss counters."""
-        slots = self._dm_slots
-        if slots is not None:
-            if slots[line % self.num_sets] == line:
-                self.hits += 1
-                return True
-            self.misses += 1
-            return False
-        cache_set = self._sets[line % self.num_sets]
-        if line in cache_set:
-            self._touch_mru(cache_set, line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
 
     def insert(self, line: int) -> Optional[int]:
         """Install a line, returning the evicted victim's line index, if any."""
@@ -105,7 +78,8 @@ class Cache:
             return victim
         cache_set = self._sets[line % self.num_sets]
         if line in cache_set:
-            self._touch_mru(cache_set, line)
+            del cache_set[line]
+            cache_set[line] = None  # move to MRU
             return None
         victim = None
         if len(cache_set) >= self.associativity:
@@ -113,21 +87,6 @@ class Cache:
             del cache_set[victim]
         cache_set[line] = None
         return victim
-
-    def invalidate(self, line: int) -> bool:
-        """Drop a line if present; returns whether it was resident."""
-        slots = self._dm_slots
-        if slots is not None:
-            index = line % self.num_sets
-            if slots[index] == line:
-                slots[index] = None
-                return True
-            return False
-        cache_set = self._sets[line % self.num_sets]
-        if line in cache_set:
-            del cache_set[line]
-            return True
-        return False
 
     def clear(self) -> None:
         """Empty the cache (counters are preserved)."""

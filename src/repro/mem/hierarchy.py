@@ -27,19 +27,18 @@ Measurement can be switched off (``enabled = False``) so that untimed phases
 (bulkload, tree building) run at full Python speed; the paper likewise
 measures only the operation phase after clearing the caches.
 
-Two code paths produce the exact same simulated timeline:
+Accesses enter through one set of batched entry points —
+:meth:`read_run` / :meth:`write_run` / :meth:`prefetch_run` /
+:meth:`probe_run`, one call per byte range — which run the per-line
+cache/MSHR state machine in a single loop with locals bound once.  They are
+what :class:`repro.btree.trace.Tracer` drives, and the only access
+implementation here.
 
-* the **scalar path** (:meth:`read` / :meth:`write` / :meth:`prefetch`) —
-  one :meth:`_touch` per line, kept as the readable reference, and
-* the **batched path** (:meth:`read_run` / :meth:`write_run` /
-  :meth:`prefetch_run` / :meth:`probe_run`) — the same per-line state
-  machine flattened into a single loop with locals bound once, which is
-  what :class:`repro.btree.trace.Tracer` drives.
-
-The golden-equivalence contract (DESIGN.md §8, ``test_mem_equivalence.py``)
-pins the two paths — and the frozen pre-change engine in
-:mod:`repro.mem.legacy` — to field-identical :class:`MemoryStats` on a
-committed trace fixture.  Any edit here must preserve that.
+The reference is the frozen scalar engine in :mod:`repro.mem.legacy`, which
+shares no code with this one.  The golden-equivalence contract (DESIGN.md
+§8, ``test_mem_equivalence.py``) pins the two to field-identical
+:class:`MemoryStats` and clocks on a committed trace fixture and on random
+streams.  Any edit here must preserve that.
 """
 
 from __future__ import annotations
@@ -153,14 +152,6 @@ class MemorySystem:
         self.now += cycles
         self.stats.other_stall_cycles += cycles
 
-    def probe_penalty(self) -> None:
-        """Charge the cost of one binary-search probe (compare + branch)."""
-        if not self.enabled:
-            return
-        compare, mispredict = self.cpu.probe_cost()
-        self.busy(compare)
-        self.other_stall(mispredict)
-
     def _dcache_stall(self, cycles: float) -> None:
         if cycles <= 0:
             return
@@ -179,19 +170,12 @@ class MemorySystem:
         if completion < self._wake:
             self._wake = completion
 
-    def _pop_inflight(self, line: int) -> float | None:
-        """Remove a line from the in-flight set (its heap entry goes stale)."""
-        completion = self._inflight.pop(line, None)
-        if completion is not None:
-            del self._inflight_seq[line]
-        return completion
-
     def _reserve_miss_handler(self) -> None:
         """Stall until an MSHR is free, retiring landed prefetches.
 
         Landed fetches (completion <= now) retire in the order they were
         posted — the caches' LRU state depends on install order, and the
-        scalar engine retired in ``_inflight`` insertion order.  The heap
+        frozen engine retires in ``_inflight`` insertion order.  The heap
         only answers "has anything landed?" and "which completes first?";
         stale entries are discarded lazily via the seq check.
         """
@@ -233,8 +217,8 @@ class MemorySystem:
             landed.append((seq, line))
         if landed:
             # Retire in posting (seq) order == ``_inflight`` insertion order:
-            # the caches' LRU state depends on install order and the scalar
-            # engine retired in dict order.  Inlined _install: a retired line
+            # the caches' LRU state depends on install order and the frozen
+            # engine retires in dict order.  Inlined _install: a retired line
             # is never L1-resident (a demand covering it would have popped it
             # from the in-flight set first), so a plain evict-and-add
             # suffices; L2 may still hold it, which the unconditional
@@ -273,89 +257,7 @@ class MemorySystem:
             self._install(line)
         self._wake = heap[0][0] if heap else _NEVER
 
-    # -- demand accesses -----------------------------------------------------
-
-    def read(self, address: int, nbytes: int = 4) -> None:
-        """Simulate a demand load of ``nbytes`` at ``address`` (scalar path)."""
-        if not self.enabled:
-            return
-        for line in self.config.lines_touched(address, nbytes):
-            self._touch(line)
-
-    def write(self, address: int, nbytes: int = 4) -> None:
-        """Simulate a store (scalar path).
-
-        Stores retire through a store buffer and do not stall the pipeline:
-        a write to a non-resident line allocates it via the memory bus (like
-        a prefetch) and later *loads* of that line wait for it, but the
-        store itself only costs its issue slot.  This matters for page
-        splits, which write whole fresh pages: a blocking-store model would
-        double their cost.
-        """
-        if not self.enabled:
-            return
-        for line in self.config.lines_touched(address, nbytes):
-            self.stats.accesses += 1
-            self.busy(1)
-            if self.l1.lookup(line):
-                self.stats.l1_hits += 1
-                continue
-            if line in self._inflight:
-                continue
-            self._reserve_miss_handler()
-            if self.l2.contains(line):
-                # An L2-resident store allocation is an L2 hit just like the
-                # demand path in _touch; it only differs in not stalling.
-                self.stats.l2_hits += 1
-                self._post_fetch(line, self.now + self.config.l2_hit_latency)
-                continue
-            start = max(self.now, self._bus_free)
-            self._bus_free = start + self.config.bus_cycles_per_access
-            self._post_fetch(line, start + self.config.memory_latency)
-            self.stats.store_fetches += 1
-
-    def _touch(self, line: int) -> None:
-        self.stats.accesses += 1
-        if self.l1.lookup(line):
-            self.stats.l1_hits += 1
-            return
-        self._touch_missed(line)
-
-    def _touch_missed(self, line: int) -> None:
-        """Demand-load a line that already missed L1 (access counted).
-
-        The prefetch-covered case — the common miss in fpB+-Tree searches —
-        is inlined (this helper sits on ``probe_run``'s miss path); the
-        L2-hit / full-fetch tail stays in :meth:`_touch_uncovered`.
-        """
-        completion = self._inflight.pop(line, None)
-        if completion is not None:
-            del self._inflight_seq[line]
-            stats = self.stats
-            stall = completion - self.now
-            if stall > 0:
-                self.now += stall
-                stats.dcache_stall_cycles += stall
-            stats.prefetch_covered += 1
-            l1_dm = self._l1_dm
-            if l1_dm is not None:
-                l1_dm[line % self._l1_nsets] = line
-            else:
-                l1_set = self._l1_sets[line % self._l1_nsets]
-                if line in l1_set:
-                    del l1_set[line]  # re-insert below moves it to MRU
-                elif len(l1_set) >= self._l1_assoc:
-                    for victim in l1_set:
-                        break
-                    del l1_set[victim]
-                l1_set[line] = None
-            l2_dm = self._l2_dm
-            if l2_dm is not None:
-                l2_dm[line % self._l2_nsets] = line
-            else:
-                self.l2.insert(line)
-            return
-        self._touch_uncovered(line)
+    # -- demand-miss tail and hardware prefetch ------------------------------
 
     def _touch_uncovered(self, line: int) -> None:
         """The L1-missed, not-in-flight tail: L2 hit or full memory fetch.
@@ -439,15 +341,14 @@ class MemorySystem:
 
     # -- batched entry points ------------------------------------------------
     #
-    # One call per *range*, not per line: the per-line state machine of the
-    # scalar path, flattened into a single loop with every hot attribute
-    # bound to a local once and the per-line Cache/MSHR helper calls inlined
-    # (both cache representations — per-set LRU dicts and the direct-mapped
-    # slot list).  Cycle-for-cycle identical to the scalar path by
-    # construction, and pinned by the golden-equivalence tests; any edit to
-    # the scalar state machine must be mirrored here.  Returns the number of
-    # lines touched so callers (Tracer.scan / Tracer.move) can charge
-    # per-line busy time without recomputing the range.
+    # One call per *range*, not per line: the frozen engine's per-line state
+    # machine (repro.mem.legacy), flattened into a single loop with every hot
+    # attribute bound to a local once and the per-line Cache/MSHR helper
+    # calls inlined (both cache representations — per-set LRU dicts and the
+    # direct-mapped slot list).  Cycle-for-cycle identical to that engine,
+    # pinned by the golden-equivalence tests.  Returns the number of lines
+    # touched so callers (Tracer.scan / Tracer.move) can charge per-line busy
+    # time without recomputing the range.
     #
     # Inlining notes, load-bearing for equivalence:
     # * Cache hit/miss counter deltas are accumulated in locals and flushed
@@ -493,7 +394,9 @@ class MemorySystem:
                     stats.l1_hits += 1
                     return 1
             l1.misses += 1
-            # Same inlined prefetch-covered branch as probe_run (see there).
+            # Prefetch-covered is the common miss here (a tree prefetches a
+            # node before probing it), so it is inlined too; the L2-hit /
+            # full-fetch tail stays a call.
             completion = self._inflight.pop(line, None)
             if completion is None:
                 self._touch_uncovered(line)
@@ -648,7 +551,15 @@ class MemorySystem:
         return nlines
 
     def write_run(self, address: int, nbytes: int = 4) -> int:
-        """Store to every line in the range (non-blocking allocation)."""
+        """Store to every line in the range (non-blocking allocation).
+
+        Stores retire through a store buffer and do not stall the pipeline:
+        a write to a non-resident line allocates it via the memory bus (like
+        a prefetch) and later *loads* of that line wait for it, but the
+        store itself only costs its issue slot.  This matters for page
+        splits, which write whole fresh pages: a blocking-store model would
+        double their cost.
+        """
         if not self.enabled or nbytes <= 0:
             return 0
         config = self.config
@@ -710,8 +621,8 @@ class MemorySystem:
             else:
                 l2_resident = line in l2_sets[line % l2_nsets]
             if l2_resident:
-                # An L2-resident store allocation is an L2 hit just like the
-                # demand path in _touch; it only differs in not stalling.
+                # An L2-resident store allocation is an L2 hit just like a
+                # demand load's; it only differs in not stalling.
                 l2_hits += 1
                 completion = now + l2_hit_latency
             else:
@@ -806,7 +717,6 @@ class MemorySystem:
             inflight_len += 1
             if completion < wake:
                 wake = completion
-            line += 1
         self.now = now
         self._bus_free = bus_free
         self._next_seq = next_seq
@@ -816,74 +726,16 @@ class MemorySystem:
         return nlines
 
     def probe_run(self, address: int, nbytes: int = 4) -> int:
-        """One binary-search probe: ranged load + compare/branch cost.
-
-        Probes are the single hottest trace op (one per binary-search step),
-        and a probe's key load virtually always fits one cache line — so the
-        single-line L1 lookup is inlined here as well, skipping even the
-        ``read_run`` frame; wider or empty ranges defer to ``read_run``.
-        """
+        """One binary-search probe: ranged load + compare/branch cost."""
         if not self.enabled:
             return 0
+        nlines = self.read_run(address, nbytes)
+        # The probe penalty: busy(compare) + other_stall(mispredict), with
+        # both costs precomputed at construction (CpuCostModel is frozen).
+        # The clock advances through a local so ``self.now`` is touched once;
+        # the two additions stay separate, in the frozen engine's order, so
+        # the float results are bit-identical.
         stats = self.stats
-        if nbytes > 0:
-            line_size = self._line_size
-            line = address // line_size
-            if address % line_size + nbytes <= line_size:
-                nlines = 1
-                stats.accesses += 1
-                l1 = self.l1
-                l1_dm = self._l1_dm
-                l1_index = line % self._l1_nsets
-                if l1_dm is not None:
-                    hit = l1_dm[l1_index] == line
-                else:
-                    l1_set = self._l1_sets[l1_index]
-                    hit = line in l1_set
-                    if hit:
-                        del l1_set[line]
-                        l1_set[line] = None  # move to MRU
-                if hit:
-                    l1.hits += 1
-                    stats.l1_hits += 1
-                else:
-                    l1.misses += 1
-                    # Prefetch-covered is the common miss on this path (the
-                    # tree prefetches a node before probing it), so it is
-                    # inlined too; the L2-hit/full-fetch tail stays a call.
-                    completion = self._inflight.pop(line, None)
-                    if completion is None:
-                        self._touch_uncovered(line)
-                    else:
-                        del self._inflight_seq[line]
-                        stall = completion - self.now
-                        if stall > 0:
-                            self.now += stall
-                            stats.dcache_stall_cycles += stall
-                        stats.prefetch_covered += 1
-                        if l1_dm is not None:
-                            l1_dm[l1_index] = line
-                        else:
-                            # Lookup above just missed, so the line is absent.
-                            if len(l1_set) >= self._l1_assoc:
-                                for victim in l1_set:
-                                    break
-                                del l1_set[victim]
-                            l1_set[line] = None
-                        l2_dm = self._l2_dm
-                        if l2_dm is not None:
-                            l2_dm[line % self._l2_nsets] = line
-                        else:
-                            self.l2.insert(line)
-            else:
-                nlines = self.read_run(address, nbytes)
-        else:
-            nlines = 0
-        # Inline probe_penalty(): busy(compare) + other_stall(mispredict),
-        # with both costs precomputed at construction (CpuCostModel is
-        # frozen).  The clock advances through a local so ``self.now`` is
-        # touched once; the two additions stay separate, in the scalar
-        # path's order, so the float results are bit-identical.
         now = self.now
         compare = self._probe_busy
         if compare > 0:
@@ -895,29 +747,6 @@ class MemorySystem:
             stats.other_stall_cycles += mispredict
         self.now = now
         return nlines
-
-    # -- prefetch (scalar path) ----------------------------------------------
-
-    def prefetch(self, address: int, nbytes: int) -> None:
-        """Issue non-blocking prefetches for every line in the range."""
-        if not self.enabled:
-            return
-        for line in self.config.lines_touched(address, nbytes):
-            self._prefetch_line(line)
-
-    def _prefetch_line(self, line: int) -> None:
-        self.busy(self.cpu.prefetch_issue)
-        self.stats.prefetches_issued += 1
-        if self.l1.contains(line) or line in self._inflight:
-            return
-        self._reserve_miss_handler()
-        if self.l2.contains(line):
-            # Satisfied from L2 without using the memory bus.
-            self._post_fetch(line, self.now + self.config.l2_hit_latency)
-            return
-        start = max(self.now, self._bus_free)
-        self._bus_free = start + self.config.bus_cycles_per_access
-        self._post_fetch(line, start + self.config.memory_latency)
 
     # -- control -------------------------------------------------------------
 

@@ -6,19 +6,23 @@ one scalar access at a time, an O(n) list-comprehension scan of the in-flight
 fetches on every MSHR reservation, dict-churning LRU updates even for the
 direct-mapped L2, and no ``__slots__``.
 
-It exists for two reasons and must not be "improved":
+It is the one reference implementation of the memory model: it shares no
+code with :class:`repro.mem.hierarchy.MemorySystem` (its own cache class,
+its own MSHR scan, no inlining), so comparing against it can catch a bug in
+any of the product engine's helpers.  It must not be "improved":
 
 * **Golden equivalence** — ``tests/test_mem_equivalence.py`` replays the
-  committed trace fixture through this engine and through the batched one
-  and asserts field-identical :class:`~repro.mem.stats.MemoryStats`.  The
+  committed trace fixture through this engine and through the batched one,
+  and checks every ``*_run`` call against the same call here, asserting
+  field-identical :class:`~repro.mem.stats.MemoryStats` and clocks.  The
   optimized engine is only correct if it is indistinguishable from this one.
 * **Perf trajectory** — ``benchmarks/bench_selfperf.py`` measures both
   engines on the same recorded search workload and records the speedup in
-  ``BENCH_selfperf.json``, so future PRs can see what each change bought.
+  ``BENCH_selfperf.json``, so later changes can see what each one bought.
 
-:class:`ScalarTracer` reproduces the old :class:`repro.btree.trace.Tracer`
-behaviour (composite ops expanded into scalar calls); it duck-types the
-tracer interface so it can drive either engine.
+The ``*_run`` shims at the bottom of :class:`LegacyMemorySystem` expand
+each composite op into the old scalar calls, so the one
+:class:`repro.btree.trace.Tracer` drives either engine.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Iterator, Optional
 from .config import DEFAULT_CPU, DEFAULT_MEMORY, CpuCostModel, MemoryConfig
 from .stats import MemoryStats
 
-__all__ = ["LegacyCache", "LegacyMemorySystem", "ScalarTracer"]
+__all__ = ["LegacyCache", "LegacyMemorySystem"]
 
 
 class LegacyCache:
@@ -302,65 +306,3 @@ class LegacyMemorySystem:
             "accesses",
         ):
             setattr(phase, name, getattr(delta, name))
-
-
-class ScalarTracer:
-    """The pre-batching tracer: composite ops expanded into scalar calls.
-
-    Duck-types :class:`repro.btree.trace.Tracer` so the same replay helpers
-    can drive either path against either engine.
-    """
-
-    __slots__ = ("mem",)
-
-    def __init__(self, mem=None) -> None:
-        self.mem = mem
-
-    @property
-    def active(self) -> bool:
-        return self.mem is not None and self.mem.enabled
-
-    def read(self, address: int, nbytes: int) -> None:
-        if self.mem is not None:
-            self.mem.read(address, nbytes)
-
-    def write(self, address: int, nbytes: int) -> None:
-        if self.mem is not None:
-            self.mem.write(address, nbytes)
-
-    def prefetch(self, address: int, nbytes: int) -> None:
-        if self.mem is not None:
-            self.mem.prefetch(address, nbytes)
-
-    def busy(self, cycles: float) -> None:
-        if self.mem is not None:
-            self.mem.busy(cycles)
-
-    def probe(self, address: int, nbytes: int = 4) -> None:
-        if self.mem is None:
-            return
-        self.mem.read(address, nbytes)
-        self.mem.probe_penalty()
-
-    def scan(self, address: int, nbytes: int, per_line_busy: float = 2.0) -> None:
-        if self.mem is None or nbytes <= 0:
-            return
-        self.mem.read(address, nbytes)
-        lines = len(self.mem.config.lines_touched(address, nbytes))
-        self.mem.busy(per_line_busy * lines)
-
-    def move(self, dst_address: int, src_address: int, nbytes: int) -> None:
-        if self.mem is None or nbytes <= 0:
-            return
-        self.mem.read(src_address, nbytes)
-        self.mem.write(dst_address, nbytes)
-        lines = len(self.mem.config.lines_touched(dst_address, nbytes))
-        self.mem.busy(self.mem.cpu.copy_per_line * lines)
-
-    def visit_node(self) -> None:
-        if self.mem is not None:
-            self.mem.busy(self.mem.cpu.node_visit)
-
-    def call_overhead(self) -> None:
-        if self.mem is not None:
-            self.mem.busy(self.mem.cpu.function_call)

@@ -43,7 +43,23 @@ from .admission import AdmissionRejected
 from .stats import ServerStats
 from .substrate import build_serving_substrate
 
-__all__ = ["BrownoutRejected", "DbmsServer", "ServedRequest"]
+__all__ = ["BrownoutRejected", "DbmsServer", "ServedRequest", "detached"]
+
+
+def detached(error: BaseException) -> BaseException:
+    """``error`` with the tracebacks along its ``__context__`` chain cleared.
+
+    A caught exception's traceback holds the generator frames it unwound,
+    and those frames hold the request.  Stored as-is on ``request.error``,
+    it closes a request -> error -> traceback -> frame -> request cycle, so
+    a finished run waits for the cyclic collector.  An exception built and
+    stored without being raised has no traceback and needs no detaching.
+    """
+    exc = error
+    while exc is not None:  # Python keeps context chains acyclic
+        exc.__traceback__ = None
+        exc = exc.__context__
+    return error
 
 
 class BrownoutRejected(RuntimeError):
@@ -317,7 +333,7 @@ class DbmsServer:
             ticket = yield from self.admission.admit(request.priority)
         except AdmissionRejected as exc:
             request.outcome = "shed"
-            request.error = exc
+            request.error = detached(exc)
             request.finished_at = self.env.now
             self.stats.shed()
             return request
@@ -361,7 +377,7 @@ class DbmsServer:
             # land the request in "failed", or it stays "pending" forever and
             # the conservation identity breaks.
             request.outcome = "failed"
-            request.error = exc
+            request.error = detached(exc)
             request.finished_at = self.env.now
             self.stats.fail(request.kind)
             return request
@@ -459,7 +475,7 @@ class DbmsServer:
         except AdmissionRejected as exc:
             for request, completion in entries:
                 request.outcome = "shed"
-                request.error = exc
+                request.error = detached(exc)
                 request.finished_at = self.env.now
                 self.stats.shed()
                 completion.succeed(request)
@@ -508,7 +524,7 @@ class DbmsServer:
             for i in sorted(unfinished):
                 request, completion = entries[i]
                 request.outcome = "failed"
-                request.error = exc
+                request.error = detached(exc)
                 request.finished_at = self.env.now
                 self.stats.fail("lookup")
                 completion.succeed(request)
@@ -540,7 +556,7 @@ class DbmsServer:
             if request.finished_at >= 0:
                 continue  # ok / shed / failed: already terminal
             request.outcome = "failed"
-            request.error = error
+            request.error = detached(error)
             request.finished_at = self.env.now
             self.stats.fail(request.kind)
             drained += 1

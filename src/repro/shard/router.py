@@ -48,7 +48,7 @@ import numpy as np
 from ..dbms.engine import MiniDbms
 from ..des import Environment, WaitTimeout, with_timeout
 from ..obs import MetricsRegistry
-from ..serve.server import DbmsServer, ServedRequest
+from ..serve.server import DbmsServer, ServedRequest, detached
 from ..serve.stats import ServerStats
 from ..workloads.ops import RangeFreshKeys
 from .planner import ShardPlan
@@ -236,11 +236,11 @@ class ShardRouter:
             self.stats.complete(request.kind, request.latency_us, request.rows)
         elif sub.outcome == "shed":
             request.outcome = "shed"
-            request.error = sub.error
+            request.error = detached(sub.error)
             self.stats.shed()
         else:
             request.outcome = "failed"
-            request.error = sub.error
+            request.error = detached(sub.error)
             self.stats.fail(request.kind)
         return request
 

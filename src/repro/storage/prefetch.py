@@ -187,9 +187,14 @@ class AsyncPageReader:
         receipt = None
         try:
             receipt = yield event
-        except (StorageFault, WaitTimeout):
+        except (StorageFault, WaitTimeout) as exc:
             if not coalesced:
                 raise
+            # The read's owner reports this failure (a server stores it on
+            # its request); catching it here attached this frame's
+            # traceback to the shared exception, so drop it again rather
+            # than pin this frame — and the event holding the exception.
+            exc.__traceback__ = None
             if not self.pool.contains(page_id):
                 # The read we piggybacked on died; recover with our own.
                 self.demand_reads += 1

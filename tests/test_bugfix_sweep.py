@@ -257,13 +257,13 @@ class TestStorePathL2Hits:
         line = next(iter(ms.config.lines_touched(0, 4)))
         ms.l2.insert(line)
         before = ms.stats.l2_hits
-        ms.write(0, 4)
+        ms.write_run(0, 4)
         assert ms.stats.l2_hits == before + 1
         assert ms.stats.store_fetches == 0  # no memory-bus fetch happened
 
     def test_full_miss_store_still_counts_a_fetch(self):
         ms = MemorySystem()
-        ms.write(0, 4)
+        ms.write_run(0, 4)
         assert ms.stats.store_fetches == 1
         assert ms.stats.l2_hits == 0
 
@@ -276,6 +276,6 @@ class TestStorePathL2Hits:
         store_line = next(iter(ms.config.lines_touched(line_size, 4)))
         ms.l2.insert(load_line)
         ms.l2.insert(store_line)
-        ms.read(0, 4)
-        ms.write(line_size, 4)
+        ms.read_run(0, 4)
+        ms.write_run(line_size, 4)
         assert ms.stats.l2_hits == 2

@@ -8,17 +8,17 @@ from repro.workloads import KeyWorkload
 
 def test_disabled_by_default():
     mem = MemorySystem()
-    mem.read(0, 4)
-    mem.read(64, 4)  # next line: must be a full miss with no prefetcher
+    mem.read_run(0, 4)
+    mem.read_run(64, 4)  # next line: must be a full miss with no prefetcher
     assert mem.stats.dcache_stall_cycles == 300
 
 
 def test_next_line_prefetch_covers_sequential_reads():
     mem = MemorySystem(MemoryConfig(hardware_prefetch_lines=1), CpuCostModel())
-    mem.read(0, 4)  # miss; hardware fetches line 1
+    mem.read_run(0, 4)  # miss; hardware fetches line 1
     first_stall = mem.stats.dcache_stall_cycles
     mem.busy(200)  # give the prefetch time to land
-    mem.read(64, 4)
+    mem.read_run(64, 4)
     assert mem.stats.dcache_stall_cycles == first_stall
     assert mem.stats.prefetch_covered == 1
 
@@ -27,7 +27,7 @@ def test_random_reads_gain_nothing():
     """Pointer-chasing gets no coverage — only wasted bus bandwidth."""
     mem = MemorySystem(MemoryConfig(hardware_prefetch_lines=2), CpuCostModel())
     for line in (0, 100, 7, 55, 200):
-        mem.read(line * 64, 4)
+        mem.read_run(line * 64, 4)
     assert mem.stats.prefetch_covered == 0
     # Useless prefetches contend for the bus, so stalls can only grow.
     assert 5 * 150 <= mem.stats.dcache_stall_cycles <= 5 * 150 + 5 * 2 * 10
@@ -38,7 +38,7 @@ def test_sequential_scan_faster_with_hardware_prefetch():
     assisted = MemorySystem(MemoryConfig(hardware_prefetch_lines=2), CpuCostModel())
     for mem in (plain, assisted):
         for line in range(64):
-            mem.read(line * 64, 4)
+            mem.read_run(line * 64, 4)
             mem.busy(20)
     assert assisted.stats.dcache_stall_cycles < plain.stats.dcache_stall_cycles
 

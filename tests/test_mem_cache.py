@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.mem import Cache
+from repro.mem import Cache, MemorySystem
 
 
 def test_miss_then_hit():
     cache = Cache(size_bytes=1024, line_size=64, associativity=2)
-    assert not cache.lookup(3)
-    cache.insert(3)
-    assert cache.lookup(3)
-    assert cache.hits == 1
-    assert cache.misses == 1
+    assert not cache.contains(3)
+    assert cache.insert(3) is None  # a free way: nothing evicted
+    assert cache.contains(3)
+    assert cache.resident_lines() == 1
 
 
 def test_lru_eviction_within_set():
@@ -27,11 +26,11 @@ def test_lru_eviction_within_set():
     assert cache.contains(4)
 
 
-def test_lookup_refreshes_lru_order():
+def test_reinsert_refreshes_lru_order():
     cache = Cache(size_bytes=256, line_size=64, associativity=2)
     cache.insert(0)
     cache.insert(2)
-    cache.lookup(0)  # 0 becomes MRU, so 2 is the next victim
+    cache.insert(0)  # 0 becomes MRU, so 2 is the next victim
     victim = cache.insert(4)
     assert victim == 2
     assert cache.contains(0)
@@ -60,21 +59,21 @@ def test_contains_does_not_count():
     assert cache.misses == 0
 
 
-def test_invalidate():
+def test_evicted_line_is_gone():
     cache = Cache(size_bytes=256, line_size=64, associativity=2)
     cache.insert(9)
-    assert cache.invalidate(9)
-    assert not cache.invalidate(9)
+    cache.insert(11)
+    assert cache.insert(13) == 9  # set 1 full: 9 is the LRU victim
     assert not cache.contains(9)
+    assert cache.insert(9) == 11  # re-installing 9 evicts the next LRU
 
 
 def test_clear_preserves_counters():
-    cache = Cache(size_bytes=256, line_size=64, associativity=2)
-    cache.lookup(1)
-    cache.insert(1)
-    cache.clear()
-    assert cache.resident_lines() == 0
-    assert cache.misses == 1
+    mem = MemorySystem()
+    mem.read_run(0, 4)  # one counted L1 miss, then an install
+    mem.l1.clear()
+    assert mem.l1.resident_lines() == 0
+    assert mem.l1.misses == 1
 
 
 def test_invalid_geometry_rejected():

@@ -1,19 +1,23 @@
-"""Golden equivalence: batched trace engine == scalar path == frozen baseline.
+"""Golden equivalence: the batched engine == the frozen scalar engine.
 
-The batched entry points (``read_run``/``write_run``/``prefetch_run``/
-``probe_run``) are a pure performance rework — PR 4's contract is that they
-change *nothing* observable.  Three independent checks:
+:class:`~repro.mem.hierarchy.MemorySystem` runs every access through its
+batched entry points (``read_run``/``write_run``/``prefetch_run``/
+``probe_run``).  The frozen :class:`~repro.mem.legacy.LegacyMemorySystem`
+is the one reference: it shares no code with the batched engine, and its
+``*_run`` shims expand each call into the old per-line scalar calls.
+Three independent checks:
 
 1. The committed golden-trace fixture (``tests/data/mem_golden_trace.json``,
    generated against the pre-batching engine) replays to field-identical
-   ``MemoryStats`` and clocks through all three paths: the frozen
-   :class:`~repro.mem.legacy.LegacyMemorySystem`, the current engine's
-   scalar methods, and the current engine's batched methods.
-2. A hypothesis property: any ``read_run`` decomposes into per-line scalar
-   reads (and likewise for the other composite ops) on the same engine.
-3. Random mixed-op streams, including cache flushes, agree across all three
-   paths under both the default and a stressed (tiny-cache, few-MSHR)
-   geometry.
+   ``MemoryStats`` and clocks through one :class:`~repro.btree.trace.Tracer`
+   over either engine.
+2. A hypothesis property: every ``*_run`` call on the batched engine leaves
+   the same state, and returns the same line count, as the same call on the
+   frozen engine.
+3. Random mixed-op streams, including cache flushes, agree across the two
+   engines under the default geometry and stressed ones: tiny caches with
+   few MSHRs, a direct-mapped L1, a hardware next-line prefetcher, and a
+   single miss handler.
 """
 
 import json
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.btree.trace import Tracer, replay_ops
 from repro.mem import CpuCostModel, MemoryConfig, MemorySystem
-from repro.mem.legacy import LegacyMemorySystem, ScalarTracer
+from repro.mem.legacy import LegacyMemorySystem
 from repro.mem.stats import MemoryStats
 
 FIXTURE = Path(__file__).parent / "data" / "mem_golden_trace.json"
@@ -50,21 +54,16 @@ def load_cases():
 CASES = load_cases()
 
 
-# -- 1. committed fixture, three paths ----------------------------------------
+# -- 1. committed fixture, both engines -----------------------------------------
+
+ENGINES = [LegacyMemorySystem, MemorySystem]
+ENGINE_IDS = ["legacy-engine", "batched-path"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-@pytest.mark.parametrize(
-    "make_tracer",
-    [
-        lambda cfg: ScalarTracer(LegacyMemorySystem(cfg, CpuCostModel())),
-        lambda cfg: ScalarTracer(MemorySystem(cfg, CpuCostModel())),
-        lambda cfg: Tracer(MemorySystem(cfg, CpuCostModel())),
-    ],
-    ids=["legacy-engine", "scalar-path", "batched-path"],
-)
-def test_golden_trace_replays_identically(case, make_tracer):
-    tracer = make_tracer(MemoryConfig(**case["config"]))
+@pytest.mark.parametrize("engine", ENGINES, ids=ENGINE_IDS)
+def test_golden_trace_replays_identically(case, engine):
+    tracer = Tracer(engine(MemoryConfig(**case["config"]), CpuCostModel()))
     replay_ops([tuple(op) for op in case["ops"]], tracer)
     assert fingerprint(tracer.mem) == case["expected"]
 
@@ -80,40 +79,41 @@ def test_fixture_is_nontrivial():
     assert any(c["expected"]["l2_hits"] > 0 for c in CASES)
 
 
-# -- 2. hypothesis: composite ops decompose into scalar ops --------------------
+# -- 2. hypothesis: every *_run call matches the frozen engine ----------------
 
 fast = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 # Small address space so lines collide and hit every cache/MSHR path; the
-# stressed geometry keeps evictions and handler pressure frequent.
+# stressed geometries keep evictions and handler pressure frequent.
 STRESS_CONFIG = dict(l1_size=512, l1_assoc=2, l2_size=2048, l2_assoc=4, miss_handlers=4)
+GEOMETRIES = {
+    "default-geometry": {},
+    "stress-geometry": STRESS_CONFIG,
+    "direct-mapped-l1": dict(STRESS_CONFIG, l1_assoc=1),
+    "hardware-prefetch": dict(STRESS_CONFIG, hardware_prefetch_lines=2),
+    "one-miss-handler": dict(STRESS_CONFIG, miss_handlers=1),
+}
 
 _access = st.tuples(
-    st.sampled_from(["read", "write", "prefetch", "probe"]),
+    st.sampled_from(["read_run", "write_run", "prefetch_run", "probe_run"]),
     st.integers(0, 8192),
     st.integers(1, 400),
 )
 
 
 @fast
-@given(ops=st.lists(_access, min_size=1, max_size=60))
-def test_batched_run_equals_scalar_expansion(ops):
-    scalar = MemorySystem(MemoryConfig(**STRESS_CONFIG), CpuCostModel())
-    batched = MemorySystem(MemoryConfig(**STRESS_CONFIG), CpuCostModel())
+@given(
+    geometry=st.sampled_from(sorted(GEOMETRIES)),
+    ops=st.lists(_access, min_size=1, max_size=60),
+)
+def test_batched_run_equals_scalar_expansion(geometry, ops):
+    """Each batched call == the frozen engine's per-line scalar expansion."""
+    config = MemoryConfig(**GEOMETRIES[geometry])
+    scalar = LegacyMemorySystem(config, CpuCostModel())
+    batched = MemorySystem(config, CpuCostModel())
     for kind, address, nbytes in ops:
-        if kind == "read":
-            scalar.read(address, nbytes)
-            batched.read_run(address, nbytes)
-        elif kind == "write":
-            scalar.write(address, nbytes)
-            batched.write_run(address, nbytes)
-        elif kind == "prefetch":
-            scalar.prefetch(address, nbytes)
-            batched.prefetch_run(address, nbytes)
-        else:
-            scalar.read(address, nbytes)
-            scalar.probe_penalty()
-            batched.probe_run(address, nbytes)
+        lines = getattr(batched, kind)(address, nbytes)
+        assert lines == getattr(scalar, kind)(address, nbytes)
         assert fingerprint(scalar) == fingerprint(batched)
 
 
@@ -121,17 +121,17 @@ def test_batched_run_equals_scalar_expansion(ops):
 @given(address=st.integers(0, 1 << 40), nbytes=st.integers(1, 2048))
 def test_read_run_equals_n_scalar_reads(address, nbytes):
     """read_run(a, n) == one scalar read per touched line, in order."""
-    scalar = MemorySystem()
+    scalar = LegacyMemorySystem()
     batched = MemorySystem()
     batched.read_run(address, nbytes)
     scalar.read(address, nbytes)
     assert fingerprint(scalar) == fingerprint(batched)
-    line_size = scalar.config.line_size
+    line_size = batched.config.line_size
     nlines = (address + nbytes - 1) // line_size - address // line_size + 1
     assert batched.stats.accesses == nlines
 
 
-# -- 3. random mixed streams across all three paths ----------------------------
+# -- 3. random mixed streams across both engines --------------------------------
 
 
 def _random_ops(rng, count):
@@ -156,18 +156,12 @@ def _random_ops(rng, count):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize(
-    "config_kwargs", [{}, STRESS_CONFIG], ids=["default-geometry", "stress-geometry"]
-)
-def test_random_streams_agree_across_engines(seed, config_kwargs):
+@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+def test_random_streams_agree_across_engines(seed, geometry):
     ops = _random_ops(random.Random(seed), 800)
     results = []
-    for make_tracer in (
-        lambda cfg: ScalarTracer(LegacyMemorySystem(cfg, CpuCostModel())),
-        lambda cfg: ScalarTracer(MemorySystem(cfg, CpuCostModel())),
-        lambda cfg: Tracer(MemorySystem(cfg, CpuCostModel())),
-    ):
-        tracer = make_tracer(MemoryConfig(**config_kwargs))
+    for engine in ENGINES:
+        tracer = Tracer(engine(MemoryConfig(**GEOMETRIES[geometry]), CpuCostModel()))
         replay_ops(ops, tracer)
         results.append(fingerprint(tracer.mem))
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]

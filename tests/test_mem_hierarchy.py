@@ -16,34 +16,34 @@ def make_mem(**overrides):
 
 def test_cold_read_costs_full_memory_latency():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     assert mem.stats.dcache_stall_cycles == 150
     assert mem.stats.memory_fetches == 1
 
 
 def test_second_read_same_line_is_l1_hit():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     before = mem.stats.dcache_stall_cycles
-    mem.read(32, 4)  # same 64B line
+    mem.read_run(32, 4)  # same 64B line
     assert mem.stats.dcache_stall_cycles == before
     assert mem.stats.l1_hits == 1
 
 
 def test_read_spanning_two_lines_touches_both():
     mem = make_mem()
-    mem.read(60, 8)  # crosses the line boundary at 64
+    mem.read_run(60, 8)  # crosses the line boundary at 64
     assert mem.stats.memory_fetches == 2
 
 
 def test_l2_hit_costs_l2_latency():
     # Tiny L1 (one set, 2 ways) so a third distinct line evicts the first.
     mem = make_mem(l1_size=128, l1_assoc=2)
-    mem.read(0 * 64, 4)
-    mem.read(1 * 64, 4)
-    mem.read(2 * 64, 4)  # evicts line 0 from L1; L2 still holds it
+    mem.read_run(0 * 64, 4)
+    mem.read_run(1 * 64, 4)
+    mem.read_run(2 * 64, 4)  # evicts line 0 from L1; L2 still holds it
     before = mem.stats.dcache_stall_cycles
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     assert mem.stats.dcache_stall_cycles == before + 15
     assert mem.stats.l2_hits == 1
 
@@ -52,9 +52,9 @@ def test_prefetched_node_costs_t1_plus_pipelined_misses():
     """Reading a w-line node after prefetching it costs ~T1 + (w-1)*Tnext."""
     w = 8
     mem = make_mem()
-    mem.prefetch(0, w * 64)
+    mem.prefetch_run(0, w * 64)
     for i in range(w):
-        mem.read(i * 64, 4)
+        mem.read_run(i * 64, 4)
     expected_stall = 150 + (w - 1) * 10
     # Busy time (prefetch instructions) overlaps with the fetches, so the
     # measured stall is slightly below the analytic bound.
@@ -66,38 +66,38 @@ def test_unprefetched_node_costs_full_latency_per_line():
     w = 8
     mem = make_mem()
     for i in range(w):
-        mem.read(i * 64, 4)
+        mem.read_run(i * 64, 4)
     assert mem.stats.dcache_stall_cycles == w * 150
 
 
 def test_prefetch_of_resident_line_is_free_of_bus_traffic():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     fetches_before = mem.stats.memory_fetches
-    mem.prefetch(0, 4)
-    mem.read(0, 4)
+    mem.prefetch_run(0, 4)
+    mem.read_run(0, 4)
     assert mem.stats.memory_fetches == fetches_before
     assert mem.stats.dcache_stall_cycles == 150  # unchanged
 
 
 def test_mshr_pressure_stalls_excess_prefetches():
     mem = make_mem(miss_handlers=4)
-    mem.prefetch(0, 16 * 64)  # 16 lines, only 4 MSHRs
+    mem.prefetch_run(0, 16 * 64)  # 16 lines, only 4 MSHRs
     assert mem.stats.dcache_stall_cycles > 0
 
 
 def test_clear_caches_forces_refetch():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     mem.clear_caches()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     assert mem.stats.memory_fetches == 2
 
 
 def test_paused_disables_accounting():
     mem = make_mem()
     with mem.paused():
-        mem.read(0, 4)
+        mem.read_run(0, 4)
         mem.busy(100)
     assert mem.stats.total_cycles == 0
     assert mem.stats.memory_fetches == 0
@@ -105,9 +105,9 @@ def test_paused_disables_accounting():
 
 def test_measure_reports_phase_delta():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     with mem.measure() as phase:
-        mem.read(64, 4)
+        mem.read_run(64, 4)
         mem.busy(7)
     assert phase.memory_fetches == 1
     assert phase.busy_cycles == 7
@@ -125,7 +125,7 @@ def test_busy_and_other_stall_accumulate():
 
 def test_probe_penalty_charges_compare_and_mispredict():
     mem = make_mem()
-    mem.probe_penalty()
+    mem.probe_run(0, 0)  # an empty probe charges only the penalty
     cpu = mem.cpu
     assert mem.stats.busy_cycles == cpu.compare
     assert mem.stats.other_stall_cycles == cpu.mispredict_rate * cpu.branch_mispredict
@@ -133,15 +133,15 @@ def test_probe_penalty_charges_compare_and_mispredict():
 
 def test_write_does_not_stall():
     mem = make_mem()
-    mem.write(0, 4)
+    mem.write_run(0, 4)
     assert mem.stats.dcache_stall_cycles == 0
     assert mem.stats.store_fetches == 1
 
 
 def test_read_after_cold_write_waits_for_allocation():
     mem = make_mem()
-    mem.write(0, 4)
-    mem.read(0, 4)
+    mem.write_run(0, 4)
+    mem.read_run(0, 4)
     # The load waits for the write-allocate fetch, minus elapsed busy time.
     assert 0 < mem.stats.dcache_stall_cycles <= 150
     assert mem.stats.prefetch_covered == 1
@@ -149,16 +149,16 @@ def test_read_after_cold_write_waits_for_allocation():
 
 def test_write_to_resident_line_is_free():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     stalls = mem.stats.dcache_stall_cycles
-    mem.write(32, 4)
+    mem.write_run(32, 4)
     assert mem.stats.dcache_stall_cycles == stalls
     assert mem.stats.store_fetches == 0
 
 
 def test_breakdown_fractions_sum_to_one():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     mem.busy(50)
     fractions = mem.stats.breakdown()
     assert sum(fractions.values()) == pytest.approx(1.0)
@@ -166,11 +166,11 @@ def test_breakdown_fractions_sum_to_one():
 
 def test_reset_zeroes_everything():
     mem = make_mem()
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     mem.reset()
     assert mem.now == 0
     assert mem.stats.total_cycles == 0
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     assert mem.stats.memory_fetches == 1
 
 
@@ -179,15 +179,15 @@ def test_reset_zeroes_cache_hit_miss_counters():
     so back-to-back measurement phases on one MemorySystem double-counted
     in the per-cache counters while MemoryStats started fresh."""
     mem = make_mem()
-    mem.read(0, 4)
-    mem.read(0, 4)  # l1 hit
+    mem.read_run(0, 4)
+    mem.read_run(0, 4)  # l1 hit
     assert mem.l1.misses == 1 and mem.l1.hits == 1
     mem.reset()
     assert mem.l1.hits == 0
     assert mem.l1.misses == 0
     assert mem.l2.hits == 0
     assert mem.l2.misses == 0
-    mem.read(0, 4)
+    mem.read_run(0, 4)
     assert mem.l1.misses == 1  # counts this phase only
 
 

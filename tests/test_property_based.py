@@ -82,7 +82,7 @@ def test_cache_matches_reference_lru(accesses):
     for line in accesses:
         cache_set = reference[line % num_sets]
         hit = line in cache_set
-        assert cache.lookup(line) == hit
+        assert cache.contains(line) == hit
         if hit:
             cache_set.remove(line)
         cache.insert(line)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dbms.engine import MiniDbms
 from repro.des import Environment
+from repro.faults import FaultPlan
 from repro.serve import (
     AdmissionController,
     AdmissionRejected,
@@ -14,6 +15,7 @@ from repro.serve import (
 from repro.serve.stats import SERVE_LATENCY_BOUNDS_US, ServerStats
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.config import StorageConfig
+from repro.storage.prefetch import RetryPolicy
 
 
 def small_db(num_rows=2_000, seed=7):
@@ -196,6 +198,33 @@ def test_open_loop_sheds_under_overload():
     shed = [request for request in server.requests if request.outcome == "shed"]
     assert len(shed) == stats.shed_count
     assert all(isinstance(request.error, AdmissionRejected) for request in shed)
+
+
+def test_shed_and_failed_requests_hold_no_traceback():
+    # Regression: request.error kept the caught exception's traceback, whose
+    # generator frames hold the request again — a reference cycle that left
+    # every finished run to the cyclic collector.
+    db = small_db()
+    server = DbmsServer(
+        db, max_concurrency=2, queue_depth=4, pool_frames=32, seed=1,
+        fault_plan=FaultPlan.uniform(corrupt_rate=0.5, timeout_rate=0.2, seed=1),
+        policy=RetryPolicy(max_attempts=1),
+    )
+    generator = OpenLoopLoadGenerator(server, rate_ops_s=4_000, duration_s=0.2, seed=1)
+    stats = generator.run()
+    assert stats.shed_count > 0 and stats.failed > 0  # both paths ran
+    assert stats.conserved()
+    errored = [r for r in server.requests if r.outcome in ("shed", "failed")]
+    assert len(errored) == stats.shed_count + stats.failed
+    chained = 0
+    for request in errored:
+        error = request.error
+        assert error is not None
+        while error is not None:
+            assert error.__traceback__ is None
+            error = error.__context__
+            chained += error is not None
+    assert chained > 0  # a failure raised while handling another one
 
 
 # -- determinism -----------------------------------------------------------

@@ -244,6 +244,11 @@ def test_partial_fragment_failure_fails_the_scan_but_keeps_accounting():
     scan_req = requests[-1]
     sheds = sum(1 for r in requests if r.outcome == "shed")
     assert sheds > 0  # the overload really happened
+    # Mirrored shard errors are stored without a traceback (no
+    # request -> error -> traceback -> frame -> request cycle).
+    for request in requests:
+        if request.outcome in ("shed", "failed"):
+            assert request.error.__traceback__ is None
     if scan_req.outcome == "failed":
         assert router.fragment_failures > 0
     router.check_conservation()

@@ -151,25 +151,25 @@ class TestMemoryEdges:
 
     def test_zero_byte_read_is_free(self):
         mem = MemorySystem()
-        mem.read(0, 0)
+        mem.read_run(0, 0)
         assert mem.stats.total_cycles == 0
 
     def test_l2_direct_mapped_conflicts_through_system(self):
         mem = MemorySystem()
         l2_lines = mem.config.l2_size // mem.config.line_size
-        mem.read(0, 4)
-        mem.read(l2_lines * 64, 4)  # same L2 set, evicts line 0 from L2
+        mem.read_run(0, 4)
+        mem.read_run(l2_lines * 64, 4)  # same L2 set, evicts line 0 from L2
         # Force L1 eviction of line 0 as well by filling its L1 set.
         l1_sets = mem.l1.num_sets
-        mem.read(l1_sets * 64, 4)
-        mem.read(2 * l1_sets * 64, 4)
+        mem.read_run(l1_sets * 64, 4)
+        mem.read_run(2 * l1_sets * 64, 4)
         before = mem.stats.memory_fetches
-        mem.read(0, 4)  # L2 lost it -> full memory fetch
+        mem.read_run(0, 4)  # L2 lost it -> full memory fetch
         assert mem.stats.memory_fetches == before + 1
 
     def test_prefetch_pipelines_through_bus(self):
         mem = MemorySystem()
-        mem.prefetch(0, 4 * 64)
+        mem.prefetch_run(0, 4 * 64)
         # Bus grants are 10 cycles apart: last line lands ~T1 + 3*Tnext.
         landed = sorted(mem._inflight.values())
         assert landed[1] - landed[0] == pytest.approx(10)
@@ -183,13 +183,13 @@ class TestMemoryEdges:
 
     def test_stats_str_is_informative(self):
         mem = MemorySystem()
-        mem.read(0, 4)
+        mem.read_run(0, 4)
         text = str(mem.stats)
         assert "busy" in text and "mem fetches 1" in text
 
     def test_stats_reset(self):
         mem = MemorySystem()
-        mem.read(0, 4)
+        mem.read_run(0, 4)
         mem.stats.reset()
         assert mem.stats.total_cycles == 0
         assert mem.stats.memory_fetches == 0
