@@ -33,7 +33,7 @@ def traced_searchsorted(
     if count < 0 or count > len(keys):
         raise ValueError(f"count {count} out of range for capacity {len(keys)}")
     if not tracer.active:
-        return int(np.searchsorted(keys[:count], key, side=side))
+        return int(keys[:count].searchsorted(key, side=side))
     lo, hi = 0, count
     if side == "left":
         while lo < hi:

@@ -39,12 +39,11 @@ class LineAllocator:
         self.total_lines = total_lines
         self.reserved_lines = reserved_lines
         self._used = bytearray(total_lines)
-        for line in range(reserved_lines):
-            self._used[line] = 1
+        self._used[:reserved_lines] = b"\x01" * reserved_lines
 
     @property
     def free_lines(self) -> int:
-        return self.total_lines - sum(self._used)
+        return self._used.count(0)
 
     def is_used(self, line: int) -> bool:
         return bool(self._used[line])
@@ -52,33 +51,37 @@ class LineAllocator:
     def alloc(self, width: int, hint: int = 0) -> Optional[int]:
         """Find ``width`` contiguous free lines, searching from ``hint``.
 
-        Returns the starting line, or None if no run is available.
+        First fit from ``hint`` to the end of the page, then wrapping around
+        from the first non-reserved line.  Returns the starting line, or
+        None if no run is available.
         """
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
+        used = self._used
         start = max(self.reserved_lines, hint)
-        order = list(range(start, self.total_lines - width + 1)) + list(
-            range(self.reserved_lines, min(start, self.total_lines - width + 1))
-        )
-        for candidate in order:
-            if not any(self._used[candidate : candidate + width]):
-                for line in range(candidate, candidate + width):
-                    self._used[line] = 1
-                return candidate
-        return None
+        run = bytes(width)
+        line = used.find(run, start)
+        if line < 0:
+            # Wrapped candidates start below ``start``, so each run fits in
+            # ``[reserved_lines, start + width - 1)``.
+            line = used.find(run, self.reserved_lines, start + width - 1)
+            if line < 0:
+                return None
+        used[line : line + width] = b"\x01" * width
+        return line
 
     def free(self, line: int, width: int) -> None:
         if line < self.reserved_lines or line + width > self.total_lines:
             raise ValueError(f"freeing lines [{line}, {line + width}) out of range")
-        for i in range(line, line + width):
-            if not self._used[i]:
-                raise ValueError(f"line {i} already free")
-            self._used[i] = 0
+        used = self._used
+        already = used.find(0, line, line + width)
+        if already >= 0:
+            raise ValueError(f"line {already} already free")
+        used[line : line + width] = bytes(width)
 
     def clear(self) -> None:
         """Free everything except the reserved header lines."""
-        for line in range(self.reserved_lines, self.total_lines):
-            self._used[line] = 0
+        self._used[self.reserved_lines :] = bytes(self.total_lines - self.reserved_lines)
 
 
 class InPageNode:

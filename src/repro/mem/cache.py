@@ -6,10 +6,10 @@ responsible for the address-to-line mapping (see
 insertion order doubles as the LRU order — re-inserting a resident line
 moves it to the most-recently-used end.
 
-:class:`repro.mem.hierarchy.MemorySystem` inlines the counted lookup (and
-the hit/miss counter updates) into its batched access loops, reading the
-set containers directly; this class owns the geometry, residency checks,
-installs and flushes.
+:class:`repro.mem.hierarchy.MemorySystem` inlines the lookup into its
+batched access loops, reading the set containers directly, and counts hits
+and misses in :class:`repro.mem.stats.MemoryStats`; this class owns the
+geometry, residency checks, installs and flushes.
 
 Direct-mapped caches (``associativity == 1``, e.g. the paper's 2 MB L2) take
 a fast path: each set holds at most one line, so LRU order is meaningless
@@ -35,8 +35,6 @@ class Cache:
         "num_sets",
         "_sets",
         "_dm_slots",
-        "hits",
-        "misses",
     )
 
     def __init__(self, size_bytes: int, line_size: int, associativity: int) -> None:
@@ -56,11 +54,9 @@ class Cache:
             # One dict per set; keys are line indices, values unused (None).
             self._sets = [{} for __ in range(self.num_sets)]
             self._dm_slots = None
-        self.hits = 0
-        self.misses = 0
 
     def contains(self, line: int) -> bool:
-        """Check residency without updating LRU order or counters."""
+        """Check residency without updating LRU order."""
         slots = self._dm_slots
         if slots is not None:
             return slots[line % self.num_sets] == line
@@ -89,7 +85,7 @@ class Cache:
         return victim
 
     def clear(self) -> None:
-        """Empty the cache (counters are preserved)."""
+        """Empty the cache."""
         slots = self._dm_slots
         if slots is not None:
             for index in range(self.num_sets):
@@ -97,11 +93,6 @@ class Cache:
             return
         for cache_set in self._sets:
             cache_set.clear()
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (residency is untouched)."""
-        self.hits = 0
-        self.misses = 0
 
     def resident_lines(self) -> int:
         """Total number of lines currently cached."""

@@ -70,9 +70,7 @@ class MemorySystem:
         "enabled",
         "_bus_free",
         "_inflight",
-        "_inflight_seq",
         "_heap",
-        "_pending",
         "_wake",
         "_next_seq",
         "_line_size",
@@ -100,25 +98,21 @@ class MemorySystem:
         self.now: float = 0.0
         self.enabled: bool = True
         self._bus_free: float = 0.0
-        self._inflight: dict[int, float] = {}  # line -> completion time
-        # Completion-ordered heap over the in-flight fetches with lazy
-        # retirement: entries are (completion, seq, line); an entry is stale
-        # once its seq no longer matches ``_inflight_seq[line]`` (the line
-        # was demanded, cleared, or re-posted since).  The heap makes "has
-        # anything landed?" an O(1) peek and the MSHR-victim choice an
-        # O(log n) pop, replacing per-reservation scans of ``_inflight``.
-        self._inflight_seq: dict[int, int] = {}
-        self._heap: list[tuple[float, int, int]] = []
-        # New posts go to ``_pending`` (a plain append) and are only pushed
-        # into the heap when the reserve slow path actually needs it: a large
-        # share of prefetches is popped by a covering demand access first and
-        # then never pays heappush/heappop at all.  ``_wake`` is a conservative
-        # lower bound on the earliest live completion across heap + pending —
+        # One record per in-flight fetch: ``_inflight[line]`` is the very
+        # (completion, seq, line) tuple pushed on the completion-ordered
+        # ``_heap``, so a heap entry is stale exactly when
+        # ``_inflight.get(line) is not entry`` (a demand access covered the
+        # line since) and is discarded lazily.  The heap makes "has anything
+        # landed?" an O(1) peek and the MSHR-victim choice an O(log n) pop.
+        # ``_wake`` is a conservative lower bound on every heap entry —
         # posts lower it, retirements leave it low (a too-low bound merely
         # triggers a harmless extra slow-path call) — so the hot loops' MSHR
-        # fast check stays one float compare.  Both containers are cleared in
-        # place only; hot loops cache bound methods on them.
-        self._pending: list[tuple[float, int, int]] = []
+        # fast check stays one float compare.  A covering access stalls
+        # until its fetch completes, so a stale entry never completes after
+        # ``now``: the landed sweep in ``_reserve_miss_handler`` discards
+        # them all, and while ``_wake > now`` the heap holds none.
+        self._inflight: dict[int, tuple[float, int, int]] = {}
+        self._heap: list[tuple[float, int, int]] = []
         self._wake: float = _NEVER
         self._next_seq: int = 0
         # Hot-path constants, precomputed once: MemoryConfig and CpuCostModel
@@ -162,11 +156,10 @@ class MemorySystem:
 
     def _post_fetch(self, line: int, completion: float) -> None:
         """Record a non-blocking fetch (prefetch / write-allocate)."""
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        self._inflight[line] = completion
-        self._inflight_seq[line] = seq
-        self._pending.append((completion, seq, line))
+        entry = (completion, self._next_seq, line)
+        self._next_seq += 1
+        self._inflight[line] = entry
+        heappush(self._heap, entry)
         if completion < self._wake:
             self._wake = completion
 
@@ -177,44 +170,25 @@ class MemorySystem:
         posted — the caches' LRU state depends on install order, and the
         frozen engine retires in ``_inflight`` insertion order.  The heap
         only answers "has anything landed?" and "which completes first?";
-        stale entries are discarded lazily via the seq check.
+        stale entries are discarded lazily via the identity check.
         """
         inflight = self._inflight
         heap = self._heap
-        pending = self._pending
         if not inflight:
-            if heap:
-                heap.clear()  # every remaining entry is stale
-            if pending:
-                pending.clear()
+            heap.clear()  # every remaining entry is stale
             self._wake = _NEVER
             return
-        seqs = self._inflight_seq
         now = self.now
         landed = []
-        if pending:
-            # Merge deferred posts.  Ones a demand access already covered
-            # (their seq no longer matches) are dropped, and ones that have
-            # already landed go straight to retirement — in the steady state
-            # that is most of them (L2-latency completions land before the
-            # next slow-path call), so they never touch the heap at all,
-            # which is the point of deferring.
-            for entry in pending:
-                if seqs.get(entry[2]) == entry[1]:
-                    if entry[0] <= now:
-                        landed.append((entry[1], entry[2]))
-                    else:
-                        heappush(heap, entry)
-            pending.clear()
         while heap:
-            completion, seq, line = heap[0]
-            if seqs.get(line) != seq:
-                heappop(heap)  # stale: covered or retired since posting
+            entry = heap[0]
+            if inflight.get(entry[2]) is not entry:
+                heappop(heap)  # stale: a demand access covered it
                 continue
-            if completion > now:
+            if entry[0] > now:
                 break
             heappop(heap)
-            landed.append((seq, line))
+            landed.append((entry[1], entry[2]))
         if landed:
             # Retire in posting (seq) order == ``_inflight`` insertion order:
             # the caches' LRU state depends on install order and the frozen
@@ -233,7 +207,6 @@ class MemorySystem:
             l2 = self.l2
             for __, line in landed:
                 del inflight[line]
-                del seqs[line]
                 if l1_dm is not None:
                     l1_dm[line % l1_nsets] = line
                 else:
@@ -247,12 +220,10 @@ class MemorySystem:
                     l2_dm[line % l2_nsets] = line
                 else:
                     l2.insert(line)
+        # The sweep above left only live entries (see __init__).
         while len(inflight) >= self.config.miss_handlers:
-            completion, seq, line = heappop(heap)
-            if seqs.get(line) != seq:
-                continue
+            completion, __, line = heappop(heap)
             del inflight[line]
-            del seqs[line]
             self._dcache_stall(completion - self.now)
             self._install(line)
         self._wake = heap[0][0] if heap else _NEVER
@@ -279,14 +250,12 @@ class MemorySystem:
                 del l2_set[line]
                 l2_set[line] = None  # move to MRU
         if l2_hit:
-            l2.hits += 1
             stats.l2_hits += 1
             stall = self.config.l2_hit_latency
             if stall > 0:
                 self.now += stall
                 stats.dcache_stall_cycles += stall
         else:
-            l2.misses += 1
             # Full miss: win the bus, wait for the line.
             now = self.now
             bus_free = self._bus_free
@@ -351,9 +320,6 @@ class MemorySystem:
     # time without recomputing the range.
     #
     # Inlining notes, load-bearing for equivalence:
-    # * Cache hit/miss counter deltas are accumulated in locals and flushed
-    #   once; only the totals are observable (nothing reads the counters
-    #   mid-run).
     # * At install points the line is known to be absent from the cache
     #   being inserted into (its lookup just missed), except the L2 insert
     #   on the prefetch-covered path, where the line may still be resident —
@@ -362,7 +328,8 @@ class MemorySystem:
     # * ``_reserve_miss_handler`` is replaced by an inline fast check: the
     #   slow path runs only when an MSHR is actually needed or the heap top
     #   says a fetch may have landed (a stale top triggers a harmless extra
-    #   call that purges it).
+    #   call that purges it).  prefetch_run also inlines the slow path's
+    #   saturated case, the one a page-wide scan burst hits on every line.
 
     def read_run(self, address: int, nbytes: int = 4) -> int:
         """Demand-load every line in ``[address, address + nbytes)``."""
@@ -377,12 +344,10 @@ class MemorySystem:
             # loop's local-binding preamble.
             stats = self.stats
             stats.accesses += 1
-            l1 = self.l1
             l1_dm = self._l1_dm
             l1_index = line % self._l1_nsets
             if l1_dm is not None:
                 if l1_dm[l1_index] == line:
-                    l1.hits += 1
                     stats.l1_hits += 1
                     return 1
             else:
@@ -390,19 +355,16 @@ class MemorySystem:
                 if line in l1_set:
                     del l1_set[line]
                     l1_set[line] = None  # move to MRU
-                    l1.hits += 1
                     stats.l1_hits += 1
                     return 1
-            l1.misses += 1
             # Prefetch-covered is the common miss here (a tree prefetches a
             # node before probing it), so it is inlined too; the L2-hit /
             # full-fetch tail stays a call.
-            completion = self._inflight.pop(line, None)
-            if completion is None:
+            entry = self._inflight.pop(line, None)
+            if entry is None:
                 self._touch_uncovered(line)
             else:
-                del self._inflight_seq[line]
-                stall = completion - self.now
+                stall = entry[0] - self.now
                 if stall > 0:
                     self.now += stall
                     stats.dcache_stall_cycles += stall
@@ -426,8 +388,6 @@ class MemorySystem:
         nlines = last - line + 1
         config = self.config
         stats = self.stats
-        l1 = self.l1
-        l2 = self.l2
         l1_dm = self._l1_dm
         l1_sets = self._l1_sets
         l1_nsets = self._l1_nsets
@@ -435,9 +395,8 @@ class MemorySystem:
         l2_dm = self._l2_dm
         l2_sets = self._l2_sets
         l2_nsets = self._l2_nsets
-        l2_insert = l2.insert
+        l2_insert = self.l2.insert
         inflight = self._inflight
-        seqs = self._inflight_seq
         l2_hit_latency = config.l2_hit_latency
         memory_latency = config.memory_latency
         bus_step = config.bus_cycles_per_access
@@ -446,7 +405,6 @@ class MemorySystem:
         bus_free = self._bus_free
         l1_hits = 0
         l2_hits = 0
-        l2_lookups = 0
         covered = 0
         fetches = 0
         stall_cycles = 0.0
@@ -464,12 +422,11 @@ class MemorySystem:
                     l1_set[line] = None  # move to MRU
                     l1_hits += 1
                     continue
-            completion = inflight.pop(line, None)
-            if completion is not None:
+            entry = inflight.pop(line, None)
+            if entry is not None:
                 # Covered by an in-flight (or landed) prefetch: wait out the
                 # remainder, then install in both levels.
-                del seqs[line]
-                stall = completion - now
+                stall = entry[0] - now
                 if stall > 0:
                     now += stall
                     stall_cycles += stall
@@ -487,8 +444,7 @@ class MemorySystem:
                 else:
                     l2_insert(line)
                 continue
-            # L2 lookup (counted, LRU-refreshing).
-            l2_lookups += 1
+            # L2 lookup (LRU-refreshing).
             if l2_dm is not None:
                 l2_index = line % l2_nsets
                 l2_resident = l2_dm[l2_index] == line
@@ -544,10 +500,6 @@ class MemorySystem:
         stats.prefetch_covered += covered
         stats.memory_fetches += fetches
         stats.dcache_stall_cycles += stall_cycles
-        l1.hits += l1_hits
-        l1.misses += nlines - l1_hits
-        l2.hits += l2_hits
-        l2.misses += l2_lookups - l2_hits
         return nlines
 
     def write_run(self, address: int, nbytes: int = 4) -> int:
@@ -568,7 +520,6 @@ class MemorySystem:
         last = (address + nbytes - 1) // line_size
         nlines = last - line + 1
         stats = self.stats
-        l1 = self.l1
         l1_dm = self._l1_dm
         l1_sets = self._l1_sets
         l1_nsets = self._l1_nsets
@@ -576,8 +527,7 @@ class MemorySystem:
         l2_sets = self._l2_sets
         l2_nsets = self._l2_nsets
         inflight = self._inflight
-        seqs = self._inflight_seq
-        pending_append = self._pending.append
+        heap = self._heap
         next_seq = self._next_seq
         miss_handlers = config.miss_handlers
         l2_hit_latency = config.l2_hit_latency
@@ -630,9 +580,8 @@ class MemorySystem:
                 bus_free = start + bus_step
                 completion = start + memory_latency
                 store_fetches += 1
-            inflight[line] = completion
-            seqs[line] = next_seq
-            pending_append((completion, next_seq, line))
+            inflight[line] = entry = (completion, next_seq, line)
+            heappush(heap, entry)
             next_seq += 1
             inflight_len += 1
             if completion < wake:
@@ -646,8 +595,6 @@ class MemorySystem:
         stats.l1_hits += l1_hits
         stats.l2_hits += l2_hits
         stats.store_fetches += store_fetches
-        l1.hits += l1_hits
-        l1.misses += nlines - l1_hits
         return nlines
 
     def prefetch_run(self, address: int, nbytes: int) -> int:
@@ -663,12 +610,12 @@ class MemorySystem:
         l1_dm = self._l1_dm
         l1_sets = self._l1_sets
         l1_nsets = self._l1_nsets
+        l1_assoc = self._l1_assoc
         l2_dm = self._l2_dm
         l2_sets = self._l2_sets
         l2_nsets = self._l2_nsets
         inflight = self._inflight
-        seqs = self._inflight_seq
-        pending_append = self._pending.append
+        heap = self._heap
         next_seq = self._next_seq
         miss_handlers = config.miss_handlers
         # prefetch_issue >= 0 always; adding 0.0 matches busy()'s no-op.
@@ -694,11 +641,40 @@ class MemorySystem:
             if l1_resident or line in inflight:
                 continue
             if inflight_len >= miss_handlers or wake <= now:
-                self.now = now
-                self._reserve_miss_handler()
-                now = self.now
-                inflight_len = len(inflight)
-                wake = self._wake
+                if wake <= now:
+                    self.now = now
+                    self._reserve_miss_handler()
+                    now = self.now
+                    inflight_len = len(inflight)
+                    wake = self._wake
+                else:
+                    # Saturated with nothing landed (every heap entry is
+                    # >= wake > now, so all are live — see __init__): the
+                    # slow path would only stall to the earliest fetch and
+                    # install it, until a handler frees.  In-flight lines
+                    # are never L1-resident, as in the slow path's
+                    # retirement loop; the heap order keeps stall >= 0.
+                    while inflight_len >= miss_handlers:
+                        completion, __, victim = heappop(heap)
+                        del inflight[victim]
+                        inflight_len -= 1
+                        stall = completion - now
+                        now += stall
+                        stats.dcache_stall_cycles += stall
+                        if l1_dm is not None:
+                            l1_dm[victim % l1_nsets] = victim
+                        else:
+                            l1_set = l1_sets[victim % l1_nsets]
+                            if len(l1_set) >= l1_assoc:
+                                for evicted in l1_set:
+                                    break
+                                del l1_set[evicted]
+                            l1_set[victim] = None
+                        if l2_dm is not None:
+                            l2_dm[victim % l2_nsets] = victim
+                        else:
+                            self.l2.insert(victim)
+                    wake = heap[0][0] if heap else _NEVER
             if l2_dm is not None:
                 l2_resident = l2_dm[line % l2_nsets] == line
             else:
@@ -710,9 +686,8 @@ class MemorySystem:
                 start = bus_free if bus_free > now else now
                 bus_free = start + bus_step
                 completion = start + memory_latency
-            inflight[line] = completion
-            seqs[line] = next_seq
-            pending_append((completion, next_seq, line))
+            inflight[line] = entry = (completion, next_seq, line)
+            heappush(heap, entry)
             next_seq += 1
             inflight_len += 1
             if completion < wake:
@@ -755,17 +730,13 @@ class MemorySystem:
         self.l1.clear()
         self.l2.clear()
         self._inflight.clear()
-        self._inflight_seq.clear()
         self._heap.clear()
-        self._pending.clear()
         self._wake = _NEVER
         self._bus_free = self.now
 
     def reset(self) -> None:
-        """Clear caches, zero the clock, statistics, and cache counters."""
+        """Clear caches, zero the clock and statistics."""
         self.clear_caches()
-        self.l1.reset_counters()
-        self.l2.reset_counters()
         self.now = 0.0
         self._bus_free = 0.0
         self.stats = MemoryStats()

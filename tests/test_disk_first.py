@@ -66,6 +66,13 @@ class TestLineAllocator:
         alloc.clear()
         assert alloc.free_lines == 7
 
+    def test_failed_free_changes_nothing(self):
+        alloc = LineAllocator(8)
+        alloc.alloc(2)  # lines 1-2; line 3 is free
+        with pytest.raises(ValueError, match="line 3 already free"):
+            alloc.free(1, 3)
+        assert alloc.is_used(1) and alloc.is_used(2)
+
 
 class TestDiskFirstStructure:
     def make_tree(self, page_size=1024, **kw):

@@ -53,10 +53,17 @@ def test_insert_existing_line_is_not_eviction():
 
 
 def test_contains_does_not_count():
+    """A residency probe is not an access: prefetch_run's L1 check counts
+    nothing in MemoryStats and leaves the LRU order alone."""
     cache = Cache(size_bytes=256, line_size=64, associativity=2)
-    cache.contains(7)
-    assert cache.hits == 0
-    assert cache.misses == 0
+    cache.insert(1)
+    cache.insert(3)
+    assert cache.contains(1)
+    assert cache.insert(5) == 1  # 1 is still the LRU victim
+    mem = MemorySystem()
+    mem.read_run(0, 4)
+    mem.prefetch_run(0, 4)  # L1-resident: probed, not counted
+    assert (mem.stats.accesses, mem.stats.l1_hits) == (1, 0)
 
 
 def test_evicted_line_is_gone():
@@ -70,10 +77,10 @@ def test_evicted_line_is_gone():
 
 def test_clear_preserves_counters():
     mem = MemorySystem()
-    mem.read_run(0, 4)  # one counted L1 miss, then an install
-    mem.l1.clear()
+    mem.read_run(0, 4)  # one counted L1 miss (a memory fetch), then an install
+    mem.clear_caches()
     assert mem.l1.resident_lines() == 0
-    assert mem.l1.misses == 1
+    assert (mem.stats.accesses, mem.stats.l1_hits, mem.stats.memory_fetches) == (1, 0, 1)
 
 
 def test_invalid_geometry_rejected():

