@@ -1,8 +1,8 @@
 """Chaos serving: client-side resilience pays for itself under a fault storm.
 
-Claims checked on the ``chaos`` sweep (same seeded fault schedule —
-array-wide corruption, a limping disk, a dead disk, a mid-run crash —
-served to a bare client fleet and to a resilient one):
+Claims checked on every ``chaos`` scenario in the payload (one seeded
+fault schedule — array-wide corruption, a limping disk, a dead disk, a
+mid-run crash — served to a bare client fleet and to a resilient one):
 
 (a) both modes survive the storm with accounting conserved, the crash
     actually fired (crashes >= 1), and zero acknowledged inserts were
@@ -12,33 +12,24 @@ served to a bare client fleet and to a resilient one):
     schedule — retries rescue transient failures the bare clients abandon;
 (c) the resilience machinery demonstrably engaged: client retries > 0,
     the breaker tripped at least once and closed again (>= 3 transitions),
-    and the brownout ladder stepped down at least one rung;
-(d) fixed-seed runs are bit-for-bit identical, crash and all.
+    and the brownout ladder stepped down at least one rung.
 
-Runs standalone too — ``python benchmarks/bench_chaos.py --smoke`` does a
-scaled-down pass of the same assertions (the CI chaos-smoke job), and
-``--out FILE`` writes a canonical JSON payload whose bytes double as the
-CI determinism gate.
+The payload is a scenario run's ``--json`` output; the run itself (and
+its determinism gate: same-seed reruns byte-identical, crash and all)
+happens in ``python -m repro.bench scenario``::
+
+    python -m repro.bench scenario --matrix benchmarks/scenarios/chaos_smoke.toml \\
+        --jobs 2 --gate --json chaos.json
+    python benchmarks/bench_chaos.py chaos.json
 """
 
 import json
 import sys
 
-from repro.bench.chaos import chaos_sweep
 
-SMOKE_SCALE = dict(
-    num_rows=3_000,
-    sessions=4,
-    ops_per_session=15,
-    schedule_text=(
-        "corrupt rate=0.25; limp disk=2 x8 @0.03s; kill disk=0 @0.1s; crash wal=8"
-    ),
-)
-
-
-def check_claims(result):
-    """Assert the resilience claims on a chaos_sweep() FigureResult."""
-    rows = {row["mode"]: row for row in result.rows}
+def check_claims(rows):
+    """Assert the resilience claims on one chaos scenario's rows."""
+    rows = {row["mode"]: row for row in rows}
     assert set(rows) == {"baseline", "resilient"}, sorted(rows)
     base, res = rows["baseline"], rows["resilient"]
 
@@ -63,43 +54,19 @@ def check_claims(result):
     assert res["brownout_level"] >= 1, res
 
 
-def payload(smoke: bool):
-    result = chaos_sweep(**SMOKE_SCALE) if smoke else chaos_sweep()
-    check_claims(result)
-    return result, {
-        "name": result.name,
-        "smoke": smoke,
-        "columns": list(result.columns),
-        "rows": result.rows,
-        "notes": result.notes,
-    }
-
-
-def test_chaos_sweep(benchmark):
-    from conftest import record
-
-    result = benchmark.pedantic(chaos_sweep, kwargs=SMOKE_SCALE, rounds=1, iterations=1)
-    record(benchmark, result)
-    check_claims(result)
-    # Fixed seed => bit-for-bit reproducible rows, crash and all.
-    assert chaos_sweep(**SMOKE_SCALE).rows == result.rows
-
-
 def main(argv):
-    smoke = "--smoke" in argv
-    out_path = None
-    if "--out" in argv:
-        out_path = argv[argv.index("--out") + 1]
-    result, data = payload(smoke)
-    print(result.format_table())
-    rerun_result, rerun_data = payload(smoke)
-    assert rerun_data == data, "chaos run is not deterministic"
-    text = json.dumps(data, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {out_path}")
-    print("all chaos claims hold" + (" (smoke scale)" if smoke else ""))
+    if len(argv) != 1:
+        sys.exit("usage: python benchmarks/bench_chaos.py PAYLOAD.json")
+    with open(argv[0]) as handle:
+        scenarios = [
+            entry for entry in json.load(handle)["scenarios"]
+            if entry["spec"]["runner"] == "chaos"
+        ]
+    assert scenarios, f"{argv[0]} holds no chaos scenario"
+    for entry in scenarios:
+        check_claims(entry["rows"])
+        print(f"{entry['spec']['name']}: resilience claims hold")
+    print("all chaos claims hold")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Contended serving: page-level latches beat one coarse tree latch.
 
-Claims checked on the ``concurrency`` sweep (same closed-loop write-heavy
-workload on split-prone 512-byte pages, served under a coarse tree-wide
-latch and under page-level optimistic reads + latch-crabbing writes, two
-fixed seeds each):
+Claims checked on the ``concurrency`` scenarios in the payload (one
+closed-loop write-heavy workload on split-prone 512-byte pages, served
+under a coarse tree-wide latch and under page-level optimistic reads +
+latch-crabbing writes, paired by seed):
 
 (a) every cell survives with accounting conserved, zero acknowledged
     inserts lost, and a history the Wing–Gong checker accepts (a rejected
@@ -13,36 +13,28 @@ fixed seeds each):
     while completing at least as many operations;
 (c) the page-mode machinery demonstrably engaged: optimistic validation
     failures > 0 (the load genuinely conflicts) and the coarse cell shows
-    write-latch waits (the big lock genuinely queued);
-(d) fixed-seed runs are bit-for-bit identical.
+    write-latch waits (the big lock genuinely queued).
 
-Runs standalone too — ``python benchmarks/bench_concurrency.py --smoke``
-does a scaled-down pass of the same assertions (the CI concurrency-smoke
-job), and ``--out FILE`` writes a canonical JSON payload whose bytes
-double as the CI determinism gate.
+The payload is a scenario run's ``--json`` output; the run itself (and
+its determinism gate) happens in ``python -m repro.bench scenario``::
+
+    python -m repro.bench scenario --matrix benchmarks/scenarios/concurrency_smoke.toml \\
+        --jobs 2 --gate --json concurrency.json
+    python benchmarks/bench_concurrency.py concurrency.json
 """
 
 import json
 import sys
 
-from repro.bench.concurrency import concurrency_sweep
 
-SMOKE_SCALE = dict(
-    num_rows=400,
-    sessions=5,
-    ops_per_session=18,
-    seeds=(5, 13),
-)
-
-
-def check_claims(result):
-    """Assert the concurrency claims on a concurrency_sweep() FigureResult."""
-    cells = {(row["mode"], row["seed"]): row for row in result.rows}
+def check_claims(rows):
+    """Assert the concurrency claims on the concurrency scenarios' rows."""
+    cells = {(row["mode"], row["seed"]): row for row in rows}
     seeds = sorted({seed for __, seed in cells})
     assert len(cells) == 2 * len(seeds), sorted(cells)
 
     # (a) every cell is sound: linearizable history, nothing lost.
-    for row in result.rows:
+    for row in rows:
         assert row["linearizable"] == 1, row
         assert row["failed"] == 0, row
 
@@ -58,45 +50,19 @@ def check_claims(result):
         assert page["validation_failures"] > 0, page
 
 
-def payload(smoke: bool):
-    result = concurrency_sweep(**SMOKE_SCALE) if smoke else concurrency_sweep()
-    check_claims(result)
-    return result, {
-        "name": result.name,
-        "smoke": smoke,
-        "columns": list(result.columns),
-        "rows": result.rows,
-        "notes": result.notes,
-    }
-
-
-def test_concurrency_sweep(benchmark):
-    from conftest import record
-
-    result = benchmark.pedantic(
-        concurrency_sweep, kwargs=SMOKE_SCALE, rounds=1, iterations=1
-    )
-    record(benchmark, result)
-    check_claims(result)
-    # Fixed seed => bit-for-bit reproducible rows.
-    assert concurrency_sweep(**SMOKE_SCALE).rows == result.rows
-
-
 def main(argv):
-    smoke = "--smoke" in argv
-    out_path = None
-    if "--out" in argv:
-        out_path = argv[argv.index("--out") + 1]
-    result, data = payload(smoke)
-    print(result.format_table())
-    rerun_result, rerun_data = payload(smoke)
-    assert rerun_data == data, "concurrency run is not deterministic"
-    text = json.dumps(data, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {out_path}")
-    print("all concurrency claims hold" + (" (smoke scale)" if smoke else ""))
+    if len(argv) != 1:
+        sys.exit("usage: python benchmarks/bench_concurrency.py PAYLOAD.json")
+    with open(argv[0]) as handle:
+        rows = [
+            row
+            for entry in json.load(handle)["scenarios"]
+            if entry["spec"]["runner"] == "concurrency"
+            for row in entry["rows"]
+        ]
+    assert rows, f"{argv[0]} holds no concurrency scenario"
+    check_claims(rows)
+    print("all concurrency claims hold")
     return 0
 
 

@@ -1,7 +1,8 @@
 """Serving layer: the throughput/latency hockey-stick under open-loop load.
 
-Claims checked on the ``serve`` sweep (offered load rising past the
-disk-array service limit):
+Claims checked on every saturation curve in the payload (a fifo ``serve``
+scenario with at least three offered loads, rising past the disk-array
+service limit):
 
 (a) below the knee the server keeps up — zero shedding and completed
     throughput within 10% of offered;
@@ -13,10 +14,11 @@ disk-array service limit):
     (shed count > 0 at the top load, and the overload rows stop accepting
     more than the plateau);
 (d) accounting is conserved on every row (issued == completed + shed on a
-    drained run) and fixed-seed runs are bit-for-bit identical.
+    drained run).
 
-Claims checked on the ``serve-batch`` race (batched vs individual lookup
-admission over identical arrival streams, lookup-heavy mix):
+Claims checked on every batched-admission race in the payload (two
+``serve`` scenarios identical but for ``admission``, so both modes see
+the same arrival stream on a lookup-heavy mix):
 
 (e) batch mode completes >= 1.5x the lookup throughput of individual
     admission at every offered load — one admission token carries a whole
@@ -25,36 +27,23 @@ admission over identical arrival streams, lookup-heavy mix):
 (f) the win comes from genuine batching (batches formed, mean size > 1,
     prefetch waves issued) while individual mode forms none.
 
-Runs standalone too — ``python benchmarks/bench_serve.py --smoke`` does a
-scaled-down pass of the same assertions (the CI serve-smoke and
-batch-smoke jobs), and ``--out FILE`` writes a canonical JSON payload
-(sweep + race rows + the smoke run's latency histogram) whose bytes
-double as the CI determinism gate.
+The payload is a scenario run's ``--json`` output; the run itself (and
+its determinism gate) happens in ``python -m repro.bench scenario``::
+
+    python -m repro.bench scenario --matrix benchmarks/scenarios/serve_smoke.toml \\
+        --jobs 2 --gate --json serve.json
+    python benchmarks/bench_serve.py serve.json
+
+``batch_smoke.toml`` carries the race; ``full.toml`` both at default scale.
 """
 
 import json
 import sys
 
-from repro.bench.serving import serve_batch_race, serve_sweep
-from repro.dbms.engine import MiniDbms
-from repro.serve import DbmsServer, OpenLoopLoadGenerator
-from repro.workloads import OpMix
 
-SMOKE_SCALE = dict(
-    num_rows=6_000,
-    offered_loads=(200, 1200, 2400),
-    duration_s=0.5,
-)
-
-BATCH_SMOKE_SCALE = dict(
-    offered_loads=(1600,),
-    duration_s=0.5,
-)
-
-
-def check_claims(result):
-    """Assert the saturation-curve claims on a serve_sweep() FigureResult."""
-    rows = sorted(result.rows, key=lambda r: r["offered_ops_s"])
+def check_claims(rows):
+    """Assert the saturation-curve claims on one serve scenario's rows."""
+    rows = sorted(rows, key=lambda r: r["offered_ops_s"])
     assert len(rows) >= 3, "need at least 3 offered loads to see a knee"
     for row in rows:
         # Drained open-loop run: every issued request completed or was shed.
@@ -77,11 +66,12 @@ def check_claims(result):
     assert top["shed"] > second_top["shed"] or second_top["shed"] > 0
 
 
-def check_batch_claims(result):
-    """Assert the batched-admission claims on a serve_batch_race() FigureResult."""
+def check_batch_claims(fifo_rows, batch_rows):
+    """Assert the batched-admission claims on a fifo/batch scenario pair."""
     by_load = {}
-    for row in result.rows:
-        by_load.setdefault(row["offered_ops_s"], {})[row["mode"]] = row
+    for mode, rows in (("fifo", fifo_rows), ("batch", batch_rows)):
+        for row in rows:
+            by_load.setdefault(row["offered_ops_s"], {})[mode] = row
     assert by_load, "race produced no rows"
     for load, modes in sorted(by_load.items()):
         fifo, batch = modes["fifo"], modes["batch"]
@@ -100,93 +90,47 @@ def check_batch_claims(result):
             fifo,
             batch,
         )
+        print(
+            f"load {load}: batch/individual lookup throughput "
+            f"{batch['lookup_throughput_ops_s'] / fifo['lookup_throughput_ops_s']:.2f}x"
+        )
 
 
-def smoke_histogram(seed: int = 11):
-    """One deterministic overloaded run; returns its latency histogram."""
-    scale = SMOKE_SCALE
-    db = MiniDbms(
-        num_rows=scale["num_rows"], num_disks=8, page_size=4096, seed=seed, mature=False
-    )
-    server = DbmsServer(
-        db, max_concurrency=16, queue_depth=48, pool_frames=64, seed=seed
-    )
-    generator = OpenLoopLoadGenerator(
-        server,
-        rate_ops_s=max(scale["offered_loads"]),
-        duration_s=scale["duration_s"],
-        mix=OpMix(),
-        seed=seed,
-    )
-    stats = generator.run()
-    assert stats.conserved()
-    return {
-        "summary": stats.snapshot(),
-        "latency_histogram_us": stats.latency_histogram("all").snapshot(),
-    }
-
-
-def payload(smoke: bool):
-    result = serve_sweep(**SMOKE_SCALE) if smoke else serve_sweep()
-    check_claims(result)
-    race = serve_batch_race(**BATCH_SMOKE_SCALE) if smoke else serve_batch_race()
-    check_batch_claims(race)
-    return result, race, {
-        "name": result.name,
-        "smoke": smoke,
-        "columns": list(result.columns),
-        "rows": result.rows,
-        "notes": result.notes,
-        "batch_race": {
-            "name": race.name,
-            "columns": list(race.columns),
-            "rows": race.rows,
-            "notes": race.notes,
-        },
-        "histogram_run": smoke_histogram(),
-    }
-
-
-def test_serve_sweep(benchmark):
-    from conftest import record
-
-    result = benchmark.pedantic(serve_sweep, kwargs=SMOKE_SCALE, rounds=1, iterations=1)
-    record(benchmark, result)
-    check_claims(result)
-    # Fixed seed => bit-for-bit reproducible rows.
-    assert serve_sweep(**SMOKE_SCALE).rows == result.rows
-
-
-def test_serve_batch_race(benchmark):
-    from conftest import record
-
-    race = benchmark.pedantic(
-        serve_batch_race, kwargs=BATCH_SMOKE_SCALE, rounds=1, iterations=1
-    )
-    record(benchmark, race)
-    check_batch_claims(race)
-    # Fixed seed => bit-for-bit reproducible rows.
-    assert serve_batch_race(**BATCH_SMOKE_SCALE).rows == race.rows
+def races(scenarios):
+    """(fifo, batch) scenario pairs whose specs differ only in admission."""
+    by_rest = {}
+    for entry in scenarios:
+        rest = {k: v for k, v in entry["spec"].items() if k not in ("name", "admission")}
+        key = json.dumps(rest, sort_keys=True)
+        by_rest.setdefault(key, {})[entry["spec"]["admission"]] = entry
+    return [
+        (pair["fifo"], pair["batch"])
+        for pair in by_rest.values()
+        if {"fifo", "batch"} <= set(pair)
+    ]
 
 
 def main(argv):
-    smoke = "--smoke" in argv
-    out_path = None
-    if "--out" in argv:
-        out_path = argv[argv.index("--out") + 1]
-    result, race, data = payload(smoke)
-    print(result.format_table())
-    print(race.format_table())
-    for note in race.notes:
-        print(f"  {note}")
-    rerun_result, rerun_race, rerun_data = payload(smoke)
-    assert rerun_data == data, "serving run is not deterministic"
-    text = json.dumps(data, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {out_path}")
-    print("all serving claims hold" + (" (smoke scale)" if smoke else ""))
+    if len(argv) != 1:
+        sys.exit("usage: python benchmarks/bench_serve.py PAYLOAD.json")
+    with open(argv[0]) as handle:
+        scenarios = [
+            entry for entry in json.load(handle)["scenarios"]
+            if entry["spec"]["runner"] == "serve"
+        ]
+    checked = 0
+    for entry in scenarios:
+        spec = entry["spec"]
+        if spec["admission"] == "fifo" and len(spec["offered_loads"]) >= 3:
+            check_claims(entry["rows"])
+            print(f"{spec['name']}: saturation-curve claims hold")
+            checked += 1
+    for fifo, batch in races(scenarios):
+        check_batch_claims(fifo["rows"], batch["rows"])
+        print(f"{fifo['spec']['name']} vs {batch['spec']['name']}: batching claims hold")
+        checked += 1
+    assert checked, f"{argv[0]} holds no saturation curve and no batch race"
+    print("all serving claims hold")
     return 0
 
 

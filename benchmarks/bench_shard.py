@@ -1,8 +1,9 @@
 """Sharded serving: fleet throughput scaling and boundary-placement quality.
 
-Claims checked on the ``shard`` sweep (key-range fleets of 1/2/4 shards,
-equal-width vs optimized boundaries, block-Zipf key popularity, every
-fleet built from the *same per-shard hardware*):
+Claims checked on the ``shard`` scenarios in the payload, read as one
+grid (key-range fleets of 1 to 4 shards, equal-width vs optimized
+boundaries, block-Zipf key popularity, every fleet built from the *same
+per-shard hardware*):
 
 (a) horizontal scaling — at an offered load that saturates one shard, the
     4-shard fleet completes >= 2.5x the single-shard lookup throughput
@@ -13,31 +14,20 @@ fleet built from the *same per-shard hardware*):
     count is the scatter–gather overhead the planner minimizes);
 (c) the router plane is exactly conserved on every row
     (issued == completed + shed + failed on a drained run), and the
-    mid-run conservation probe saw the identity hold with requests
-    genuinely in flight on the loaded cells;
-(d) fixed-seed fleets are bit-for-bit reproducible: the whole payload —
-    sweep rows plus a fleet-stats snapshot with merged per-shard latency
-    histograms — is byte-identical across runs (the CI determinism gate).
+    mid-run conservation probe (asserted inside each cell) saw the
+    identity hold with requests genuinely in flight on the loaded cells.
 
-Runs standalone too — ``python benchmarks/bench_shard.py --smoke`` does a
-scaled-down pass of the same assertions (the CI shard-smoke job), and
-``--out FILE`` writes the canonical JSON payload.
+The payload is a scenario run's ``--json`` output; the run itself (and
+its determinism gate) happens in ``python -m repro.bench scenario``::
+
+    python -m repro.bench scenario --matrix benchmarks/scenarios/shard_smoke.toml \\
+        --jobs 2 --gate --json shard.json
+    python benchmarks/bench_shard.py shard.json
 """
 
 import json
 import sys
 
-from repro.bench.sharding import shard_sweep
-from repro.serve import OpenLoopLoadGenerator
-from repro.shard import BoundaryPlanner, build_fleet
-from repro.workloads import KeyWorkload, OpMix, sample_ops
-
-SMOKE_SCALE = dict(
-    num_rows=3_000,
-    shard_counts=(1, 4),
-    offered_loads=(1500, 3000),
-    duration_s=0.4,
-)
 
 def _rows_at(rows, **conditions):
     return [
@@ -46,16 +36,15 @@ def _rows_at(rows, **conditions):
     ]
 
 
-def check_claims(result):
-    """Assert the sharding claims on a shard_sweep() FigureResult."""
-    rows = result.rows
-    assert rows, "sweep produced no rows"
+def check_claims(rows):
+    """Assert the sharding claims on the shard scenarios' rows."""
+    assert rows, "payload holds no shard rows"
     shard_counts = sorted({row["shard_count"] for row in rows})
     assert 1 in shard_counts and max(shard_counts) >= 4, shard_counts
     top_load = max(row["offered_ops_s"] for row in rows)
 
     # (c) router-plane conservation on every drained row; the mid-run
-    # probe (asserted inside the sweep itself) saw in-flight requests.
+    # probe (asserted inside each cell) saw in-flight requests.
     for row in rows:
         assert row["issued"] == row["completed"] + row["shed"] + row["failed"], row
     assert any(row["probe_in_flight"] > 0 for row in rows), rows
@@ -85,79 +74,18 @@ def check_claims(result):
         assert opt["cross_shard_scans"] <= 0.75 * ew["cross_shard_scans"], (ew, opt)
 
 
-def fleet_snapshot(smoke: bool, seed: int = 11):
-    """One deterministic 4-shard run; returns its merged fleet snapshot.
-
-    Exercises the pieces the sweep's row format flattens away: the
-    fleet-wide ServerStats merge (router + every shard, histograms
-    bucket-wise) and the per-shard conservation planes.
-    """
-    num_rows = SMOKE_SCALE["num_rows"] if smoke else 4_000
-    mix = OpMix()
-    universe = KeyWorkload(num_rows, seed=7)
-    sample = sample_ops(universe.keys.size, mix, distribution="zipf", seed=3)
-    plan = BoundaryPlanner(universe.keys, 4).optimized(sample)
-    router = build_fleet(num_rows, plan, num_disks=4, max_concurrency=8,
-                         queue_depth=32, seed=seed)
-    generator = OpenLoopLoadGenerator(
-        router, rate_ops_s=2000, duration_s=0.4, mix=mix, seed=seed,
-        distribution="zipf",
-    )
-    generator.start()
-    router.run()
-    router.check_conservation()
-    fleet = router.fleet_stats()
-    assert fleet.conserved()
-    assert fleet.issued == router.stats.issued + sum(
-        shard.stats.issued for shard in router.shards
-    )
-    return {
-        "plan_cuts": list(plan.cuts),
-        "router": router.stats.snapshot(),
-        "per_shard_issued": [shard.stats.issued for shard in router.shards],
-        "fleet": fleet.snapshot(),
-        "fleet_latency_histogram_us": fleet.latency_histogram("all").snapshot(),
-    }
-
-
-def payload(smoke: bool):
-    result = shard_sweep(**SMOKE_SCALE) if smoke else shard_sweep()
-    check_claims(result)
-    return result, {
-        "name": result.name,
-        "smoke": smoke,
-        "columns": list(result.columns),
-        "rows": result.rows,
-        "notes": result.notes,
-        "fleet_run": fleet_snapshot(smoke),
-    }
-
-
-def test_shard_sweep(benchmark):
-    from conftest import record
-
-    result = benchmark.pedantic(shard_sweep, kwargs=SMOKE_SCALE, rounds=1, iterations=1)
-    record(benchmark, result)
-    check_claims(result)
-    # Fixed seed => bit-for-bit reproducible rows.
-    assert shard_sweep(**SMOKE_SCALE).rows == result.rows
-
-
 def main(argv):
-    smoke = "--smoke" in argv
-    out_path = None
-    if "--out" in argv:
-        out_path = argv[argv.index("--out") + 1]
-    result, data = payload(smoke)
-    print(result.format_table())
-    __, rerun_data = payload(smoke)
-    assert rerun_data == data, "sharded serving run is not deterministic"
-    text = json.dumps(data, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {out_path}")
-    print("all sharding claims hold" + (" (smoke scale)" if smoke else ""))
+    if len(argv) != 1:
+        sys.exit("usage: python benchmarks/bench_shard.py PAYLOAD.json")
+    with open(argv[0]) as handle:
+        rows = [
+            row
+            for entry in json.load(handle)["scenarios"]
+            if entry["spec"]["runner"] == "shard"
+            for row in entry["rows"]
+        ]
+    check_claims(rows)
+    print("all sharding claims hold")
     return 0
 
 

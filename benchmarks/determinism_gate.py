@@ -3,16 +3,16 @@
 
 Usage (from the repo root, ``PYTHONPATH=src`` or the package installed)::
 
-    python benchmarks/determinism_gate.py rerun --artifact out.json -- \
-        python benchmarks/bench_serve.py --smoke --out {out}
+    python benchmarks/determinism_gate.py rerun -- \
+        python benchmarks/bench_faults.py --smoke
     python benchmarks/determinism_gate.py jobs -- \
-        python -m repro.bench shard --set duration_s=0.3
+        python -m repro.bench fig10 --set page_sizes=4096,8192 --set sizes=2000
 
-``rerun`` executes the command twice (each with its own ``{out}`` temp
-file) and fails unless both the files and the wall-clock-normalized
-stdout are byte-identical; ``jobs`` appends ``--jobs 1`` / ``--jobs 2``
-and diffs stdout.  Exit status 0 on identical, 1 with the first
-diverging line otherwise.
+``rerun`` executes the command twice and fails unless the
+wall-clock-normalized stdout is byte-identical; ``jobs`` appends
+``--jobs 1`` / ``--jobs 2`` and diffs stdout.  Exit status 0 on identical, 1 with the first diverging line
+otherwise.  Scenario matrices gate themselves: ``python -m repro.bench
+scenario --matrix FILE --jobs 2 --gate``.
 """
 
 import sys

@@ -2,7 +2,7 @@
 
 Run ``python -m repro.bench list`` to see every experiment id; ``all`` runs
 the full set.  Figure functions accept keyword overrides via ``--set
-name=value`` (ints, floats and comma-separated int tuples are parsed);
+name=value`` (ints, floats and comma-separated tuples of them are parsed);
 unknown names and overrides that no experiment will consume are errors,
 not silent no-ops.
 
@@ -23,8 +23,9 @@ from .figures import ALL_EXPERIMENTS
 
 
 def _parse_value(text: str):
+    """An int, float or string; comma-separated parts become a tuple of those."""
     if "," in text:
-        return tuple(int(part) for part in text.split(",") if part)
+        return tuple(_parse_value(part) for part in text.split(",") if part)
     for caster in (int, float):
         try:
             return caster(text)

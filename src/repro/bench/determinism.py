@@ -23,8 +23,6 @@ import re
 import shlex
 import subprocess
 import sys
-import tempfile
-from pathlib import Path
 from typing import Optional, Sequence
 
 __all__ = [
@@ -80,45 +78,11 @@ def _run(argv: Sequence[str]) -> bytes:
     return proc.stdout
 
 
-def rerun_gate(
-    command: Sequence[str], artifact: Optional[str] = None, out_token: str = "{out}"
-) -> bytes:
-    """Run ``command`` twice; its output file and stdout must match.
-
-    ``command`` may contain ``{out}`` placeholders; each run gets its own
-    substituted temp path and the two files are byte-compared (stdout is
-    compared too, wall-clock-normalized).  With ``artifact`` set, the
-    verified file is copied there — the CI smoke cells use this to gate
-    *and* produce their uploadable payload in one step.  Returns the
-    verified file's bytes (or stdout when no ``{out}`` appears).
-    """
-    uses_out = any(out_token in part for part in command)
-    with tempfile.TemporaryDirectory(prefix="determinism-gate-") as tmp:
-        outputs, stdouts = [], []
-        for run_index in (1, 2):
-            out_path = Path(tmp) / f"run{run_index}.out"
-            argv = [part.replace(out_token, str(out_path)) for part in command]
-            stdout = normalize_stdout(_run(argv))
-            # Commands echo their output path ("wrote <file>"); the two
-            # runs get different temp paths by design, so mask them.
-            stdout = stdout.replace(str(out_path).encode(), b"<out>")
-            stdouts.append(stdout)
-            if uses_out:
-                if not out_path.exists():
-                    raise DeterminismError(
-                        f"determinism gate: command did not write its {out_token} "
-                        f"file: {shlex.join(argv)}"
-                    )
-                outputs.append(out_path.read_bytes())
-        assert_identical_bytes(stdouts[0], stdouts[1], "stdout of two same-seed runs")
-        if uses_out:
-            assert_identical_bytes(outputs[0], outputs[1], "outputs of two same-seed runs")
-        payload = outputs[0] if uses_out else stdouts[0]
-    if artifact is not None:
-        target = Path(artifact)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(payload)
-    return payload
+def rerun_gate(command: Sequence[str]) -> bytes:
+    """Run ``command`` twice; its wall-clock-normalized stdout must match."""
+    first, second = (normalize_stdout(_run(command)) for __ in range(2))
+    assert_identical_bytes(first, second, "stdout of two same-seed runs")
+    return first
 
 
 def jobs_gate(command: Sequence[str], jobs: Sequence[int] = (1, 2)) -> bytes:
@@ -148,13 +112,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="determinism_gate",
         description=(
             "Gate a seeded command on byte-identical output: 'rerun' runs it "
-            "twice and diffs (use {out} for the output file), 'jobs' appends "
-            "--jobs 1 / --jobs 2 and diffs stdout."
+            "twice and diffs stdout, 'jobs' appends --jobs 1 / --jobs 2 and "
+            "diffs stdout."
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    rerun = sub.add_parser("rerun", help="same command twice, outputs must match")
-    rerun.add_argument("--artifact", help="copy the verified output file here")
+    rerun = sub.add_parser("rerun", help="same command twice, stdout must match")
     rerun.add_argument("command", nargs=argparse.REMAINDER)
     jobs = sub.add_parser("jobs", help="--jobs 1 vs --jobs 2, stdout must match")
     jobs.add_argument("command", nargs=argparse.REMAINDER)
@@ -166,7 +129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("no command given (put it after the mode, e.g. 'rerun -- python ...')")
     try:
         if args.mode == "rerun":
-            rerun_gate(command, artifact=args.artifact)
+            rerun_gate(command)
             print(f"determinism gate passed: two runs byte-identical ({shlex.join(command)})")
         else:
             jobs_gate(command)

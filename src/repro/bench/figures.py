@@ -1027,11 +1027,7 @@ def traced_scan(
     return result
 
 
-from .chaos import chaos_sweep  # noqa: E402  (avoids a cycle)
-from .concurrency import concurrency_sweep  # noqa: E402  (avoids a cycle)
 from .multipage import ablation_multipage_nodes  # noqa: E402  (avoids a cycle)
-from .serving import serve_batch_race, serve_sweep  # noqa: E402  (avoids a cycle)
-from .sharding import shard_sweep  # noqa: E402  (avoids a cycle)
 
 ALL_EXPERIMENTS = {
     "table1": table1,
@@ -1055,9 +1051,4 @@ ALL_EXPERIMENTS = {
     "ablation-jpa-on-btree": ablation_jpa_on_standard_btree,
     "ablation-multipage-nodes": ablation_multipage_nodes,
     "traced-scan": traced_scan,
-    "serve": serve_sweep,
-    "serve-batch": serve_batch_race,
-    "shard": shard_sweep,
-    "chaos": chaos_sweep,
-    "concurrency": concurrency_sweep,
 }

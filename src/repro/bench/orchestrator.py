@@ -118,19 +118,6 @@ PARALLEL_EXPERIMENTS: dict[str, Callable[[dict], list[dict]]] = {
     "fig12": _product_planner("bulkload_factors"),
     "fig16": _product_planner("page_sizes"),
     "fig17": _product_planner("page_sizes"),
-    # Each offered-load cell builds its own MiniDbms + DbmsServer, so the
-    # serving saturation curve fans out one cell per offered load.
-    "serve": _product_planner("offered_loads"),
-    # Both admission modes of one offered load share a cell (the note
-    # reporting their throughput ratio needs the pair together).
-    "serve-batch": _product_planner("offered_loads"),
-    # Each chaos mode builds its own MiniDbms + DbmsServer + fault plan.
-    "chaos": _product_planner("modes"),
-    # Each (shard count, placement, offered load) cell builds its own
-    # key-range fleet on its own DES environment; the one-shard
-    # "optimized" cell is a deliberate no-op (it emits zero rows) in both
-    # the split and unsplit paths, so merges stay byte-identical.
-    "shard": _product_planner("shard_counts", "placements", "offered_loads"),
 }
 
 

@@ -16,10 +16,11 @@ A matrix file is TOML with an optional ``[defaults]`` table and one
 unknown keys, and **validates every spec before any simulation starts**
 — one bad cell fails the whole matrix in milliseconds, not after the
 good cells burned their wall-clock.  :func:`run_matrix` then flattens
-every scenario's cells into one task list and fans it over the
-orchestrator's :func:`~repro.bench.orchestrator.map_cells` pool, so
-cells from *different* scenarios run concurrently and the merge (by
-scenario, then cell index) is byte-identical for every ``--jobs`` value.
+every scenario's cells (:mod:`repro.scenario.cells`) into one task list
+and fans it over the orchestrator's
+:func:`~repro.bench.orchestrator.map_cells` pool, so cells from
+*different* scenarios run concurrently and the merge (by scenario, then
+cell index) is byte-identical for every ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from typing import Sequence, Union
 
 from ..bench.orchestrator import map_cells
 from ..bench.results import FigureResult
-from .compile import plan_scenario_cells, run_scenario_cell
+from .cells import new_result, plan_cells, run_cell
 from .spec import ScenarioError, ScenarioSpec
 
-__all__ = ["load_matrix", "run_matrix", "validate_matrix"]
+__all__ = ["load_matrix", "run_matrix", "run_scenario", "validate_matrix"]
 
 
 def load_matrix(source: Union[str, Path]) -> list[ScenarioSpec]:
@@ -88,21 +89,18 @@ def run_matrix(specs: Sequence[ScenarioSpec], jobs: int = 1) -> list[FigureResul
     rows are merged in its own cell order.
     """
     validate_matrix(specs)
-    tasks = []
-    spans = []  # (spec, first task index, task count)
-    for spec in specs:
-        cells = plan_scenario_cells(spec)
-        spans.append((spec, len(tasks), len(cells)))
-        tasks.extend(cells)
-    partials = map_cells(run_scenario_cell, tasks, jobs)
+    plans = [plan_cells(spec) for spec in specs]
+    rows = map_cells(run_cell, [task for plan in plans for task in plan], jobs)
     results = []
-    for spec, start, count in spans:
-        mine = partials[start : start + count]
-        merged = FigureResult(spec.name, mine[0]["description"], mine[0]["columns"])
-        for partial in mine:
-            merged.rows.extend(partial["rows"])
-            for note in partial["notes"]:
-                if note not in merged.notes:
-                    merged.notes.append(note)
-        results.append(merged)
+    start = 0
+    for spec, plan in zip(specs, plans):
+        result = new_result(spec)
+        result.rows.extend(rows[start : start + len(plan)])
+        start += len(plan)
+        results.append(result)
     return results
+
+
+def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> FigureResult:
+    """Validate and run one scenario; its cells fan over ``jobs``."""
+    return run_matrix([spec], jobs)[0]

@@ -3,9 +3,9 @@
 A :class:`ScenarioSpec` names one point in the evaluation grid — workload
 mix, key skew, burstiness, chaos schedule (including crash points), scale
 factor, shard count, admission mode, concurrency mode, seed — and the
-*runner* that executes it (one of the existing ``repro.bench`` sweeps:
-``serve``, ``chaos``, ``shard``, ``concurrency``).  Specs load from TOML
-or plain dicts and round-trip back (:meth:`to_toml`).
+*runner* that executes it (``serve``, ``chaos``, ``shard`` or
+``concurrency``; :mod:`repro.scenario.cells` holds one cell body each).
+Specs load from TOML or plain dicts and round-trip back (:meth:`to_toml`).
 
 The point of the spec layer is :meth:`validate`: every cross-field
 consistency rule is checked *before* any simulation starts, in the spirit
@@ -274,14 +274,6 @@ class ScenarioSpec:
                 "abandon storm-stuck operations (and the brownout SLO monitor "
                 "keys off it); set deadline_ms"
             )
-        if self.deadline_ms is not None and self.runner in ("shard", "concurrency"):
-            p.append(
-                f"{tag}: deadline_ms = {self.deadline_ms:g} is not wired into "
-                f"the {self.runner!r} runner (the shard fleet bounds fragments "
-                "internally; the concurrency runner measures latching, not "
-                "timeouts) — it would be silently ignored; drop it or use the "
-                "'serve' or 'chaos' runner"
-            )
 
         # -- admission mode -------------------------------------------------
         if self.admission == "batch" and self.lookup <= 0:
@@ -304,6 +296,20 @@ class ScenarioSpec:
                 f"{tag}: shard_count = {self.shard_count} exceeds num_disks = "
                 f"{self.num_disks} — every shard needs at least one dedicated "
                 "spindle; lower shard_count or raise num_disks"
+            )
+        elif (
+            self.runner == "shard"
+            and self.shard_count >= 1
+            and self.num_disks % self.shard_count
+        ):
+            per_shard = self.num_disks // self.shard_count
+            p.append(
+                f"{tag}: num_disks = {self.num_disks} does not divide over "
+                f"shard_count = {self.shard_count} — each shard gets {per_shard} "
+                f"disk(s), so {self.num_disks % self.shard_count} would sit idle "
+                f"while the report says {self.num_disks}; set num_disks to a "
+                f"multiple of {self.shard_count} (e.g. {per_shard * self.shard_count} "
+                f"or {(per_shard + 1) * self.shard_count})"
             )
         if self.shard_count > 1 and self.runner != "shard":
             p.append(

@@ -109,6 +109,16 @@ class TestCli:
         assert _parse_value("1,2,3") == (1, 2, 3)
         assert _parse_value("hello") == "hello"
 
+    def test_set_float_list(self, capsys):
+        """Regression: list parts were parsed with int(), so a float list
+        like ``limp_factors=2.5,5`` died with a ValueError traceback."""
+        assert _parse_value("2.5,5") == (2.5, 5)
+        assert _parse_value("10,") == (10,)
+        assert main(["fault-resilience", "--set", "limp_factors=2.5,5"]) == 0
+        out = capsys.readouterr().out
+        assert "limp x5:" in out
+        assert "2.5  retry only" in out
+
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -9,29 +9,33 @@ Three claims, mirroring the module's contract:
 2. **Round-trip fidelity** — dict -> spec -> TOML -> spec is the identity
    for every representable spec (hypothesis-driven), and every committed
    matrix file loads and validates.
-3. **Determinism** — a matrix's results are byte-identical across
-   ``jobs`` values and across repeated runs.
+3. **Cells and determinism** — cells read units and axes straight from
+   the spec, and a matrix's results are byte-identical across ``jobs``
+   values and across repeated runs.
 """
 
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 import tomllib
 
 from repro.scenario import (
     ScenarioError,
     ScenarioSpec,
+    cells,
     load_matrix,
-    lower,
     matrix_payload,
     matrix_to_csv,
     matrix_to_markdown,
-    plan_scenario_cells,
+    plan_cells,
+    run_cell,
     run_matrix,
     run_scenario,
     validate_matrix,
 )
+from repro.workloads import KeyDistribution, MixedOpStream, OpMix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "benchmarks" / "scenarios"
@@ -87,9 +91,9 @@ REJECTIONS = [
      "unsurvivable"),
     # chaos clients need a deadline (brownout SLO keys off it too).
     (dict(runner="chaos", wal=True, deadline_ms=None), "set deadline_ms"),
-    # deadline on runners that would silently ignore it.
-    (dict(runner="shard", shard_count=2, num_disks=8, deadline_ms=20.0),
-     "not wired into the 'shard' runner"),
+    # fleet disks that don't divide over the shards would sit idle.
+    (dict(runner="shard", shard_count=5, num_disks=12),
+     "num_disks = 12 does not divide over shard_count = 5"),
     # batch admission with no lookups to batch.
     (dict(admission="batch", lookup=0.0, scan=0.9, insert=0.1),
      "no batch would ever form"),
@@ -287,35 +291,137 @@ def test_matrix_defaults_overlay_and_duplicate_names(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# 3. Lowering and determinism.
+# 3. Cells and determinism.
 # ---------------------------------------------------------------------------
 
-def test_lowering_translates_units_and_axes():
-    spec = make(runner="chaos", wal=True, deadline_ms=30.0, think_time_ms=1.5,
-                chaos="corrupt rate=0.2", chaos_seed=7, num_disks=4)
-    runner, kwargs = lower(spec)
-    assert runner == "chaos"
-    assert kwargs["deadline_us"] == 30_000.0
-    assert kwargs["think_time_us"] == 1_500.0
-    assert kwargs["schedule_text"] == "corrupt rate=0.2"
-    assert kwargs["schedule_seed"] == 7
+class _Captured(Exception):
+    """Raised by a stand-in substrate once it has recorded its arguments."""
 
-    spec = make(runner="shard", shard_count=4, num_disks=8, distribution="zipf",
-                zipf_theta=1.3)
-    runner, kwargs = lower(spec)
-    assert kwargs["num_disks"] == 2  # fleet disks divided per shard
-    assert kwargs["shard_counts"] == (4,)
-    assert kwargs["distribution"] == "zipf:1.3"
+
+def capture(monkeypatch, name, passthrough=False):
+    """Replace ``cells.<name>`` with a recorder of its keyword arguments.
+
+    With ``passthrough`` the real constructor still runs; otherwise the
+    cell stops right there, before any simulation.
+    """
+    real = getattr(cells, name)
+    seen = {}
+
+    def fake(*args, **kwargs):
+        seen.update(kwargs)
+        if passthrough:
+            return real(*args, **kwargs)
+        raise _Captured(name)
+
+    monkeypatch.setattr(cells, name, fake)
+    return seen
+
+
+def test_cells_read_units_and_axes_from_the_spec(monkeypatch):
+    # ms -> us for every time axis a closed-loop cell forwards.
+    spec = make(runner="chaos", wal=True, deadline_ms=30.0, think_time_ms=1.5,
+                chaos="corrupt rate=0.2", chaos_seed=7, num_disks=4,
+                concurrency="page")
+    seen = capture(monkeypatch, "ChaosRunner")
+    with pytest.raises(_Captured):
+        run_cell((spec, "resilient"))
+    assert seen["deadline_us"] == 30_000.0
+    assert seen["think_time_us"] == 1_500.0
+    assert seen["retry"] is not None and seen["breaker"] is not None
+    assert seen["concurrency"] == "page"
+
+    # The fleet's num_disks is divided per shard; deadline and batch
+    # window reach the fleet in us.
+    spec = make(runner="shard", shard_count=4, num_disks=8, deadline_ms=20.0,
+                admission="batch", batch_window_ms=2.5)
+    seen = capture(monkeypatch, "build_fleet")
+    with pytest.raises(_Captured):
+        run_cell((spec, 400))
+    assert seen["num_disks"] == 2
+    assert seen["deadline_us"] == 20_000.0
+    assert seen["batch_window_us"] == 2_500.0
+
+
+def test_zipf_theta_reaches_the_op_stream_exactly(monkeypatch):
+    """Regression: the skew once travelled as ``f"zipf:{theta:g}"``,
+    which rounds 1.2345678 to 1.23457; the cell passes the exact exponent."""
+    spec = make(distribution="zipf", zipf_theta=1.2345678, deadline_ms=50.0)
+    server = capture(monkeypatch, "DbmsServer", passthrough=True)
+    seen = capture(monkeypatch, "OpenLoopLoadGenerator")
+    with pytest.raises(_Captured):
+        run_cell((spec, 400))
+    assert server["deadline_us"] == 50_000.0
+    n = seen["distribution"].n
+    assert n == spec.num_rows
+    keys = np.arange(0, 2 * n, 2)
+    expected = KeyDistribution.zipf(n, theta=1.2345678)
+    assert np.array_equal(seen["distribution"].position_weights(),
+                          expected.position_weights())
+    rounded = KeyDistribution.zipf(n, theta=1.23457)
+    assert not np.array_equal(seen["distribution"].position_weights(),
+                              rounded.position_weights())
+    mix = OpMix(lookup=spec.lookup, scan=spec.scan, insert=spec.insert,
+                scan_span=spec.scan_span)
+    ours = MixedOpStream(keys, mix, seed=5, distribution=seen["distribution"])
+    exact = MixedOpStream(keys, mix, seed=5, distribution=expected)
+    assert [ours.next_op() for __ in range(500)] == [exact.next_op() for __ in range(500)]
 
 
 def test_cell_planning_splits_open_loop_loads_and_chaos_modes():
-    serve_cells = plan_scenario_cells(make(offered_loads=(200, 800, 1600)))
-    assert len(serve_cells) == 3
-    assert [c[1]["offered_loads"] for c in serve_cells] == [(200,), (800,), (1600,)]
-    chaos_cells = plan_scenario_cells(
-        make(runner="chaos", wal=True, deadline_ms=30.0)
+    serve_cells = plan_cells(make(offered_loads=(200, 800, 1600)))
+    assert [value for __, value in serve_cells] == [200, 800, 1600]
+    chaos_cells = plan_cells(make(runner="chaos", wal=True, deadline_ms=30.0))
+    assert [value for __, value in chaos_cells] == ["baseline", "resilient"]
+    cc = make(runner="concurrency", wal=True, concurrency="page")
+    assert [value for __, value in plan_cells(cc)] == ["page"]
+
+
+TINY_SHARD = dict(runner="shard", num_rows=1_500, shard_count=2, num_disks=2,
+                  offered_loads=(1_500,), duration_s=0.2, max_concurrency=4,
+                  queue_depth=16, pool_frames=24)
+TINY_CC = dict(runner="concurrency", wal=True, concurrency="page", num_rows=300,
+               num_disks=2, page_size=512, sessions=3, ops_per_session=10,
+               think_time_ms=0.3, lookup=0.5, scan=0.1, insert=0.4, scan_span=16)
+
+
+@pytest.mark.parametrize(
+    "axes, deadline_ms",
+    [(TINY_SHARD, 80.0), (TINY_CC, 20.0)],
+    ids=["shard", "concurrency"],
+)
+def test_deadline_reaches_shard_and_concurrency_cells(axes, deadline_ms):
+    """Both runners forward ``deadline_ms``; the cells still conserve
+    (each asserts it) and rerun byte-identically."""
+    import json
+
+    spec = make(**axes, deadline_ms=deadline_ms)
+    first = run_scenario(spec)
+    again = run_scenario(spec)
+    assert json.dumps(first.rows, sort_keys=True) == json.dumps(again.rows, sort_keys=True)
+    assert first.rows != run_scenario(make(**axes)).rows, "deadline was ignored"
+    for row in first.rows:
+        if spec.runner == "shard":
+            assert row["issued"] == row["completed"] + row["shed"] + row["failed"], row
+            assert row["timeouts"] > 0, row
+        else:
+            assert row["linearizable"] == 1, row
+
+
+def test_rejected_history_is_archived_for_replay(monkeypatch, tmp_path):
+    """A concurrency cell whose history fails the checker raises and
+    leaves a replayable artifact named after its mode and seed."""
+    from repro.verify.linearizability import CheckResult, History
+
+    monkeypatch.setattr(cells, "ARTIFACT_DIR", str(tmp_path))
+    monkeypatch.setattr(
+        cells, "check_linearizable",
+        lambda history: CheckResult(False, None, 0, reason="forced rejection"),
     )
-    assert [c[1]["modes"] for c in chaos_cells] == [("baseline",), ("resilient",)]
+    spec = make(**TINY_CC, seed=7)
+    with pytest.raises(AssertionError, match="forced rejection"):
+        run_cell((spec, "page"))
+    archived = History.read(tmp_path / "concurrency-page-seed7.json")
+    assert archived.ops
 
 
 def test_run_scenario_rejects_invalid_before_running():
