@@ -20,12 +20,15 @@ Races the two memory-trace engines on the *same* recorded search workload:
    ``selfperf_smoke.json`` instead, so a wiring check never overwrites the
    committed trajectory).
 
-A second race covers the serving tree's batched in-page search: the
-vectorized ``route_batch_in_page``/``search_leaf_page_batch`` helpers vs
-the scalar ``_route_in_page``/``_search_leaf_page`` walks, over every
-page of a built MiniDbms index and a mixed hit/miss probe batch.  Results
-are asserted identical before timing; the record lands under
-``inpage_route`` in the same JSON file.
+A second race covers the serving tree's routing primitive: the cache-side
+in-page node walk (``DiskFirstFpTree._locate_child_pid`` and ``search``'s
+leaf step, under the null tracer) vs the cached flat ``(keys, ptrs)`` pair
+(``page_entries``) the served path routes through — one key at a time
+(``child_pid``/``leaf_tid``) and as one ``searchsorted`` per page for the
+whole batch (what ``descend`` does) — over every page of a built MiniDbms
+index and a sorted mixed hit/miss probe batch.  Results are asserted
+identical before timing; the record lands under ``inpage_route`` in the
+same JSON file.
 
 Usage::
 
@@ -48,13 +51,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np
 
-from repro.btree.batch import (
-    page_separator_arrays,
-    route_batch_in_page,
-    search_leaf_page_batch,
-)
-from repro.btree.cc import _route_in_page, _search_leaf_page
 from repro.btree.context import TreeEnvironment
+from repro.btree.search import insertion_slot
 from repro.btree.trace import RecordingTracer
 from repro.core.disk_first import DiskFirstFpTree
 from repro.mem.hierarchy import MemorySystem
@@ -213,7 +211,7 @@ def race(ops: list[tuple], reps: int) -> dict:
 
 
 def build_inpage_workload(num_rows: int, page_size: int, probes: int):
-    """Every index page of a built MiniDbms plus a sorted probe batch."""
+    """A built MiniDbms index, its pages as ``(pid, page)``, and a sorted probe batch."""
     db = MiniDbms(
         num_rows=num_rows, num_disks=4, page_size=page_size, seed=SEED, mature=False
     )
@@ -225,42 +223,66 @@ def build_inpage_workload(num_rows: int, page_size: int, probes: int):
         for pid in frontier:
             page = tree.store.page(pid)
             if page.level > 0:
-                interior.append(page)
-                __, ptrs = page_separator_arrays(page)
-                next_frontier.extend(int(p) for p in ptrs)
+                interior.append((pid, page))
+                for node in page.leaf_nodes_in_order():
+                    next_frontier.extend(int(p) for p in node.ptrs[: node.count])
             else:
-                leaves.append(page)
+                leaves.append((pid, page))
         frontier = next_frontier
     rng = random.Random(SEED)
     keys = [int(k) for k in db._workload.keys]
     # Hits, near-miss gap keys, and out-of-range probes in one sorted batch.
     pool = keys + [k + 1 for k in keys] + [keys[0] - 3, keys[-1] + 9]
     batch = np.asarray(sorted(rng.choice(pool) for __ in range(probes)), dtype=np.int64)
-    return interior, leaves, batch
+    return tree, interior, leaves, batch
 
 
-def inpage_race(interior: list, leaves: list, batch: np.ndarray, reps: int) -> dict:
-    """Vectorized vs scalar in-page routing over the same pages and probes."""
+def inpage_race(tree, interior: list, leaves: list, batch: np.ndarray, reps: int) -> dict:
+    """The node walk vs the cached page pair over the same pages and probes."""
     keys_list = [int(k) for k in batch]
 
-    def scalar_pass() -> list[list[int]]:
+    def walk_pass() -> list[list[int]]:
         out = []
-        for page in interior:
-            out.append([_route_in_page(page, key) for key in keys_list])
-        for page in leaves:
-            out.append([_search_leaf_page(page, key) or 0 for key in keys_list])
+        for __, page in interior:
+            out.append([tree._locate_child_pid(page, 0, key) for key in keys_list])
+        for __, page in leaves:
+            row = []
+            for key in keys_list:
+                node, __ = tree._inpage_descend(page, 0, key)
+                slot = insertion_slot(node.keys, node.count, key, 0, tree.keyspec.size)
+                found = slot < node.count and int(node.keys[slot]) == key
+                row.append(int(node.ptrs[slot]) if found else 0)
+            out.append(row)
         return out
 
-    def vector_pass() -> list[list[int]]:
+    def pair_pass() -> list[list[int]]:
         out = []
-        for page in interior:
-            out.append([int(p) for p in route_batch_in_page(page, batch)])
-        for page in leaves:
-            out.append([int(t) for t in search_leaf_page_batch(page, batch)])
+        for pid, __ in interior:
+            out.append([tree.child_pid(pid, key) for key in keys_list])
+        for pid, __ in leaves:
+            out.append([tree.leaf_tid(pid, key) for key in keys_list])
         return out
 
-    if scalar_pass() != vector_pass():
-        raise AssertionError("vectorized in-page routing diverged from the scalar walk")
+    def pair_batch_pass() -> list[list[int]]:
+        out = []
+        for pid, __ in interior:
+            seps, ptrs = tree.page_entries(pid)
+            slots = seps.searchsorted(batch, side="right")
+            out.append(ptrs[np.maximum(slots - 1, 0)].tolist())
+        for pid, __ in leaves:
+            seps, ptrs = tree.page_entries(pid)
+            slots = seps.searchsorted(batch, side="left").tolist()
+            size = len(seps)
+            out.append([
+                int(ptrs[slot]) if slot < size and seps[slot] == key else 0
+                for slot, key in zip(slots, keys_list)
+            ])
+        return out
+
+    assert not tree.tracer.active, "the node walk races under the null tracer"
+    reference = walk_pass()
+    if pair_pass() != reference or pair_batch_pass() != reference:
+        raise AssertionError("the cached page pair diverged from the in-page node walk")
 
     def timed(fn) -> float:
         gc.collect()
@@ -271,27 +293,27 @@ def inpage_race(interior: list, leaves: list, batch: np.ndarray, reps: int) -> d
         gc.enable()
         return elapsed
 
-    timed(scalar_pass)  # warm-up, untimed
-    timed(vector_pass)
-    best_scalar = best_vector = None
+    passes = {"walk": walk_pass, "pair": pair_pass, "pair_batch": pair_batch_pass}
+    best = {name: None for name in passes}
     for __ in range(reps):
-        t_scalar = timed(scalar_pass)
-        t_vector = timed(vector_pass)
-        if best_scalar is None or t_scalar < best_scalar:
-            best_scalar = t_scalar
-        if best_vector is None or t_vector < best_vector:
-            best_vector = t_vector
+        for name, fn in passes.items():
+            elapsed = timed(fn)
+            if best[name] is None or elapsed < best[name]:
+                best[name] = elapsed
     routings = (len(interior) + len(leaves)) * len(keys_list)
     return {
-        "scalar_wall_s": round(best_scalar, 6),
-        "vectorized_wall_s": round(best_vector, 6),
-        "speedup": round(best_scalar / best_vector, 3),
+        "walk_wall_s": round(best["walk"], 6),
+        "pair_wall_s": round(best["pair"], 6),
+        "pair_batch_wall_s": round(best["pair_batch"], 6),
+        "speedup": round(best["walk"] / best["pair"], 3),
+        "batch_speedup": round(best["walk"] / best["pair_batch"], 3),
         "interior_pages": len(interior),
         "leaf_pages": len(leaves),
         "probe_keys": len(keys_list),
         "routings": routings,
-        "scalar_routings_per_s": round(routings / best_scalar),
-        "vectorized_routings_per_s": round(routings / best_vector),
+        "walk_routings_per_s": round(routings / best["walk"]),
+        "pair_routings_per_s": round(routings / best["pair"]),
+        "pair_batch_routings_per_s": round(routings / best["pair_batch"]),
         "results_identical": True,
     }
 
@@ -327,14 +349,14 @@ def main(argv=None) -> int:
     print(f"recorded {len(ops)} trace ops; racing {params['reps']} reps per engine")
     result = race(ops, params["reps"])
     inpage_params = dict(INPAGE_SMOKE if args.smoke else INPAGE_DEFAULT)
-    interior, leaves, batch = build_inpage_workload(
+    tree, interior, leaves, batch = build_inpage_workload(
         inpage_params["num_rows"], inpage_params["page_size"], inpage_params["probes"]
     )
     print(
         f"in-page routing race: {len(interior)} interior + {len(leaves)} leaf "
         f"pages x {len(batch)} probes, {inpage_params['reps']} reps"
     )
-    result["inpage_route"] = inpage_race(interior, leaves, batch, inpage_params["reps"])
+    result["inpage_route"] = inpage_race(tree, interior, leaves, batch, inpage_params["reps"])
     result["inpage_route"]["workload"] = dict(inpage_params, seed=SEED)
     result["workload"] = {
         "tree": "fp-disk",
@@ -356,9 +378,10 @@ def main(argv=None) -> int:
     )
     inpage = result["inpage_route"]
     print(
-        f"in-page routing: scalar {inpage['scalar_wall_s'] * 1000:.1f} ms  "
-        f"vectorized {inpage['vectorized_wall_s'] * 1000:.1f} ms  "
-        f"speedup {inpage['speedup']:.2f}x  (results identical)"
+        f"in-page routing: node walk {inpage['walk_wall_s'] * 1000:.1f} ms  "
+        f"pair {inpage['pair_wall_s'] * 1000:.1f} ms ({inpage['speedup']:.2f}x)  "
+        f"pair, one searchsorted per page {inpage['pair_batch_wall_s'] * 1000:.1f} ms "
+        f"({inpage['batch_speedup']:.2f}x)  (results identical)"
     )
     print(f"wrote {args.out}")
     return 0

@@ -3,10 +3,10 @@
 Every served tree op — :meth:`~repro.dbms.engine.MiniDbms.serve_lookup`,
 ``serve_scan``, ``serve_insert`` and :class:`LevelWiseLookupBatch` — walks
 the disk-first fpB+-Tree through :func:`descend`, the way the paper walks
-a page: read it, route through its in-page nodes, descend.  A single op is
-a batch of one key.  What keeps the walk safe against concurrent splits is
-the latch protocol it is given (:mod:`repro.btree.cc`): ``begin`` before a
-page is trusted, ``validate`` after it was used.
+a page: read it, route through it, descend.  A single op is a batch of one
+key.  What keeps the walk safe against concurrent splits is the latch
+protocol it is given (:mod:`repro.btree.cc`): ``begin`` before a page is
+trusted, ``validate`` after it was used.
 
 A batch of B lookups applies the paper's core move (fetch a whole fractal
 level in one prefetch wave) *across* queries, in the spirit of the FPGA
@@ -15,18 +15,18 @@ data-parallel node layout (arXiv:2505.01180):
 
 * **Sort and dedup.**  The batch's keys are routed together, so all keys
   that fall into one page share a single demand read, a single
-  ``page_process_us`` charge and a single separator decode — upper levels
+  ``page_process_us`` charge and a single routing call — upper levels
   (the root above all) collapse to one visit per page per batch.
 * **Level-wise waves.**  The frontier of pages needed for the next level
   is issued as one :meth:`~repro.storage.prefetch.AsyncPageReader.prefetch_wave`
   in sorted page-id order before any demand blocks, so the spindles see a
   near-sequential run of short seeks instead of B independent random
   reads, and the per-page latencies overlap.
-* **Vectorized in-page search.**  Each visited page's in-page leaf nodes
-  are flattened once into sorted separator arrays and every key routed
-  with one ``np.searchsorted`` call (:func:`route_batch_in_page`,
-  :func:`search_leaf_page_batch`) — bit-equivalent to the scalar
-  :func:`~repro.btree.cc._route_in_page` walk, at numpy speed.
+* **One routing primitive.**  Each visited page is routed through its
+  cached flat ``(keys, ptrs)`` pair
+  (:meth:`~repro.core.disk_first.DiskFirstFpTree.page_entries`) with one
+  ``np.searchsorted`` for all of the page's keys, one key or many — equal
+  to the paper's in-page node walk, at numpy speed.
 
 Keys whose pass failed validation restart from the root; after the
 protocol's ``retry_budget`` passes they fall back to single-key lookups,
@@ -39,77 +39,23 @@ always what a per-key ``serve_lookup`` would have returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cc import NullProtocol, _route_in_page, _search_leaf_page
+from .cc import NullProtocol
 
 __all__ = [
     "Arrival",
     "LevelWiseLookupBatch",
     "descend",
-    "page_separator_arrays",
-    "route_batch_in_page",
-    "search_leaf_page_batch",
 ]
 
 #: The protocol of callers that pass none.
 NULL_PROTOCOL = NullProtocol()
 
-
-def page_separator_arrays(page) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a page's in-page leaf nodes into sorted (keys, ptrs) arrays.
-
-    The in-page tree stores its entries across cache-line-sized leaf nodes;
-    concatenating them in key order yields one sorted separator array per
-    page, which is what makes whole-batch ``searchsorted`` routing possible.
-    Decoding is O(entries) once per page per batch, instead of one scalar
-    node walk per key.
-    """
-    nodes = page.leaf_nodes_in_order()
-    if not nodes:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    keys = np.concatenate([node.keys[: node.count] for node in nodes])
-    ptrs = np.concatenate([node.ptrs[: node.count] for node in nodes])
-    return keys, ptrs
-
-
-def route_batch_in_page(page, keys: np.ndarray) -> np.ndarray:
-    """Route a sorted key batch through one interior page to child page ids.
-
-    Equivalent to ``[_route_in_page(page, k) for k in keys]`` (the slot of
-    the rightmost separator ``<= k``, clamped to the first child for keys
-    below every separator), in one vectorized ``searchsorted``.
-    """
-    seps, ptrs = page_separator_arrays(page)
-    # Compare in signed 64-bit: the stored key dtype may be unsigned, and a
-    # below-range probe key must clamp to the first child, not wrap around.
-    slots = np.searchsorted(
-        seps.astype(np.int64, copy=False),
-        np.asarray(keys, dtype=np.int64),
-        side="right",
-    ) - 1
-    np.clip(slots, 0, None, out=slots)
-    return ptrs[slots].astype(np.int64, copy=False)
-
-
-def search_leaf_page_batch(page, keys: np.ndarray) -> np.ndarray:
-    """Exact-match a key batch inside one leaf page; 0 marks a miss.
-
-    Tuple ids are 1-based everywhere (see ``MiniDbms.lookup``), so 0 is
-    free to encode "not present".  Equivalent to per-key
-    :func:`~repro.btree.cc._search_leaf_page`.
-    """
-    seps, ptrs = page_separator_arrays(page)
-    karr = np.asarray(keys, dtype=np.int64)
-    if len(seps) == 0:
-        return np.zeros(len(karr), dtype=np.int64)
-    seps = seps.astype(np.int64, copy=False)  # signed compare (see routing)
-    slots = np.searchsorted(seps, karr, side="left")
-    clamped = np.minimum(slots, len(seps) - 1)
-    found = (slots < len(seps)) & (seps[clamped] == karr)
-    return np.where(found, ptrs[clamped], 0).astype(np.int64, copy=False)
+_PID = itemgetter(0)
 
 
 @dataclass
@@ -129,18 +75,6 @@ class Arrival:
     #: Per key, the tuple id found in the leaf (0: absent); None when the
     #: descent stopped above the leaf (``visit_leaf=False``).
     tids: Optional[list]
-
-
-def _route(page, keys: list) -> list:
-    if len(keys) == 1:
-        return [_route_in_page(page, keys[0])]
-    return route_batch_in_page(page, np.asarray(keys, dtype=np.int64)).tolist()
-
-
-def _search(page, keys: list) -> list:
-    if len(keys) == 1:
-        return [_search_leaf_page(page, keys[0]) or 0]
-    return search_leaf_page_batch(page, np.asarray(keys, dtype=np.int64)).tolist()
 
 
 def descend(
@@ -172,30 +106,34 @@ def descend(
     tree = db.index
     env = reader.env
     pool = reader.pool
+    page_of = tree.store.page
+    entries = tree.page_entries
     epoch = None if protocol.trusts_routes or not visit_leaf else db.leaf_map_epoch()
-    # Key indices in sorted-key order: every per-page group built below is
-    # then sorted too, and sibling leaves are visited left-to-right (the
-    # near-sequential run the disk model rewards).
+    # The keys in sorted order: the keys routed to one page are a run
+    # [lo, hi) of them, every run is sorted, and sibling leaves are visited
+    # left-to-right (the near-sequential run the disk model rewards).
     order = sorted(range(len(keys)), key=keys.__getitem__)
+    ordered = [keys[i] for i in order]
+    probes = np.array(ordered, dtype=np.int64)
     root = tree.root_pid
-    tokens = {root: (yield from protocol.begin(root, owner))}
+    token = yield from protocol.begin(root, owner)
     if root != tree.root_pid:
         # The root split while we waited on its latch: restart on the new one.
         return [], order, 0
-    frontier = {root: order}
-    above = {root: []}
+    # One (pid, lo, hi, token, page ids above) run per page of the level,
+    # in ascending page-id order.  A page has one parent and a split moves
+    # entries only into a fresh page, so no page is reached twice a level.
+    level = [(root, 0, len(keys), token, [])]
     arrivals: list[Arrival] = []
     retry: list[int] = []
     pages = 0
-    while frontier:
-        level = sorted(frontier)
+    while level:
         if wave:
-            reader.prefetch_wave([pid for pid in level if not reader.pool.contains(pid)])
-        next_frontier: dict[int, list[int]] = {}
-        for pid in level:
-            idxs = frontier[pid]
-            if not visit_leaf and tree.store.page(pid).level == 0:
-                arrivals.append(Arrival(pid, idxs, above[pid], tokens[pid], True, None))
+            reader.prefetch_wave([run[0] for run in level if not pool.contains(run[0])])
+        below = []
+        for pid, lo, hi, token, above in level:
+            if not visit_leaf and page_of(pid).level == 0:
+                arrivals.append(Arrival(pid, order[lo:hi], above, token, True, None))
                 continue
             yield from reader.demand(pid)
             pin = pool.pin(pid, owner)
@@ -205,34 +143,47 @@ def descend(
                 pool.unpin(pid, pin, owner)
             pages += 1
             # Everything below here is atomic in simulated time: the page
-            # is decoded, routed/searched and validated with no yield.
-            page = tree.store.page(pid)
-            probe = [keys[i] for i in idxs]
-            if page.level == 0:
-                tids = _search(page, probe)
-                if not protocol.validate(pid, tokens[pid]):
-                    retry.extend(idxs)
+            # is routed/searched and validated with no yield.
+            seps, ptrs = entries(pid)
+            if page_of(pid).level == 0:
+                # Exact match: the leftmost entry >= key, if it equals key.
+                slots = seps.searchsorted(probes[lo:hi], side="left").tolist()
+                size = len(seps)
+                tids = [
+                    int(ptrs[slot]) if slot < size and seps[slot] == key else 0
+                    for slot, key in zip(slots, ordered[lo:hi])
+                ]
+                if not protocol.validate(pid, token):
+                    retry.extend(order[lo:hi])
                     continue
                 fresh = epoch is None or db.leaf_map_epoch() == epoch
-                arrivals.append(Arrival(pid, idxs, above[pid], tokens[pid], fresh, tids))
+                arrivals.append(Arrival(pid, order[lo:hi], above, token, fresh, tids))
                 continue
-            groups: dict[int, list[int]] = {}
-            for i, child in zip(idxs, _route(page, probe)):
-                groups.setdefault(child, []).append(i)
-            child_tokens = {}
-            for child in sorted(groups):
-                child_tokens[child] = yield from protocol.begin(child, owner)
-            if not protocol.validate(pid, tokens[pid]):
+            # Route: the rightmost separator <= key (the first child for
+            # keys below every separator).  The run splits into one child
+            # run per distinct slot; sorted keys give non-decreasing slots.
+            slots = seps.searchsorted(probes[lo:hi], side="right").tolist()
+            runs = []
+            start, current = lo, slots[0] or 1
+            for at, slot in enumerate(slots, lo):
+                if (slot or 1) != current:
+                    runs.append((int(ptrs[current - 1]), start, at))
+                    start, current = at, slot
+            runs.append((int(ptrs[current - 1]), start, hi))
+            runs.sort(key=_PID)
+            path = above + [pid]
+            children = []
+            for child, c_lo, c_hi in runs:
+                c_token = yield from protocol.begin(child, owner)
+                children.append((child, c_lo, c_hi, c_token, path))
+            if not protocol.validate(pid, token):
                 # The parent moved after routing: nothing routed from it
                 # (or the tokens just taken) can be trusted.
-                retry.extend(idxs)
+                retry.extend(order[lo:hi])
                 continue
-            tokens.update(child_tokens)
-            path = above[pid] + [pid]
-            for child, group in groups.items():
-                next_frontier.setdefault(child, []).extend(group)
-                above.setdefault(child, path)
-        frontier = next_frontier
+            below += children
+        below.sort(key=_PID)
+        level = below
     return arrivals, retry, pages
 
 

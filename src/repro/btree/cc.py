@@ -291,31 +291,6 @@ class PageLatchManager:
         }
 
 
-# -- untraced in-page helpers (mirror DiskFirstFpTree.page_path) ---------------
-
-
-def _route_in_page(page, key: int) -> int:
-    """Route ``key`` through an interior page to a child page id (atomic)."""
-    node = page.root
-    while node.kind == 0:  # NONLEAF (repro.core.inpage): walk to an in-page leaf
-        slot = max(int(node.keys[: node.count].searchsorted(key, side="right")) - 1, 0)
-        node = page.nodes[int(node.ptrs[slot])]
-    slot = max(int(node.keys[: node.count].searchsorted(key, side="right")) - 1, 0)
-    return int(node.ptrs[slot])
-
-
-def _search_leaf_page(page, key: int) -> Optional[int]:
-    """Find ``key``'s tuple id inside one leaf page (atomic)."""
-    node = page.root
-    while node.kind == 0:
-        slot = max(int(node.keys[: node.count].searchsorted(key, side="right")) - 1, 0)
-        node = page.nodes[int(node.ptrs[slot])]
-    slot = int(node.keys[: node.count].searchsorted(key, side="left"))
-    if slot < node.count and int(node.keys[slot]) == key:
-        return int(node.ptrs[slot])
-    return None
-
-
 def page_safe(tree, page) -> bool:
     """True if one more entry cannot page-split this page.
 
@@ -472,10 +447,9 @@ class PageProtocol(NullProtocol):
                     yield env.timeout(page_process_us)
                 finally:
                     pool.unpin(pid, pin, owner)
-                page = tree.store.page(pid)
-                if page.level == 0:
+                if tree.store.page(pid).level == 0:
                     return pid, held, path
-                child = _route_in_page(page, key)
+                child = tree.child_pid(pid, key)
                 yield from latches.write_acquire(child, owner)
                 path.append(child)
                 if not for_insert or page_safe(tree, tree.store.page(child)):

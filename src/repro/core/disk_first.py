@@ -67,6 +67,8 @@ class DiskFirstFpTree(Index):
         self.node_splits = 0
         self.page_splits = 0
         self.reorganizations = 0
+        #: page id -> (write token, its :meth:`FpPage.entries` pair).
+        self._flat: dict[int, tuple[int, tuple[np.ndarray, np.ndarray]]] = {}
         self.root_pid = self._new_page(level=0)
         self._init_empty_page(self.root_pid)
         self.first_leaf_pid = self.root_pid
@@ -779,9 +781,11 @@ class DiskFirstFpTree(Index):
         """
         if end_key < start_key:
             return 0
-        page = self.store.page(self.root_pid)
+        pid = self.root_pid
+        page = self.store.page(pid)
         while page.level > 0:
-            page = self.store.page(self._route(page, start_key, side="left"))
+            pid = self.child_pid(pid, start_key, side="left")
+            page = self.store.page(pid)
         first = page.first_key()
         count = 0
         while True:
@@ -796,21 +800,15 @@ class DiskFirstFpTree(Index):
                 and next_first <= end_key
             ):
                 count += page.total
-            else:  # a boundary page (or an emptied one, whose nodes are all skipped)
-                for node in page.leaf_nodes_in_order():
-                    if node.count == 0 or node.keys[node.count - 1] < start_key:
-                        continue
-                    keys = node.keys[: node.count]
-                    if keys[0] >= start_key and keys[-1] <= end_key:
-                        count += node.count
-                        continue
-                    hi = int(keys.searchsorted(end_key, side="right"))
-                    count += hi - int(keys.searchsorted(start_key, side="left"))
-                    if hi < node.count:
-                        return count
+            else:  # a boundary page (an emptied one has an empty pair)
+                keys, __ = self.page_entries(pid)
+                hi = int(keys.searchsorted(end_key, side="right"))
+                count += hi - int(keys.searchsorted(start_key, side="left"))
+                if hi < len(keys):
+                    return count
             if following is None:
                 return count
-            page, first = following, next_first
+            pid, page, first = page.next_page, following, next_first
 
     def range_scan_reverse(self, start_key: int, end_key: int) -> ScanResult:
         """Scan [start_key, end_key] walking leaf pages right-to-left."""
@@ -859,23 +857,46 @@ class DiskFirstFpTree(Index):
             pid = self.store.page(pid).next_page
         return pids
 
-    @staticmethod
-    def _route(page: FpPage, key: int, side: str = "right") -> int:
-        """Untraced :meth:`_locate_child_pid`: the child page id for ``key``."""
-        node = page.root
-        while True:
-            slot = max(int(node.keys[: node.count].searchsorted(key, side=side)) - 1, 0)
-            if node.kind == LEAF:
-                return int(node.ptrs[slot])
-            node = page.nodes[int(node.ptrs[slot])]
+    # -- the served routing primitive (untraced) ---------------------------------------------------
+
+    def page_entries(self, pid: int) -> tuple[np.ndarray, np.ndarray]:
+        """Page ``pid``'s flat sorted ``(keys, ptrs)`` pair (:meth:`FpPage.entries`).
+
+        Built lazily and cached per page id; the cached pair is valid while
+        the store's write token for the page is unchanged, and every
+        in-page mutation restamps it (``mark_dirty``, ``allocate``,
+        ``place``, ``replace``).  Every untraced routing of the served path
+        is one ``searchsorted`` on this pair: ``side="right"`` routes,
+        ``side="left"`` routes a left-biased scan descent and exact-matches
+        a leaf.  Routing equals the traced in-page node walk's on both
+        sides; an exact match equals ``search``'s for a key stored once
+        (the serving tree's discipline; of several duplicates, the walk and
+        the pair may pick different ones).
+        """
+        token = self.store.write_token(pid)
+        cached = self._flat.get(pid)
+        if cached is not None and cached[0] == token:
+            return cached[1]
+        pair = self.store.page(pid).entries()
+        self._flat[pid] = (token, pair)
+        return pair
+
+    def child_pid(self, pid: int, key: int, side: str = "right") -> int:
+        """The child page id interior page ``pid`` routes ``key`` to."""
+        keys, ptrs = self.page_entries(pid)
+        return int(ptrs[max(int(keys.searchsorted(key, side=side)) - 1, 0)])
+
+    def leaf_tid(self, pid: int, key: int) -> int:
+        """``key``'s tuple id in leaf page ``pid``; 0 if it is absent."""
+        keys, ptrs = self.page_entries(pid)
+        slot = int(keys.searchsorted(key, side="left"))
+        return int(ptrs[slot]) if slot < len(keys) and keys[slot] == key else 0
 
     def page_path(self, key: int) -> list[int]:
         """Page ids visited by a search (untraced; for I/O experiments)."""
         path = [self.root_pid]
-        page = self.store.page(self.root_pid)
-        while page.level > 0:
-            path.append(self._route(page, key))
-            page = self.store.page(path[-1])
+        while self.store.page(path[-1]).level > 0:
+            path.append(self.child_pid(path[-1], key))
         return path
 
     def leaf_pids_via_jump_pointers(self) -> list[int]:

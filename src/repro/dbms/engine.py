@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..btree.batch import NULL_PROTOCOL, LevelWiseLookupBatch, descend
-from ..btree.cc import LatchChain, _search_leaf_page
+from ..btree.cc import LatchChain
 from ..btree.context import TreeEnvironment
 from ..core.disk_first import DiskFirstFpTree
 from ..des import Environment, Store
@@ -509,7 +509,7 @@ class MiniDbms:
             leaf_pid, held, __ = yield from protocol.escalate(
                 self, reader, key, owner, page_process_us
             )
-            tid = _search_leaf_page(tree.store.page(leaf_pid), key)
+            tid = tree.leaf_tid(leaf_pid, key)
             protocol.unlatch(held, owner)
         if not tid:
             return None
@@ -530,9 +530,9 @@ class MiniDbms:
         """Process generator: batched point lookups, traversed level-wise.
 
         All keys descend together: per tree level, the pages the batch
-        needs issue as one prefetch wave in sorted page-id order, each
-        visited page is decoded/charged once for the whole batch, and the
-        in-page routing is numpy-vectorized
+        needs issue as one prefetch wave in sorted page-id order, and each
+        visited page is charged and routed once for the whole batch, with
+        one ``searchsorted`` on its cached flat pair
         (:class:`~repro.btree.batch.LevelWiseLookupBatch`).  Returns the
         rows aligned with ``keys`` (``None`` per miss); ``on_result(i, row)``
         fires as each key resolves, so callers can attribute per-op

@@ -77,6 +77,15 @@ class PageStore:
             raise KeyError(f"page {page_id} is not allocated")
         return self._checksums[page_id]
 
+    def write_token(self, page_id: int) -> int:
+        """The page's media token: restamped by every write of the page.
+
+        A value derived from a page's content stays valid while this token
+        is unchanged (``allocate``/``place``/``replace``/``mark_dirty``/
+        ``scrub`` all restamp; so does injected corruption).
+        """
+        return self._tokens[page_id]
+
     def verify_checksum(self, page_id: int) -> bool:
         """True if the page's current bits still match the written checksum."""
         return self.checksum(page_id) == self._checksums[page_id]

@@ -1,11 +1,14 @@
 """Unit and property tests for level-wise batched lookups (repro.btree.batch).
 
-The batch executor must be *bit-equivalent* to the scalar paths it
-amortizes: same routing, same leaf verdicts, same rows — only the I/O
-schedule changes.  These tests pin that equivalence (enumerated and
-property-based), the dedup/wave accounting, the epoch fallback that keeps
+The batch executor must be *bit-equivalent* to the paths it amortizes:
+same routing, same leaf verdicts, same rows — only the I/O schedule
+changes.  These tests pin that the cached flat page pairs route and
+exact-match like the traced in-page node walk (enumerated and
+property-based, for single keys and for whole batches through
+``descend``), the dedup/wave accounting, the epoch fallback that keeps
 ``concurrency="none"`` batches correct across concurrent splits, and the
-prefetch-wave interaction with the brownout cap.
+prefetch-wave interaction with the brownout cap.  Every cached pair use is
+recomputed and compared (``checked_page_entries``).
 
 Regression note (verified to fail pre-fix): ``prefetch_wave`` originally
 fast-pathed straight to ``_start_read`` and ignored
@@ -17,22 +20,20 @@ and ``prefetches_suppressed`` stayed 0).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree.batch import (
-    LevelWiseLookupBatch,
-    page_separator_arrays,
-    route_batch_in_page,
-    search_leaf_page_batch,
-)
-from repro.btree.cc import _route_in_page, _search_leaf_page
+from repro.btree.batch import LevelWiseLookupBatch
 from repro.des import Environment
 from repro.dbms.engine import MiniDbms
 from repro.serve.server import DbmsServer
 from repro.storage import AsyncPageReader, BufferPool, DiskArray, StorageConfig
+
+from page_walk import assert_descend_matches_search, assert_pages_route_like_walk
+
+#: Every cached page pair is recomputed and compared on use (conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_page_entries")
 
 
 def make_db(num_rows=400, seed=7, page_size=512, num_disks=2) -> MiniDbms:
@@ -58,20 +59,6 @@ def run_process(env, gen):
     return env.run(until=env.process(gen))
 
 
-def walk_pages(tree):
-    """Yield every index page, root first (BFS via in-page child pointers)."""
-    frontier = [tree.root_pid]
-    while frontier:
-        next_frontier = []
-        for pid in frontier:
-            page = tree.store.page(pid)
-            yield page
-            if page.level > 0:
-                __, ptrs = page_separator_arrays(page)
-                next_frontier.extend(int(p) for p in ptrs)
-        frontier = next_frontier
-
-
 def probe_keys(db: MiniDbms) -> list[int]:
     """Existing keys plus below-range, above-range, and gap probes."""
     keys = [int(k) for k in db._workload.keys]
@@ -81,25 +68,17 @@ def probe_keys(db: MiniDbms) -> list[int]:
     return probes
 
 
-# -- vectorized in-page search equals the scalar walk -------------------------
+# -- the cached page pair equals the node walk --------------------------------
 
 
 def test_vectorized_routing_matches_scalar_walk():
+    """The cached page pairs route and match like the scalar node walk."""
     db = make_db()
-    probes = np.asarray(sorted(probe_keys(db)), dtype=np.int64)
-    checked_interior = checked_leaf = 0
-    for page in walk_pages(db.index):
-        if page.level > 0:
-            got = route_batch_in_page(page, probes)
-            want = [_route_in_page(page, int(k)) for k in probes]
-            assert got.tolist() == want, f"routing mismatch on page {page}"
-            checked_interior += 1
-        else:
-            got = search_leaf_page_batch(page, probes)
-            want = [(_search_leaf_page(page, int(k)) or 0) for k in probes]
-            assert got.tolist() == want
-            checked_leaf += 1
-    assert checked_interior >= 1 and checked_leaf >= 2
+    probes = sorted(probe_keys(db))
+    interior, leaves = assert_pages_route_like_walk(db.index, lambda page: probes)
+    assert interior >= 1 and leaves >= 2
+    # A batch splits into per-child runs in one searchsorted per page.
+    assert_descend_matches_search(db, probes)
 
 
 _PROP_DB = make_db(num_rows=300, seed=3)
@@ -108,17 +87,11 @@ _PROP_DB = make_db(num_rows=300, seed=3)
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=32))
 def test_vectorized_routing_property(keys):
-    """Arbitrary probe batches (negatives included) route and search
-    identically to the scalar helpers on every page of a real tree."""
-    probes = np.asarray(sorted(keys), dtype=np.int64)
-    for page in walk_pages(_PROP_DB.index):
-        if page.level > 0:
-            got = route_batch_in_page(page, probes)
-            want = [_route_in_page(page, int(k)) for k in probes]
-        else:
-            got = search_leaf_page_batch(page, probes)
-            want = [(_search_leaf_page(page, int(k)) or 0) for k in probes]
-        assert got.tolist() == want
+    """Arbitrary probe batches (negatives and repeats included) route and
+    search identically to the node walk on every page of a real tree, one
+    key at a time and as one descent."""
+    assert_pages_route_like_walk(_PROP_DB.index, lambda page: keys)
+    assert_descend_matches_search(_PROP_DB, keys)
 
 
 # -- batch execution equals individual lookups --------------------------------

@@ -29,6 +29,9 @@ from repro.workloads.ops import MixedOpStream, OpMix
 
 from .broken_protocol import break_latches
 
+#: Every cached page pair is recomputed and compared on use (conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_page_entries")
+
 
 def make_server(seed: int, concurrency: str, num_rows: int = 300) -> DbmsServer:
     db = MiniDbms(num_rows=num_rows, num_disks=2, page_size=512, seed=seed, mature=False)

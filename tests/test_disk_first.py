@@ -11,6 +11,9 @@ from repro.mem import MemorySystem
 
 from index_contract import IndexContract, dense_keys
 
+#: Every cached page pair is recomputed and compared on use (conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_page_entries")
+
 
 class TestDiskFirstContract(IndexContract):
     def make_index(self, **kwargs):

@@ -23,6 +23,9 @@ from repro.serve.server import DbmsServer
 
 from .broken_protocol import break_latches
 
+#: Every cached page pair is recomputed and compared on use (conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_page_entries")
+
 
 def make_manager(wrap: int = 1 << 32) -> tuple[Environment, PageLatchManager]:
     env = Environment()

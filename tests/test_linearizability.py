@@ -24,6 +24,9 @@ from repro.verify.linearizability import (
     check_linearizable,
 )
 
+#: Every cached page pair is recomputed and compared on use (conftest.py).
+pytestmark = pytest.mark.usefixtures("checked_page_entries")
+
 #: Where property-test failures archive their (shrunk) counterexample; the
 #: CI concurrency-smoke job uploads this directory on failure.
 ARTIFACTS = Path(__file__).resolve().parent.parent / "test-artifacts" / "linearizability"
