@@ -8,8 +8,10 @@ chosen per server by its ``concurrency`` mode:
 
 * :class:`NullProtocol` (``"none"``) takes no latches.  Tree mutations are
   atomic between DES yields, so routing from a page read after its wait is
-  fresh; only a leaf reached after :meth:`MiniDbms.leaf_map_epoch` moved
-  may hold stale content, and callers re-resolve it atomically.
+  fresh; only a leaf reached after the leaf-map stamp
+  :meth:`MiniDbms.leaf_map_epoch` — ``(index, index.page_splits)``, moved
+  by a split or a recovery's index swap — moved may hold stale content,
+  and callers re-resolve it atomically.
 * :class:`PageProtocol` (``"page"``) is the classic optimistic lock
   coupling / seqlock protocol (FB+-tree, arXiv:2503.23397) over
   :class:`PageLatchManager`'s per-page **version latches** — integers that

@@ -255,6 +255,11 @@ class CacheFirstFpTree(Index):
     def num_pages(self) -> int:
         return self.store.num_pages
 
+    @property
+    def page_splits(self) -> int:
+        """Page splits at any level, as the other disk-resident trees count them."""
+        return self.leaf_page_splits + self.nonleaf_page_splits
+
     def search(self, key: int) -> Optional[int]:
         self._begin_op()
         leaf = self._descend(key)

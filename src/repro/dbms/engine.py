@@ -125,11 +125,9 @@ class MiniDbms:
         self._num_rows_hint = num_rows
         self.wal: Optional[WalManager] = None
         self.last_recovery: Optional[RecoveryStats] = None
-        #: Leaf-map cache (see :meth:`cached_leaf_map`); the generation
-        #: counter distinguishes pre- and post-recovery index objects.
+        #: Leaf-map cache (see :meth:`cached_leaf_map`) and its stamp.
         self._leaf_map_cache: Optional[tuple[np.ndarray, list[int]]] = None
         self._leaf_map_epoch: Optional[tuple] = None
-        self._index_generation = 0
         self.env = TreeEnvironment(page_size=page_size, buffer_pages=64)
         self.store = self.env.store
         self.table = HeapTable(self.store, schema)
@@ -442,24 +440,16 @@ class MiniDbms:
         return leaf_first_keys(self.index, pids), pids
 
     def leaf_map_epoch(self) -> tuple:
-        """Cheap fingerprint of the leaf-page topology.
+        """Stamp of the leaf-page topology: ``(index, index.page_splits)``.
 
-        Changes whenever a split adds a leaf, a free/merge removes one, the
-        root grows, or recovery swaps the whole index out — every event
-        that can make a cached :meth:`leaf_key_map` route a scan through a
-        stale leaf snapshot.  The ``getattr`` fallbacks keep alternate
-        index kinds (which lack split counters) safe: their epoch then
-        tracks page count and identity only.
+        Leaves are added only by page splits (a root growth is one) and
+        never freed, and recovery swaps the whole index object out, so the
+        stamp moves on every event that can make a cached
+        :meth:`leaf_key_map` route a scan through a stale leaf snapshot —
+        and on nothing else (heap-page allocation leaves it alone).
         """
         index = self.index
-        return (
-            self._index_generation,
-            getattr(index, "page_splits", -1),
-            index.num_pages,
-            getattr(index, "height", -1),
-            getattr(index, "root_pid", -1),
-            getattr(index, "first_leaf_pid", -1),
-        )
+        return index, index.page_splits
 
     def cached_leaf_map(self) -> tuple[np.ndarray, list[int]]:
         """Epoch-validated leaf map: recomputed iff the topology moved.
@@ -826,6 +816,6 @@ class MiniDbms:
         self.table = HeapTable(self.store, self.schema)
         self.table.rebind(heap_page_ids)
         self.last_recovery = stats
-        self._index_generation += 1
-        self._leaf_map_cache = None
+        # Drop the cached stamp too: it holds the old index object.
+        self._leaf_map_cache = self._leaf_map_epoch = None
         return stats

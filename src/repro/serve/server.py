@@ -10,18 +10,19 @@ storage, and every outcome lands in :class:`~repro.serve.stats.ServerStats`.
 
 The request life cycle::
 
-    submit() ── admission ──┬── shed (queue full)  -> outcome "shed"
-                            └── granted ── execute op ── release token
+    submit() ── admission ──┬── shed (queue full)  -> settle("shed")
+                            └── granted ── execute op ── settle("ok"|"failed")
                                    │                        │
-                                   └── deadline_us expired ─┴─> client sees
-                                       outcome "timeout"; the op still runs
-                                       to completion (the kernel has no
-                                       cancellation) and is counted in
-                                       ``completed`` with ``timed_out`` set
+                                   └── within(deadline_us) ─┴─> False: abandon()
 
-so the conservation identity ``issued == completed + shed + failed +
-in_flight`` holds at every instant of simulated time.  Everything is
-seeded and DES-driven: two same-seed runs are byte-identical.
+:meth:`ServedRequest.settle` is the one place a request ends and
+:func:`within` the one place a client waits on a deadline, here and in
+:class:`~repro.shard.ShardRouter` alike; :func:`abandon` is the timeout
+rule.  An abandoned op still runs to completion (the kernel has no
+cancellation) and settles as usual, so the conservation identity
+``issued == completed + shed + failed + in_flight`` holds at every instant
+of simulated time.  Everything is seeded and DES-driven: two same-seed
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .admission import AdmissionRejected
 from .stats import ServerStats
 from .substrate import build_serving_substrate
 
-__all__ = ["BrownoutRejected", "DbmsServer", "ServedRequest", "detached"]
+__all__ = ["BrownoutRejected", "DbmsServer", "ServedRequest", "abandon", "detached", "within"]
 
 
 def detached(error: BaseException) -> BaseException:
@@ -81,9 +82,10 @@ class ServedRequest:
     issued_at: float = 0.0
     admitted_at: float = -1.0
     finished_at: float = -1.0
-    #: "pending" -> "ok" | "shed" | "failed"; "timeout" means the *client*
-    #: gave up — the server still finishes the op and flips this to "ok"
-    #: (with ``timed_out`` kept) or "failed".
+    #: "pending" -> "ok" | "shed" | "failed" (set by :meth:`settle`);
+    #: "timeout" means the *client* gave up on a pending op — the server
+    #: still finishes it and settles it ("ok" or "failed", with
+    #: ``timed_out`` kept).
     outcome: str = "pending"
     timed_out: bool = False
     rows: int = 0
@@ -98,6 +100,58 @@ class ServedRequest:
     def latency_us(self) -> float:
         """Issue-to-completion latency (valid once finished)."""
         return self.finished_at - self.issued_at
+
+    def settle(self, stats: ServerStats, now: float, outcome: str,
+               error: Optional[BaseException] = None, rows: int = 0) -> None:
+        """The one place a served request ends.
+
+        Stamps ``outcome`` ("ok", "shed" or "failed"), ``finished_at``,
+        ``rows`` and the detached ``error``, then makes the one matching
+        ``stats`` call.  A second settle would double-count the
+        conservation identity, so it asserts.
+        """
+        assert self.finished_at < 0, f"request {self.rid} settled twice"
+        if outcome not in ("ok", "shed", "failed"):
+            raise ValueError(f"unknown terminal outcome {outcome!r}")
+        self.outcome = outcome
+        self.finished_at = now
+        self.rows = rows
+        if error is not None:
+            self.error = detached(error)
+        if outcome == "ok":
+            stats.complete(self.kind, self.latency_us, rows)
+        elif outcome == "shed":
+            stats.shed()
+        else:
+            stats.fail(self.kind)
+
+
+def within(env: Environment, event: Event, budget_us: Optional[float], detail: str):
+    """Wait on ``event`` for at most ``budget_us`` (None: unbounded).
+
+    A process generator (``ok = yield from within(...)``): returns False
+    when the budget ran out first.  The event keeps running either way.
+    """
+    if budget_us is None:
+        yield event
+        return True
+    try:
+        yield with_timeout(env, event, budget_us, detail=detail)
+    except WaitTimeout:
+        return False
+    return True
+
+
+def abandon(request: ServedRequest, stats: ServerStats) -> None:
+    """The client stopped waiting: mark ``timed_out`` and count the timeout.
+
+    The outcome becomes "timeout" only while the request is still pending;
+    one that already settled keeps its terminal outcome.
+    """
+    request.timed_out = True
+    if request.outcome == "pending":
+        request.outcome = "timeout"
+    stats.timeout()
 
 
 @dataclass
@@ -305,53 +359,28 @@ class DbmsServer:
         if self.reject_inserts and request.kind == "insert":
             # Brownout ladder level >= 3: background inserts are shed
             # before admission so foreground reads keep the tokens.
-            request.outcome = "shed"
-            request.error = BrownoutRejected(self.stats.brownout_level)
-            request.finished_at = self.env.now
-            self.stats.shed()
+            request.settle(
+                self.stats, self.env.now, "shed", BrownoutRejected(self.stats.brownout_level)
+            )
             self.stats.brownout_rejection()
             return request
         if self.batching and request.kind == "lookup":
-            completion = self._join_lookup_batch(request)
-            if self.deadline_us is None:
-                yield completion
-                return request
+            # A batched op's deadline runs from *issue*, batch window wait
+            # included; the batch completes the op for its batchmates anyway.
+            done = self._join_lookup_batch(request)
+        else:
             try:
-                yield with_timeout(
-                    self.env, completion, self.deadline_us,
-                    detail=f"request {request.rid}",
-                )
-            except WaitTimeout:
-                # The deadline is per op, measured from *issue* — batch
-                # window wait included — and client-side only: the batch
-                # keeps running and completes the op for its batchmates.
-                request.timed_out = True
-                request.outcome = "timeout"
-                self.stats.timeout()
-            return request
-        try:
-            ticket = yield from self.admission.admit(request.priority)
-        except AdmissionRejected as exc:
-            request.outcome = "shed"
-            request.error = detached(exc)
-            request.finished_at = self.env.now
-            self.stats.shed()
-            return request
-        request.admitted_at = self.env.now
-        request.queue_wait_us = ticket.queue_wait_us
-        worker = self.env.process(self._execute(request, ticket))
-        if self.deadline_us is None:
-            yield worker
-            return request
-        try:
-            yield with_timeout(
-                self.env, worker, self.deadline_us, detail=f"request {request.rid}"
-            )
-        except WaitTimeout:
-            # Client abandons; the worker keeps the token until it finishes.
-            request.timed_out = True
-            request.outcome = "timeout"
-            self.stats.timeout()
+                ticket = yield from self.admission.admit(request.priority)
+            except AdmissionRejected as exc:
+                request.settle(self.stats, self.env.now, "shed", exc)
+                return request
+            request.admitted_at = self.env.now
+            request.queue_wait_us = ticket.queue_wait_us
+            # An individual op's deadline runs from admission; an abandoned
+            # worker keeps its token until it finishes.
+            done = self.env.process(self._execute(request, ticket))
+        if not (yield from within(self.env, done, self.deadline_us, f"request {request.rid}")):
+            abandon(request, self.stats)
         return request
 
     def _execute(self, request: ServedRequest, ticket):
@@ -376,18 +405,12 @@ class DbmsServer:
             # unexpected error (an unknown op kind, an engine bug): each must
             # land the request in "failed", or it stays "pending" forever and
             # the conservation identity breaks.
-            request.outcome = "failed"
-            request.error = detached(exc)
-            request.finished_at = self.env.now
-            self.stats.fail(request.kind)
+            request.settle(self.stats, self.env.now, "failed", exc)
             return request
         finally:
             if admission is self.admission:
                 admission.release(ticket)
-        request.rows = rows
-        request.outcome = "ok"
-        request.finished_at = self.env.now
-        self.stats.complete(request.kind, request.latency_us, rows)
+        request.settle(self.stats, self.env.now, "ok", rows=rows)
         return request
 
     def _dispatch(self, request: ServedRequest):
@@ -474,10 +497,7 @@ class DbmsServer:
             ticket = yield from admission.admit(0)
         except AdmissionRejected as exc:
             for request, completion in entries:
-                request.outcome = "shed"
-                request.error = detached(exc)
-                request.finished_at = self.env.now
-                self.stats.shed()
+                request.settle(self.stats, self.env.now, "shed", exc)
                 completion.succeed(request)
             return
         now = self.env.now
@@ -490,15 +510,10 @@ class DbmsServer:
                 if self.history is not None
                 else None
             )
-        unfinished = set(range(len(entries)))
 
         def finish(i: int, row) -> None:
             request, completion = entries[i]
-            unfinished.discard(i)
-            request.rows = 1 if row is not None else 0
-            request.outcome = "ok"
-            request.finished_at = self.env.now
-            self.stats.complete("lookup", request.latency_us, request.rows)
+            request.settle(self.stats, self.env.now, "ok", rows=1 if row is not None else 0)
             if hist_ids[i] is not None:
                 self.history.respond(hist_ids[i], row is not None)
             completion.succeed(request)
@@ -521,14 +536,10 @@ class DbmsServer:
             # accounts for every in-flight request at once (see _execute).
             raise
         except Exception as exc:
-            for i in sorted(unfinished):
-                request, completion = entries[i]
-                request.outcome = "failed"
-                request.error = detached(exc)
-                request.finished_at = self.env.now
-                self.stats.fail("lookup")
-                completion.succeed(request)
-            unfinished.clear()
+            for request, completion in entries:
+                if request.finished_at < 0:  # not yet resolved by finish()
+                    request.settle(self.stats, self.env.now, "failed", exc)
+                    completion.succeed(request)
         finally:
             if admission is self.admission:
                 admission.release(ticket)
@@ -553,13 +564,9 @@ class DbmsServer:
         """
         drained = 0
         for request in self.requests:
-            if request.finished_at >= 0:
-                continue  # ok / shed / failed: already terminal
-            request.outcome = "failed"
-            request.error = detached(error)
-            request.finished_at = self.env.now
-            self.stats.fail(request.kind)
-            drained += 1
+            if request.finished_at < 0:  # not yet ok / shed / failed
+                request.settle(self.stats, self.env.now, "failed", error)
+                drained += 1
         return drained
 
     def rebuild_substrate(self, resume_at: Optional[float] = None) -> None:

@@ -24,9 +24,13 @@ Routing semantics:
   counts in shard order.
 
 The router runs the same client/worker accounting protocol as a single
-server — its own :class:`~repro.serve.ServerStats` satisfies the
-conservation identity ``issued == completed + shed + failed + in_flight``
-at every instant — and every shard's stats plane does too, so the
+server — its requests end through the same
+:meth:`~repro.serve.ServedRequest.settle` and wait on deadlines through
+the same :func:`~repro.serve.server.within` and
+:func:`~repro.serve.server.abandon` — and its own
+:class:`~repro.serve.ServerStats` satisfies the conservation identity
+``issued == completed + shed + failed + in_flight`` at every instant —
+and every shard's stats plane does too, so the
 fleet-wide aggregate (:meth:`ShardRouter.fleet_stats`, a
 :meth:`~repro.serve.ServerStats.merge` across router and shards) is
 conserved by construction.  :meth:`check_conservation` asserts all of it
@@ -46,9 +50,9 @@ from typing import Optional
 import numpy as np
 
 from ..dbms.engine import MiniDbms
-from ..des import Environment, WaitTimeout, with_timeout
+from ..des import Environment, WaitTimeout
 from ..obs import MetricsRegistry
-from ..serve.server import DbmsServer, ServedRequest, detached
+from ..serve.server import DbmsServer, ServedRequest, abandon, within
 from ..serve.stats import ServerStats
 from ..workloads.ops import RangeFreshKeys
 from .planner import ShardPlan
@@ -154,18 +158,9 @@ class ShardRouter:
 
     def _client(self, request: ServedRequest):
         worker = self.env.process(self._route(request))
-        if self.deadline_us is None:
-            yield worker
-            return request
-        try:
-            yield with_timeout(
-                self.env, worker, self.deadline_us, detail=f"routed request {request.rid}"
-            )
-        except WaitTimeout:
-            request.timed_out = True
-            if request.outcome == "pending":
-                request.outcome = "timeout"
-            self.stats.timeout()
+        detail = f"routed request {request.rid}"
+        if not (yield from within(self.env, worker, self.deadline_us, detail)):
+            abandon(request, self.stats)
         return request
 
     def _residual_deadline(self, request: ServedRequest) -> Optional[float]:
@@ -192,10 +187,8 @@ class ShardRouter:
         elif kind == "scan":
             yield from self._scatter_gather(request)
         else:
-            request.outcome = "failed"
-            request.error = ValueError(f"unknown op kind {kind!r}")
-            request.finished_at = self.env.now
-            self.stats.fail(kind)
+            error = ValueError(f"unknown op kind {kind!r}")
+            request.settle(self.stats, self.env.now, "failed", error)
         return request
 
     def _forward(self, request: ServedRequest, target: int):
@@ -212,36 +205,16 @@ class ShardRouter:
         sub = shard.make_request(request.op, session=f"{request.session}@r{request.rid}")
         done = shard.submit(sub)
         residual = self._residual_deadline(request)
-        if residual is not None:
-            try:
-                yield with_timeout(
-                    self.env, done, residual, detail=f"forward {request.rid} to shard {target}"
-                )
-            except WaitTimeout:
-                self._fragment_timeouts.inc()
-                request.outcome = "failed"
-                request.error = WaitTimeout(
-                    residual, f"shard {target} missed the residual deadline"
-                )
-                request.finished_at = self.env.now
-                self.stats.fail(request.kind)
-                return request
-        else:
-            yield done
+        detail = f"forward {request.rid} to shard {target}"
+        if not (yield from within(self.env, done, residual, detail)):
+            self._fragment_timeouts.inc()
+            error = WaitTimeout(residual, f"shard {target} missed the residual deadline")
+            request.settle(self.stats, self.env.now, "failed", error)
+            return request
         request.op = sub.op  # materialized insert keys propagate back
-        request.finished_at = self.env.now
-        if sub.outcome == "ok":
-            request.rows = sub.rows
-            request.outcome = "ok"
-            self.stats.complete(request.kind, request.latency_us, request.rows)
-        elif sub.outcome == "shed":
-            request.outcome = "shed"
-            request.error = detached(sub.error)
-            self.stats.shed()
-        else:
-            request.outcome = "failed"
-            request.error = detached(sub.error)
-            self.stats.fail(request.kind)
+        # A shard owns no deadline, so its client event fires only once the
+        # sub-request has settled: its outcome is terminal.
+        request.settle(self.stats, self.env.now, sub.outcome, sub.error, sub.rows)
         return request
 
     def _scatter_gather(self, request: ServedRequest):
@@ -280,39 +253,28 @@ class ShardRouter:
         # Ordered merge: per-fragment row counts combine in shard order, so
         # the merged result is deterministic and reassembles the key order
         # a single-shard scan would have produced.
-        request.rows = sum(results[shard_id] for shard_id in sorted(results))
-        request.finished_at = self.env.now
+        rows = sum(results[shard_id] for shard_id in sorted(results))
         failed = [shard_id for shard_id in sorted(outcomes) if outcomes[shard_id] != "ok"]
-        if failed:
-            # Partial failure: the merged count is incomplete, so the op
-            # fails — but the fragments that did complete are still in
-            # request.rows and in their shards' stats (nothing is lost or
-            # double-counted in the conservation planes).
-            request.outcome = "failed"
-            request.error = WaitTimeout(
-                self.deadline_us,
-                f"scan fragments on shards {failed} did not complete in time",
-            ) if any(outcomes[s] == "timeout" for s in failed) else RuntimeError(
-                f"scan fragments on shards {failed} failed"
+        # A partial failure fails the op, but the fragments that did complete
+        # stay in request.rows and in their shards' stats (nothing is lost or
+        # double-counted in the conservation planes).
+        if not failed:
+            request.settle(self.stats, self.env.now, "ok", rows=rows)
+        elif any(outcomes[s] == "timeout" for s in failed):
+            error = WaitTimeout(
+                self.deadline_us, f"scan fragments on shards {failed} did not complete in time"
             )
-            self.stats.fail("scan")
+            request.settle(self.stats, self.env.now, "failed", error, rows)
         else:
-            request.outcome = "ok"
-            self.stats.complete("scan", request.latency_us, request.rows)
+            error = RuntimeError(f"scan fragments on shards {failed} failed")
+            request.settle(self.stats, self.env.now, "failed", error, rows)
         return request
 
     def _gather_fragment(self, request, shard_id, sub, done, results, outcomes):
         """Await one fragment under the residual deadline; record its fate."""
         residual = self._residual_deadline(request)
-        try:
-            if residual is not None:
-                yield with_timeout(
-                    self.env, done, residual,
-                    detail=f"fragment of request {request.rid} on shard {shard_id}",
-                )
-            else:
-                yield done
-        except WaitTimeout:
+        detail = f"fragment of request {request.rid} on shard {shard_id}"
+        if not (yield from within(self.env, done, residual, detail)):
             # Abandon the fragment: the shard still finishes it server-side
             # (and counts it completed); the gather records a timeout.
             self._fragment_timeouts.inc()

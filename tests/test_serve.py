@@ -12,6 +12,7 @@ from repro.serve import (
     DbmsServer,
     OpenLoopLoadGenerator,
 )
+from repro.serve.server import ServedRequest, abandon
 from repro.serve.stats import SERVE_LATENCY_BOUNDS_US, ServerStats
 from repro.storage.buffer import BufferPool, BufferPoolExhausted
 from repro.storage.config import StorageConfig
@@ -427,6 +428,90 @@ def test_stats_listener_sees_terminal_outcomes_only():
     stats.issue()
     stats.fail("insert")
     assert seen == [("scan", 2_000.0, True), ("insert", None, False)]
+
+
+# -- the request life cycle: settle and abandon ----------------------------------
+
+
+class RecordingStats(ServerStats):
+    """ServerStats that also logs each terminal recording call by name."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = []
+
+    def complete(self, kind, latency_us, rows=0):
+        self.calls.append(("complete", kind, latency_us, rows))
+        super().complete(kind, latency_us, rows)
+
+    def shed(self):
+        self.calls.append(("shed",))
+        super().shed()
+
+    def fail(self, kind):
+        self.calls.append(("fail", kind))
+        super().fail(kind)
+
+
+@pytest.mark.parametrize(
+    "outcome, call",
+    [
+        ("ok", ("complete", "scan", 250.0, 7)),
+        ("shed", ("shed",)),
+        ("failed", ("fail", "scan")),
+    ],
+)
+def test_settle_makes_one_stats_call_per_outcome(outcome, call):
+    stats = RecordingStats()
+    request = ServedRequest(rid=0, session="s", op=("scan", 1, 9), issued_at=50.0)
+    stats.issue()
+    error = RuntimeError("boom") if outcome != "ok" else None
+    request.settle(stats, 300.0, outcome, error, rows=7 if outcome == "ok" else 0)
+    assert stats.calls == [call]
+    assert request.outcome == outcome and request.finished_at == 300.0
+    assert request.error is error
+    assert stats.in_flight == 0 and _identity_holds(stats)
+
+
+def test_abandon_after_settle_keeps_the_terminal_outcome():
+    stats = ServerStats()
+    request = ServedRequest(rid=0, session="s", op=("lookup", 5))
+    stats.issue()
+    request.settle(stats, 400.0, "ok", rows=1)
+    abandon(request, stats)
+    assert request.outcome == "ok" and request.timed_out
+    assert stats.timeouts == 1 and stats.completed == 1 and _identity_holds(stats)
+
+
+def test_abandon_while_pending_reads_timeout_until_settled():
+    stats = ServerStats()
+    request = ServedRequest(rid=0, session="s", op=("lookup", 5))
+    stats.issue()
+    abandon(request, stats)
+    assert request.outcome == "timeout" and request.timed_out
+    assert stats.in_flight == 1 and _identity_holds(stats)
+    request.settle(stats, 900.0, "failed", RuntimeError("late"))
+    assert request.outcome == "failed" and request.timed_out
+    assert stats.failed == 1 and _identity_holds(stats)
+
+
+def test_second_settle_raises_and_counts_nothing():
+    stats = RecordingStats()
+    request = ServedRequest(rid=3, session="s", op=("insert", 11))
+    stats.issue()
+    request.settle(stats, 10.0, "ok", rows=1)
+    with pytest.raises(AssertionError, match="settled twice"):
+        request.settle(stats, 20.0, "failed", RuntimeError("again"))
+    assert len(stats.calls) == 1 and request.outcome == "ok"
+    assert stats.issued == stats.completed == 1 and _identity_holds(stats)
+
+
+def test_settle_rejects_a_non_terminal_outcome():
+    stats = RecordingStats()
+    request = ServedRequest(rid=0, session="s", op=("lookup", 5))
+    with pytest.raises(ValueError, match="timeout"):
+        request.settle(stats, 10.0, "timeout")
+    assert stats.calls == [] and request.finished_at < 0
 
 
 # -- one served traversal: per-page routing and scan prefetch under latches ----
