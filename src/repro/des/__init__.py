@@ -2,7 +2,7 @@
 
 from .control import WaitTimeout, first_success, with_timeout
 from .core import AllOf, AnyOf, Environment, Event, Process, SimulationError, Timeout
-from .resources import PriorityResource, PriorityStore, Request, Resource, Store
+from .resources import Request, Resource, Store
 
 __all__ = [
     "AllOf",
@@ -12,8 +12,6 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
-    "PriorityResource",
-    "PriorityStore",
     "Request",
     "Resource",
     "Store",

@@ -4,9 +4,6 @@ Provides the abstractions the storage, DBMS and serving simulators need:
 
 * :class:`Resource` — a counted resource (e.g. a disk's service slot or a
   pool of I/O server processes) with FIFO request queuing.
-* :class:`PriorityResource` — the same, but waiters are granted by
-  priority class (lower first) with FIFO fairness inside a class; the
-  serving layer's admission controller runs on it.
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``
   (used for request queues between producers and server processes).
 
@@ -16,13 +13,12 @@ to be yielded from a process.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Deque
 
 from .core import Environment, Event, SimulationError
 
-__all__ = ["Resource", "PriorityResource", "Request", "Store", "PriorityStore"]
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
@@ -104,63 +100,6 @@ class Resource:
             nxt.succeed()
 
 
-class PriorityResource(Resource):
-    """A resource whose waiters are granted by priority, not arrival order.
-
-    ``request(priority=...)`` claims a unit; among waiters, the smallest
-    priority wins, and ties break FIFO via a sequence number — so equal
-    priorities degrade to the plain :class:`Resource` fairness.  Requests
-    already *holding* the resource are never preempted.
-    """
-
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-        self._heap: list[tuple[Any, int, Request]] = []
-        self._seq = 0
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for the resource."""
-        return len(self._heap)
-
-    def request(self, priority: Any = 0) -> Request:
-        """Claim one unit; among waiters, the lowest priority is granted first."""
-        req = Request(self)
-        if len(self._users) < self.capacity and not self._heap:
-            self._users.add(req)
-            req.succeed()
-        else:
-            heapq.heappush(self._heap, (priority, self._seq, req))
-            self._seq += 1
-        return req
-
-    def release(self, request: Request) -> None:
-        """Return a granted unit (or abandon a queued claim), waking the best waiter."""
-        if request in self._users:
-            self._users.remove(request)
-        else:
-            before = len(self._heap)
-            self._heap = [entry for entry in self._heap if entry[2] is not request]
-            if len(self._heap) == before:
-                raise SimulationError("release() of a request not issued on this resource")
-            heapq.heapify(self._heap)
-            return
-        if self._heap and len(self._users) < self.capacity:
-            __, __, nxt = heapq.heappop(self._heap)
-            self._users.add(nxt)
-            nxt.succeed()
-
-    def set_capacity(self, capacity: int) -> None:
-        """Resize the resource; growth grants the best queued waiters."""
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        while self._heap and len(self._users) < self.capacity:
-            __, __, nxt = heapq.heappop(self._heap)
-            self._users.add(nxt)
-            nxt.succeed()
-
-
 class Store:
     """An unbounded FIFO buffer of items with blocking ``get``."""
 
@@ -188,46 +127,6 @@ class Store:
         event = Event(self.env)
         if self._items:
             event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-
-class PriorityStore(Store):
-    """A store that hands out the smallest item first.
-
-    Items must be mutually comparable; ties break FIFO via a sequence number.
-    """
-
-    def __init__(self, env: Environment, key: Optional[Callable[[Any], Any]] = None) -> None:
-        super().__init__(env)
-        self._key = key if key is not None else (lambda item: item)
-        self._seq = 0
-        self._heap: list[tuple[Any, int, Any]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def put(self, item: Any) -> Event:
-        import heapq
-
-        event = Event(self.env)
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            heapq.heappush(self._heap, (self._key(item), self._seq, item))
-            self._seq += 1
-        event.succeed()
-        return event
-
-    def get(self) -> Event:
-        import heapq
-
-        event = Event(self.env)
-        if self._heap:
-            __, __, item = heapq.heappop(self._heap)
-            event.succeed(item)
         else:
             self._getters.append(event)
         return event

@@ -288,18 +288,21 @@ def bind_counters(obj, registry: MetricsRegistry, prefix: str, names: Iterable[s
     """Expose ``obj``'s plain counter attributes ``names`` as registry counters.
 
     Each ``prefix + name`` becomes a :class:`BoundCounter` reading
-    ``obj.<name>``, which this sets to the name's running total (0 for a
-    new name).  A name already bound to another owner is rebound in place:
-    the total carries over to ``obj`` and the old owner is detached.
+    ``obj.<name>`` (dots in ``name`` read as underscores:
+    ``"breaker.fast_fails"`` is ``obj.breaker_fast_fails``), which this sets
+    to the name's running total (0 for a new name).  A name already bound to
+    another owner is rebound in place: the total carries over to ``obj`` and
+    the old owner is detached.
     """
     for name in names:
         full = prefix + name
+        attr = name.replace(".", "_")
         metric = registry._metrics.get(full)
         if metric is not None and not isinstance(metric, Counter):
             raise TypeError(f"metric {full!r} is a {type(metric).__name__}, not a Counter")
-        setattr(obj, name, 0 if metric is None else metric.value)
+        setattr(obj, attr, 0 if metric is None else metric.value)
         if isinstance(metric, BoundCounter):
             metric.owner = obj
         else:
             # New, or a plain counter made before any owner: view it from here.
-            registry._metrics[full] = BoundCounter(full, obj, name)
+            registry._metrics[full] = BoundCounter(full, obj, attr)

@@ -159,7 +159,7 @@ def _serve_cell(spec: ScenarioSpec, rate: int) -> dict:
         offered_ops_s=rate,
         issued=stats.issued,
         completed=stats.completed,
-        shed=stats.shed_count,
+        shed=stats.shed,
         timeouts=stats.timeouts,
         throughput_ops_s=round(stats.throughput_ops_s(server.env.now), 1),
         p50_ms=_ms(percentiles["p50"]),
@@ -214,7 +214,7 @@ def _shard_cell(spec: ScenarioSpec, rate: int) -> dict:
     # genuinely in flight, not just after the drain.
     router.run(until=spec.duration_s * 1e6 / 2)
     router.check_conservation()
-    probe_in_flight = router.fleet_stats().in_flight
+    probe_in_flight = router.fleet_stats().in_flight.value
     router.run()
     router.check_conservation()
     stats = router.stats
@@ -225,7 +225,7 @@ def _shard_cell(spec: ScenarioSpec, rate: int) -> dict:
         offered_ops_s=rate,
         issued=stats.issued,
         completed=stats.completed,
-        shed=stats.shed_count,
+        shed=stats.shed,
         failed=stats.failed,
         timeouts=stats.timeouts,
         lookup_tput_ops_s=_lookup_rate(stats, router.env.now),

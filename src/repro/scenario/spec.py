@@ -24,11 +24,11 @@ from dataclasses import dataclass, fields
 from typing import Any, Optional, Sequence
 
 from ..btree.cc import CONCURRENCY_MODES
+from ..serve import ADMISSION_MODES
 
 __all__ = ["ScenarioSpec", "ScenarioError", "PAPER_SCALE_ROWS", "MIN_PAPER_DEADLINE_MS"]
 
 RUNNERS = ("serve", "chaos", "shard", "concurrency")
-ADMISSION_MODES = ("fifo", "batch")
 DISTRIBUTIONS = ("uniform", "zipf")
 PLACEMENTS = ("equal_width", "optimized")
 

@@ -3,20 +3,24 @@
 The pieces, bottom-up:
 
 * :class:`~repro.serve.admission.AdmissionController` — token-based
-  concurrency limit with a bounded, shed-on-overflow wait queue (FIFO or
-  priority) and queue-time accounting.
+  concurrency limit with a bounded, shed-on-overflow FIFO wait queue and
+  queue-time accounting.
 * :class:`~repro.serve.server.DbmsServer` — one shared DES substrate
   (environment, disk array, buffer pool, page reader) executing client
   lookups / range scans / inserts as concurrent processes, with per-query
-  deadlines.
-* :class:`~repro.serve.loadgen.OpenLoopLoadGenerator` /
-  :class:`~repro.serve.loadgen.ClosedLoopLoadGenerator` — seeded traffic.
+  deadlines; :data:`ADMISSION_MODES` names its admission modes, ``"fifo"``
+  and ``"batch"`` (point lookups grouped into batches).
+* :class:`~repro.serve.loadgen.OpenLoopLoadGenerator` — seeded Poisson
+  traffic.
 * :class:`~repro.serve.stats.ServerStats` — latency percentiles,
   throughput, shed/timeout counts, and the conservation identity
-  ``issued == completed + shed + failed + in_flight``.
+  ``issued == completed + shed + failed + in_flight``.  Its counters, like
+  the admission controller's and the shard router's, are plain attributes
+  bound into the metrics registry (:func:`~repro.obs.bind_counters`).
 * :mod:`~repro.serve.resilience` — client-side retries with backoff, a
   per-server circuit breaker, the brownout degradation ladder, and the
-  :class:`~repro.serve.resilience.ChaosRunner` crash-under-load harness.
+  :class:`~repro.serve.resilience.ChaosRunner` crash-under-load harness,
+  whose sessions are the closed-loop clients (think, issue, wait).
 
 Everything is DES-driven and seeded: a serving run is a pure function of
 its configuration, so latency percentiles are exactly reproducible — even
@@ -24,7 +28,7 @@ through injected faults and a mid-run crash.
 """
 
 from .admission import AdmissionController, AdmissionRejected, AdmissionTicket
-from .loadgen import ClosedLoopLoadGenerator, OpenLoopLoadGenerator
+from .loadgen import OpenLoopLoadGenerator
 from .resilience import (
     BreakerConfig,
     BreakerState,
@@ -34,10 +38,11 @@ from .resilience import (
     CircuitBreaker,
     ClientRetryPolicy,
 )
-from .server import BrownoutRejected, DbmsServer, ServedRequest
+from .server import ADMISSION_MODES, BrownoutRejected, DbmsServer, ServedRequest
 from .stats import OP_KINDS, SERVE_LATENCY_BOUNDS_US, ServerStats
 
 __all__ = [
+    "ADMISSION_MODES",
     "AdmissionController",
     "AdmissionRejected",
     "AdmissionTicket",
@@ -49,7 +54,6 @@ __all__ = [
     "ChaosRunner",
     "CircuitBreaker",
     "ClientRetryPolicy",
-    "ClosedLoopLoadGenerator",
     "OpenLoopLoadGenerator",
     "DbmsServer",
     "ServedRequest",

@@ -4,18 +4,20 @@ The :class:`AdmissionController` gates every request between arrival and
 execution with two knobs:
 
 * a **token pool** of ``max_concurrency`` service slots (a DES
-  :class:`~repro.des.Resource`, or :class:`~repro.des.PriorityResource`
-  in priority mode), bounding how many operations contend for the buffer
-  pool and spindles at once, and
-* a **bounded wait queue**: a request arriving when all tokens are busy
-  waits in the resource's queue, but only ``max_queue_depth`` waiters are
-  tolerated — past the bound the request is **shed** immediately with
-  :class:`AdmissionRejected` rather than queued into unbounded latency.
+  :class:`~repro.des.Resource`), bounding how many operations contend for
+  the buffer pool and spindles at once, and
+* a **bounded FIFO wait queue**: a request arriving when all tokens are
+  busy waits in the resource's queue, granted in arrival order, but only
+  ``max_queue_depth`` waiters are tolerated — past the bound the request
+  is **shed** immediately with :class:`AdmissionRejected` rather than
+  queued into unbounded latency.
 
-Queue time is accounted per request (``admission.queue_wait_us``
-histogram) so latency percentiles can be decomposed into waiting vs
-service.  Everything is observational and deterministic: admitting never
-advances the DES clock by itself.
+The ``admitted`` / ``shed`` / ``queued`` counters are plain attributes
+bound into the registry as ``admission.*``; a crash rebuild's fresh
+controller continues their totals.  Queue time is accounted per request
+(``admission.queue_wait_us`` histogram) so latency percentiles can be
+decomposed into waiting vs service.  Everything is observational and
+deterministic: admitting never advances the DES clock by itself.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..des import Environment, PriorityResource, Request as ResourceRequest, Resource
-from ..obs import MetricsRegistry
+from ..des import Environment, Request as ResourceRequest, Resource
+from ..obs import MetricsRegistry, bind_counters
 
 __all__ = ["AdmissionController", "AdmissionRejected", "AdmissionTicket"]
 
@@ -51,7 +53,6 @@ class AdmissionTicket:
     grant: ResourceRequest
     enqueued_at: float
     granted_at: float
-    priority: int = 0
 
     @property
     def queue_wait_us(self) -> float:
@@ -59,45 +60,30 @@ class AdmissionTicket:
 
 
 class AdmissionController:
-    """Token-based concurrency limit with a bounded, shed-on-overflow queue.
-
-    ``mode`` selects the waiter ordering: ``"fifo"`` (default) grants in
-    arrival order; ``"priority"`` grants the lowest ``priority`` value
-    first (FIFO within a class), for serving mixes where e.g. point
-    lookups outrank bulk scans.
-    """
+    """Token-based concurrency limit with a bounded, shed-on-overflow queue."""
 
     def __init__(
         self,
         env: Environment,
         max_concurrency: int = 16,
         max_queue_depth: int = 64,
-        mode: str = "fifo",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         if max_queue_depth < 0:
             raise ValueError(f"max_queue_depth must be >= 0, got {max_queue_depth}")
-        if mode not in ("fifo", "priority"):
-            raise ValueError(f"mode must be 'fifo' or 'priority', got {mode!r}")
         self.env = env
         self.max_concurrency = max_concurrency
         self.max_queue_depth = max_queue_depth
-        self.mode = mode
-        if mode == "priority":
-            self._resource: Resource = PriorityResource(env, capacity=max_concurrency)
-        else:
-            self._resource = Resource(env, capacity=max_concurrency)
+        self._resource = Resource(env, capacity=max_concurrency)
         #: The configured pool size; :meth:`resize` moves ``max_concurrency``
         #: while this stays the brownout ladder's step-up target.
         self.base_concurrency = max_concurrency
         metrics = metrics if metrics is not None else MetricsRegistry()
         self._capacity_gauge = metrics.gauge("admission.capacity")
         self._capacity_gauge.set(max_concurrency)
-        self._admitted = metrics.counter("admission.admitted")
-        self._shed = metrics.counter("admission.shed")
-        self._queued = metrics.counter("admission.queued")
+        bind_counters(self, metrics, "admission.", ("admitted", "shed", "queued"))
         self._depth_gauge = metrics.gauge("admission.queue_depth")
         self._in_service_gauge = metrics.gauge("admission.in_service")
         self._queue_wait = metrics.histogram(
@@ -116,17 +102,9 @@ class AdmissionController:
         """Requests waiting for a token."""
         return self._resource.queue_length
 
-    @property
-    def shed_count(self) -> int:
-        return int(self._shed.value)
-
-    @property
-    def admitted_count(self) -> int:
-        return int(self._admitted.value)
-
     # -- the gate ----------------------------------------------------------
 
-    def admit(self, priority: int = 0):
+    def admit(self):
         """Process generator: wait for a service token (or be shed).
 
         Returns an :class:`AdmissionTicket` once granted; raises
@@ -137,26 +115,23 @@ class AdmissionController:
         if self._resource.queue_length >= self.max_queue_depth and (
             self._resource.count >= self.max_concurrency
         ):
-            self._shed.inc()
+            self.shed += 1
             raise AdmissionRejected(self._resource.queue_length, self.max_queue_depth)
         enqueued_at = self.env.now
-        if self.mode == "priority":
-            grant = self._resource.request(priority)
-        else:
-            grant = self._resource.request()
+        grant = self._resource.request()
         if not grant.triggered:
-            self._queued.inc()
+            self.queued += 1
         self._depth_gauge.set(self._resource.queue_length)
         yield grant
         granted_at = self.env.now
-        self._admitted.inc()
+        self.admitted += 1
         self._depth_gauge.set(self._resource.queue_length)
         self._in_service_gauge.set(self._resource.count)
         self._queue_wait.record(granted_at - enqueued_at)
-        return AdmissionTicket(grant, enqueued_at, granted_at, priority)
+        return AdmissionTicket(grant, enqueued_at, granted_at)
 
     def release(self, ticket: AdmissionTicket) -> None:
-        """Return a ticket's token, waking the best waiter (if any)."""
+        """Return a ticket's token, waking the next waiter (if any)."""
         self._resource.release(ticket.grant)
         self._in_service_gauge.set(self._resource.count)
         self._depth_gauge.set(self._resource.queue_length)

@@ -1,20 +1,15 @@
-"""Open- and closed-loop load generators for the serving layer.
+"""The open-loop load generator for the serving layer.
 
-Two canonical client models, both seeded and fully deterministic:
+:class:`OpenLoopLoadGenerator` issues requests on a Poisson process at a
+fixed *offered* rate, regardless of completions (the "users keep clicking"
+model).  Offered load above the service capacity makes the admission
+queue grow to its bound and shed — the right-hand side of the
+throughput/latency hockey-stick.  The closed-loop client model (think,
+issue, wait for the reply) is :class:`~repro.serve.resilience.ChaosRunner`'s
+sessions.
 
-* :class:`OpenLoopLoadGenerator` — requests arrive on a Poisson process at
-  a fixed *offered* rate, regardless of completions (the "users keep
-  clicking" model).  Offered load above the service capacity makes the
-  admission queue grow to its bound and shed — the right-hand side of the
-  throughput/latency hockey-stick.
-* :class:`ClosedLoopLoadGenerator` — N client sessions, each a DES process
-  looping *think -> issue -> wait for completion*.  Concurrency is capped
-  by construction, so offered load self-throttles to completions — the
-  classic interactive-terminal model.
-
-Both draw operations from per-session
-:class:`~repro.workloads.ops.MixedOpStream` instances (independent seeded
-sequences), and both leave every number in the server's
+Operations come from a seeded :class:`~repro.workloads.ops.MixedOpStream`,
+so a run is fully deterministic, and every number lands in the server's
 :class:`~repro.serve.stats.ServerStats`.
 """
 
@@ -27,7 +22,7 @@ from typing import Optional, Union
 from ..workloads.ops import KeyDistribution, MixedOpStream, OpMix
 from .server import DbmsServer
 
-__all__ = ["OpenLoopLoadGenerator", "ClosedLoopLoadGenerator"]
+__all__ = ["OpenLoopLoadGenerator"]
 
 
 class OpenLoopLoadGenerator:
@@ -113,62 +108,6 @@ class OpenLoopLoadGenerator:
         Passing a time freezes the run mid-traffic — useful for sampling
         the conservation identity with requests genuinely in flight.
         """
-        self.start()
-        self.server.env.run(until=until)
-        return self.server.stats
-
-
-class ClosedLoopLoadGenerator:
-    """N looping client sessions: think, issue, wait for the reply."""
-
-    def __init__(
-        self,
-        server: DbmsServer,
-        clients: int,
-        ops_per_client: int,
-        think_time_us: float = 10_000.0,
-        mix: Optional[OpMix] = None,
-        seed: int = 0,
-        distribution: Union[None, str, KeyDistribution] = None,
-    ) -> None:
-        if clients < 1:
-            raise ValueError(f"clients must be >= 1, got {clients}")
-        if ops_per_client < 1:
-            raise ValueError(f"ops_per_client must be >= 1, got {ops_per_client}")
-        if think_time_us < 0:
-            raise ValueError(f"think_time_us must be >= 0, got {think_time_us}")
-        self.server = server
-        self.clients = clients
-        self.ops_per_client = ops_per_client
-        self.think_time_us = think_time_us
-        self.mix = mix if mix is not None else OpMix()
-        self.seed = seed
-        self.distribution = distribution
-
-    def _session(self, client_id: int):
-        env = self.server.env
-        rng = random.Random((self.seed << 16) ^ (client_id * 0x9E3779B1) ^ 0xC105ED)
-        stream = MixedOpStream(
-            self.server.workload_keys, self.mix,
-            seed=(self.seed << 8) + client_id,
-            distribution=self.distribution,
-        )
-        name = f"client-{client_id}"
-        for __ in range(self.ops_per_client):
-            if self.think_time_us:
-                yield env.timeout(rng.expovariate(1.0) * self.think_time_us)
-            request = self.server.make_request(stream.next_op(), session=name)
-            yield self.server.submit(request)  # closed loop: wait for the reply
-
-    def start(self):
-        """Spawn every client session; returns their process events."""
-        return [
-            self.server.env.process(self._session(client_id))
-            for client_id in range(self.clients)
-        ]
-
-    def run(self, until=None):
-        """Start all sessions and run the simulation (drains by default)."""
         self.start()
         self.server.env.run(until=until)
         return self.server.stats

@@ -176,7 +176,8 @@ class CircuitBreaker:
         self.transitions.append((self._clock(), self.state, to))
         self.state = to
         if self.stats is not None:
-            self.stats.breaker_transition(BreakerState.CODES[to])
+            self.stats.breaker_transitions += 1
+            self.stats.breaker_state.set(BreakerState.CODES[to])
 
     # -- the client-facing gate -------------------------------------------
 
@@ -353,7 +354,12 @@ class BrownoutController:
         self.level = level
         self.max_level = max(self.max_level, level)
         self.history.append((self.server.env.now, level))
-        self.server.stats.brownout_step(level, down=down)
+        stats = self.server.stats
+        if down:
+            stats.brownout_steps_down += 1
+        else:
+            stats.brownout_steps_up += 1
+        stats.brownout_level.set(level)
         self._apply()
 
     def _apply(self) -> None:
@@ -514,13 +520,11 @@ class ChaosRunner:
             attempt = 0
             while True:
                 if self.breaker is not None and not self.breaker.allow():
-                    server.stats.breaker_fast_fail()
+                    server.stats.breaker_fast_fails += 1
                     state.fast_fails += 1
                     ok = False
                 else:
-                    request = server.make_request(
-                        op, session=name, priority=1 if op[0] == "insert" else 0
-                    )
+                    request = server.make_request(op, session=name)
                     yield server.submit(request)
                     ok = request.outcome == "ok"
                     if self.breaker is not None:
@@ -540,7 +544,7 @@ class ChaosRunner:
                     break
                 attempt += 1
                 state.retries += 1
-                server.stats.client_retry()
+                server.stats.client_retries += 1
                 delay = self.retry.backoff_delay_us(attempt, rng)
                 if self.breaker is not None:
                     # Honor the breaker's retry-after hint: an attempt spent
@@ -555,7 +559,7 @@ class ChaosRunner:
         server = self.server
         crash_time = server.env.now
         drained = server.fail_unfinished(crash)
-        server.stats.crash()
+        server.stats.crashes += 1
         if self.breaker is not None:
             # Clients observe the connection die: protect the recovering
             # server from an immediate thundering herd.
@@ -569,19 +573,18 @@ class ChaosRunner:
         # The rebuilt substrate resumes after the simulated recovery
         # downtime, on a monotonic clock.
         server.rebuild_substrate(resume_at=crash_time + recovery.recovery_us)
-        server.stats.recovery()
+        server.stats.recoveries += 1
         # Scrub the recovered tree before resuming traffic — every
         # recovery, not just in tests.  A violation is a durability bug
         # (recovery produced a broken tree) and gets its own counter, but
         # the run continues so the report still lands.
         scrub_ok = True
+        server.stats.scrubs += 1
         try:
             scrub_tree(self.db.index)
         except IndexCorruptionError:
             scrub_ok = False
-            server.stats.scrub_violation()
-        else:
-            server.stats.scrub_pass()
+            server.stats.scrub_violations += 1
         self.crash_log.append(
             {
                 "at_us": round(crash_time, 3),
@@ -643,9 +646,9 @@ class ChaosRunner:
             "issued": stats.issued,
             "completed": stats.completed,
             "failed": stats.failed,
-            "shed": stats.shed_count,
+            "shed": stats.shed,
             "timeouts": stats.timeouts,
-            "in_flight": stats.in_flight,
+            "in_flight": stats.in_flight.value,
             "conserved": stats.conserved(),
             "crashes": stats.crashes,
             "crash_log": self.crash_log,

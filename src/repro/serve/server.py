@@ -44,7 +44,19 @@ from .admission import AdmissionRejected
 from .stats import ServerStats
 from .substrate import build_serving_substrate
 
-__all__ = ["BrownoutRejected", "DbmsServer", "ServedRequest", "abandon", "detached", "within"]
+__all__ = [
+    "ADMISSION_MODES",
+    "BrownoutRejected",
+    "DbmsServer",
+    "ServedRequest",
+    "abandon",
+    "detached",
+    "within",
+]
+
+#: How a server admits requests: one FIFO token queue, or FIFO with point
+#: lookups grouped into batches first.
+ADMISSION_MODES: tuple[str, ...] = ("fifo", "batch")
 
 
 def detached(error: BaseException) -> BaseException:
@@ -78,7 +90,6 @@ class ServedRequest:
     rid: int
     session: str
     op: tuple
-    priority: int = 0
     issued_at: float = 0.0
     admitted_at: float = -1.0
     finished_at: float = -1.0
@@ -106,9 +117,9 @@ class ServedRequest:
         """The one place a served request ends.
 
         Stamps ``outcome`` ("ok", "shed" or "failed"), ``finished_at``,
-        ``rows`` and the detached ``error``, then makes the one matching
-        ``stats`` call.  A second settle would double-count the
-        conservation identity, so it asserts.
+        ``rows`` and the detached ``error``, then makes the one terminal
+        :meth:`ServerStats.settle` call.  A second settle would double-count
+        the conservation identity, so it asserts.
         """
         assert self.finished_at < 0, f"request {self.rid} settled twice"
         if outcome not in ("ok", "shed", "failed"):
@@ -118,12 +129,7 @@ class ServedRequest:
         self.rows = rows
         if error is not None:
             self.error = detached(error)
-        if outcome == "ok":
-            stats.complete(self.kind, self.latency_us, rows)
-        elif outcome == "shed":
-            stats.shed()
-        else:
-            stats.fail(self.kind)
+        stats.settle(self.kind, outcome, self.latency_us, rows)
 
 
 def within(env: Environment, event: Event, budget_us: Optional[float], detail: str):
@@ -151,7 +157,7 @@ def abandon(request: ServedRequest, stats: ServerStats) -> None:
     request.timed_out = True
     if request.outcome == "pending":
         request.outcome = "timeout"
-    stats.timeout()
+    stats.timeouts += 1
 
 
 @dataclass
@@ -171,9 +177,8 @@ class DbmsServer:
     table, so concurrent clients genuinely contend for frames and
     spindles); ``max_concurrency``/``queue_depth`` configure admission;
     ``deadline_us`` arms a per-query client deadline.  ``admission_mode``
-    is ``"fifo"``, ``"priority"`` (requests then carry a priority class),
-    or ``"batch"``: point lookups are collected into size- and
-    deadline-bounded batches (``batch_max`` / ``batch_window_us``) and
+    is ``"fifo"`` or ``"batch"``: point lookups are collected into size-
+    and deadline-bounded batches (``batch_max`` / ``batch_window_us``) and
     executed level-wise through
     :meth:`~repro.dbms.engine.MiniDbms.serve_lookup_batch` — one
     admission token, one prefetch wave per tree level, per-op latency
@@ -203,8 +208,9 @@ class DbmsServer:
         env: Optional[Environment] = None,
         fresh_keys: Optional[FreshKeys] = None,
     ) -> None:
-        if admission_mode not in ("fifo", "priority", "batch"):
-            raise ValueError(f"unknown admission mode {admission_mode!r}")
+        if admission_mode not in ADMISSION_MODES:
+            modes = ", ".join(ADMISSION_MODES)
+            raise ValueError(f"unknown admission mode {admission_mode!r}; pick one of {modes}")
         if batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         if batch_window_us <= 0:
@@ -225,7 +231,6 @@ class DbmsServer:
         self.injector = FaultInjector(fault_plan) if fault_plan is not None else None
         self._max_concurrency = max_concurrency
         self._queue_depth = queue_depth
-        self._admission_mode = admission_mode
         #: Batch admission: lookups are grouped; the queue itself is FIFO.
         self.batching = admission_mode == "batch"
         self.batch_window_us = batch_window_us
@@ -294,7 +299,6 @@ class DbmsServer:
             seed=self._seed,
             max_concurrency=self._max_concurrency,
             queue_depth=self._queue_depth,
-            admission_mode="fifo" if self.batching else self._admission_mode,
             metrics=self.obs.metrics,
         )
         self.env = substrate.env
@@ -337,8 +341,8 @@ class DbmsServer:
 
     # -- request construction / submission ---------------------------------
 
-    def make_request(self, op: tuple, session: str = "client", priority: int = 0) -> ServedRequest:
-        request = ServedRequest(rid=self._next_rid, session=session, op=op, priority=priority)
+    def make_request(self, op: tuple, session: str = "client") -> ServedRequest:
+        request = ServedRequest(rid=self._next_rid, session=session, op=op)
         self._next_rid += 1
         return request
 
@@ -360,9 +364,9 @@ class DbmsServer:
             # Brownout ladder level >= 3: background inserts are shed
             # before admission so foreground reads keep the tokens.
             request.settle(
-                self.stats, self.env.now, "shed", BrownoutRejected(self.stats.brownout_level)
+                self.stats, self.env.now, "shed", BrownoutRejected(self.stats.brownout_level.value)
             )
-            self.stats.brownout_rejection()
+            self.stats.brownout_rejected += 1
             return request
         if self.batching and request.kind == "lookup":
             # A batched op's deadline runs from *issue*, batch window wait
@@ -370,7 +374,7 @@ class DbmsServer:
             done = self._join_lookup_batch(request)
         else:
             try:
-                ticket = yield from self.admission.admit(request.priority)
+                ticket = yield from self.admission.admit()
             except AdmissionRejected as exc:
                 request.settle(self.stats, self.env.now, "shed", exc)
                 return request
@@ -486,7 +490,8 @@ class DbmsServer:
         batch.closed = True
         if self._open_batch is batch:
             self._open_batch = None
-        self.stats.batch_closed(len(batch.entries))
+        self.stats.batches += 1
+        self.stats.batched_ops += len(batch.entries)
         self.env.process(self._batch_runner(batch))
 
     def _batch_runner(self, batch: _LookupBatch):
@@ -494,7 +499,7 @@ class DbmsServer:
         admission = self.admission
         entries = batch.entries
         try:
-            ticket = yield from admission.admit(0)
+            ticket = yield from admission.admit()
         except AdmissionRejected as exc:
             for request, completion in entries:
                 request.settle(self.stats, self.env.now, "shed", exc)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..obs import Histogram, MetricsRegistry
+from ..obs import Histogram, MetricsRegistry, bind_counters
 
 __all__ = ["ServerStats", "OP_KINDS", "SERVE_LATENCY_BOUNDS_US"]
 
@@ -48,17 +48,38 @@ PERCENTILES: tuple[tuple[str, float], ...] = (
 
 
 class ServerStats:
-    """Counters, gauges and latency histograms for one serving run."""
+    """Counters, gauges and latency histograms for one serving run.
+
+    Counters are plain attributes (``stats.crashes += 1``) bound into the
+    registry with :func:`~repro.obs.bind_counters`, so ``serve.crashes``
+    reads ``stats.crashes`` and ``serve.breaker.fast_fails`` reads
+    ``stats.breaker_fast_fails``.  The gauges ``in_flight``,
+    ``breaker_state`` and ``brownout_level`` are :class:`~repro.obs.Gauge`
+    handles (they also track a max).
+    """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._issued = self.metrics.counter("serve.issued")
-        self._completed = self.metrics.counter("serve.completed")
-        self._shed = self.metrics.counter("serve.shed")
-        self._failed = self.metrics.counter("serve.failed")
-        self._timeouts = self.metrics.counter("serve.timeouts")
-        self._in_flight = self.metrics.gauge("serve.in_flight")
-        self._rows = self.metrics.counter("serve.rows_returned")
+        bind_counters(
+            self, self.metrics, "serve.",
+            (
+                "issued", "completed", "shed", "failed", "timeouts", "rows_returned",
+                # Batch admission plane: closed batches and the ops they carried.
+                # Each batched op is still issued and settled on its own, so
+                # these only attribute how the ops were executed.
+                "batches", "batched_ops",
+                # Resilience plane: client retries, circuit breaker, brownout
+                # (a rejected op is also shed), crashes and post-recovery scrubs
+                # (a violation is a durability bug, not a failed request).
+                "client_retries", "breaker.fast_fails", "breaker.transitions",
+                "brownout.steps_down", "brownout.steps_up", "brownout.rejected",
+                "crashes", "recoveries", "scrubs", "scrub_violations",
+            ),
+        )
+        self.in_flight = self.metrics.gauge("serve.in_flight")
+        #: 0 closed, 1 open, 2 half-open.
+        self.breaker_state = self.metrics.gauge("serve.breaker.state")
+        self.brownout_level = self.metrics.gauge("serve.brownout.level")
         self._latency: dict[str, Histogram] = {
             kind: self.metrics.histogram(
                 f"serve.latency_us.{kind}", bounds=SERVE_LATENCY_BOUNDS_US
@@ -68,22 +89,6 @@ class ServerStats:
         self._latency_all = self.metrics.histogram(
             "serve.latency_us.all", bounds=SERVE_LATENCY_BOUNDS_US
         )
-        # Batch admission plane: closed batches and the ops they carried.
-        self._batches = self.metrics.counter("serve.batches")
-        self._batched_ops = self.metrics.counter("serve.batched_ops")
-        # Resilience plane: client retries, circuit breaker, brownout, crashes.
-        self._client_retries = self.metrics.counter("serve.client_retries")
-        self._breaker_fast_fails = self.metrics.counter("serve.breaker.fast_fails")
-        self._breaker_transitions = self.metrics.counter("serve.breaker.transitions")
-        self._breaker_state = self.metrics.gauge("serve.breaker.state")
-        self._brownout_level = self.metrics.gauge("serve.brownout.level")
-        self._brownout_steps_down = self.metrics.counter("serve.brownout.steps_down")
-        self._brownout_steps_up = self.metrics.counter("serve.brownout.steps_up")
-        self._brownout_rejected = self.metrics.counter("serve.brownout.rejected")
-        self._crashes = self.metrics.counter("serve.crashes")
-        self._recoveries = self.metrics.counter("serve.recoveries")
-        self._scrubs = self.metrics.counter("serve.scrubs")
-        self._scrub_violations = self.metrics.counter("serve.scrub_violations")
         #: Outcome listeners (the brownout SLO monitor registers here): each
         #: is called as ``listener(kind, latency_us, ok)`` on every terminal
         #: server-side outcome — completions with their latency, failures
@@ -93,90 +98,33 @@ class ServerStats:
     # -- recording (called by the server) ----------------------------------
 
     def issue(self) -> None:
-        self._issued.inc()
-        self._in_flight.inc()
+        self.issued += 1
+        self.in_flight.inc()
 
-    def shed(self) -> None:
-        self._shed.inc()
-        self._in_flight.inc(-1)
+    def settle(self, kind: str, outcome: str, latency_us: float, rows: int = 0) -> None:
+        """Account one request's terminal ``outcome``: "ok", "shed" or "failed".
 
-    def timeout(self) -> None:
-        """The client abandoned the op; the server is still running it."""
-        self._timeouts.inc()
-
-    def complete(self, kind: str, latency_us: float, rows: int = 0) -> None:
-        self._completed.inc()
-        self._in_flight.inc(-1)
-        self._rows.inc(rows)
-        hist = self._latency.get(kind)
-        if hist is not None:
-            hist.record(latency_us)
-        self._latency_all.record(latency_us)
+        The one terminal call, made by
+        :meth:`~repro.serve.server.ServedRequest.settle`.  A completion
+        records its latency and rows; listeners see completions and
+        failures, not sheds.
+        """
+        self.in_flight.inc(-1)
+        if outcome == "shed":
+            self.shed += 1
+            return
+        ok = outcome == "ok"
+        if ok:
+            self.completed += 1
+            self.rows_returned += rows
+            hist = self._latency.get(kind)
+            if hist is not None:
+                hist.record(latency_us)
+            self._latency_all.record(latency_us)
+        else:
+            self.failed += 1
         for listener in self.listeners:
-            listener(kind, latency_us, True)
-
-    def batch_closed(self, size: int) -> None:
-        """A lookup batch closed (window expired or ``batch_max`` reached).
-
-        Each batched op is still issued/completed individually — batching
-        shares I/O and admission, never the accounting — so this counter
-        only attributes how the ops were executed.
-        """
-        self._batches.inc()
-        self._batched_ops.inc(size)
-
-    def fail(self, kind: str) -> None:
-        self._failed.inc()
-        self._in_flight.inc(-1)
-        for listener in self.listeners:
-            listener(kind, None, False)
-
-    # -- recording (resilience plane) --------------------------------------
-
-    def client_retry(self) -> None:
-        """A client re-submitted a failed/shed/timed-out operation."""
-        self._client_retries.inc()
-
-    def breaker_fast_fail(self) -> None:
-        """An open circuit breaker rejected an op before it was issued."""
-        self._breaker_fast_fails.inc()
-
-    def breaker_transition(self, state_code: int) -> None:
-        """The breaker changed state (0 closed, 1 open, 2 half-open)."""
-        self._breaker_transitions.inc()
-        self._breaker_state.set(state_code)
-
-    def brownout_step(self, level: int, down: bool) -> None:
-        """The degradation ladder moved to ``level`` (down = degrading)."""
-        (self._brownout_steps_down if down else self._brownout_steps_up).inc()
-        self._brownout_level.set(level)
-
-    def brownout_rejection(self) -> None:
-        """A background op was rejected by the degradation ladder.
-
-        The op is also recorded through :meth:`shed`, which keeps the
-        conservation identity; this counter just attributes the shed.
-        """
-        self._brownout_rejected.inc()
-
-    def crash(self) -> None:
-        self._crashes.inc()
-
-    def recovery(self) -> None:
-        self._recoveries.inc()
-
-    def scrub_pass(self) -> None:
-        """A post-recovery structural scrub ran and found the tree sound."""
-        self._scrubs.inc()
-
-    def scrub_violation(self) -> None:
-        """A post-recovery scrub found structural corruption.
-
-        Distinct from :meth:`fail`: a scrub violation means recovery itself
-        produced a broken tree — a durability bug, not a failed request.
-        """
-        self._scrubs.inc()
-        self._scrub_violations.inc()
+            listener(kind, latency_us if ok else None, ok)
 
     # -- aggregation -------------------------------------------------------
 
@@ -202,89 +150,9 @@ class ServerStats:
 
     # -- reading -----------------------------------------------------------
 
-    @property
-    def issued(self) -> int:
-        return int(self._issued.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def shed_count(self) -> int:
-        return int(self._shed.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def timeouts(self) -> int:
-        return int(self._timeouts.value)
-
-    @property
-    def in_flight(self) -> int:
-        return int(self._in_flight.value)
-
-    @property
-    def rows_returned(self) -> int:
-        return int(self._rows.value)
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def batched_ops(self) -> int:
-        return int(self._batched_ops.value)
-
-    @property
-    def client_retries(self) -> int:
-        return int(self._client_retries.value)
-
-    @property
-    def breaker_fast_fails(self) -> int:
-        return int(self._breaker_fast_fails.value)
-
-    @property
-    def breaker_transitions(self) -> int:
-        return int(self._breaker_transitions.value)
-
-    @property
-    def brownout_level(self) -> int:
-        return int(self._brownout_level.value)
-
-    @property
-    def brownout_steps_down(self) -> int:
-        return int(self._brownout_steps_down.value)
-
-    @property
-    def brownout_steps_up(self) -> int:
-        return int(self._brownout_steps_up.value)
-
-    @property
-    def brownout_rejected(self) -> int:
-        return int(self._brownout_rejected.value)
-
-    @property
-    def crashes(self) -> int:
-        return int(self._crashes.value)
-
-    @property
-    def recoveries(self) -> int:
-        return int(self._recoveries.value)
-
-    @property
-    def scrubs(self) -> int:
-        return int(self._scrubs.value)
-
-    @property
-    def scrub_violations(self) -> int:
-        return int(self._scrub_violations.value)
-
     def conserved(self) -> bool:
         """The conservation identity every instant must satisfy."""
-        return self.issued == self.completed + self.shed_count + self.failed + self.in_flight
+        return self.issued == self.completed + self.shed + self.failed + self.in_flight.value
 
     def latency_histogram(self, kind: str = "all") -> Histogram:
         if kind == "all":
@@ -309,10 +177,10 @@ class ServerStats:
         out: dict = {
             "issued": self.issued,
             "completed": self.completed,
-            "shed": self.shed_count,
+            "shed": self.shed,
             "failed": self.failed,
             "timeouts": self.timeouts,
-            "in_flight": self.in_flight,
+            "in_flight": self.in_flight.value,
             "rows_returned": self.rows_returned,
             "batches": self.batches,
             "batched_ops": self.batched_ops,
@@ -328,7 +196,7 @@ class ServerStats:
                 "client_retries": self.client_retries,
                 "breaker_fast_fails": self.breaker_fast_fails,
                 "breaker_transitions": self.breaker_transitions,
-                "brownout_level": self.brownout_level,
+                "brownout_level": self.brownout_level.value,
                 "brownout_steps_down": self.brownout_steps_down,
                 "brownout_steps_up": self.brownout_steps_up,
                 "brownout_rejected": self.brownout_rejected,

@@ -58,7 +58,6 @@ def build_serving_substrate(
     seed: int = 0,
     max_concurrency: int = 16,
     queue_depth: int = 64,
-    admission_mode: str = "fifo",
     metrics: Optional[MetricsRegistry] = None,
 ) -> ServingSubstrate:
     """Wire one complete serving substrate.
@@ -79,7 +78,6 @@ def build_serving_substrate(
         env,
         max_concurrency=max_concurrency,
         max_queue_depth=queue_depth,
-        mode=admission_mode,
         metrics=metrics if metrics is not None else obs.metrics,
     )
     return ServingSubstrate(env=env, disks=disks, pool=pool, reader=reader, admission=admission)

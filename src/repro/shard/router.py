@@ -51,7 +51,7 @@ import numpy as np
 
 from ..dbms.engine import MiniDbms
 from ..des import Environment, WaitTimeout
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, bind_counters
 from ..serve.server import DbmsServer, ServedRequest, abandon, within
 from ..serve.stats import ServerStats
 from ..workloads.ops import RangeFreshKeys
@@ -93,15 +93,14 @@ class ShardRouter:
         self.fan_out_us = fan_out_us
         #: Router-plane accounting, independent of every shard's.
         self.stats = ServerStats(MetricsRegistry())
-        metrics = self.stats.metrics
-        self._scan_fragments = metrics.counter("router.scan_fragments")
-        self._single_shard_scans = metrics.counter("router.single_shard_scans")
-        self._cross_shard_scans = metrics.counter("router.cross_shard_scans")
-        self._fragment_timeouts = metrics.counter("router.fragment_timeouts")
-        self._fragment_failures = metrics.counter("router.fragment_failures")
-        self._rr_inserts = metrics.counter("router.rr_inserts")
+        bind_counters(
+            self, self.stats.metrics, "router.",
+            (
+                "scan_fragments", "single_shard_scans", "cross_shard_scans",
+                "fragment_timeouts", "fragment_failures", "rr_inserts",
+            ),
+        )
         self._next_rid = 0
-        self._rr = 0
         self.requests: list[ServedRequest] = []
         #: The full key universe, reassembled from the shards' slices — what
         #: fleet-level load generators draw from.
@@ -109,36 +108,10 @@ class ShardRouter:
             [shard.db.stored_keys for shard in self.shards]
         )
 
-    # -- counters (read by benches and tests) --------------------------------
-
-    @property
-    def scan_fragments(self) -> int:
-        return int(self._scan_fragments.value)
-
-    @property
-    def single_shard_scans(self) -> int:
-        return int(self._single_shard_scans.value)
-
-    @property
-    def cross_shard_scans(self) -> int:
-        return int(self._cross_shard_scans.value)
-
-    @property
-    def fragment_timeouts(self) -> int:
-        return int(self._fragment_timeouts.value)
-
-    @property
-    def fragment_failures(self) -> int:
-        return int(self._fragment_failures.value)
-
-    @property
-    def rr_inserts(self) -> int:
-        return int(self._rr_inserts.value)
-
     # -- request construction / submission (the DbmsServer protocol) ---------
 
-    def make_request(self, op: tuple, session: str = "client", priority: int = 0) -> ServedRequest:
-        request = ServedRequest(rid=self._next_rid, session=session, op=op, priority=priority)
+    def make_request(self, op: tuple, session: str = "client") -> ServedRequest:
+        request = ServedRequest(rid=self._next_rid, session=session, op=op)
         self._next_rid += 1
         return request
 
@@ -178,9 +151,8 @@ class ShardRouter:
             yield from self._forward(request, target)
         elif kind == "insert":
             if request.op[1] is None:
-                target = self._rr % len(self.shards)
-                self._rr += 1
-                self._rr_inserts.inc()
+                target = self.rr_inserts % len(self.shards)
+                self.rr_inserts += 1
             else:
                 target = self.plan.shard_for_key(request.op[1])
             yield from self._forward(request, target)
@@ -207,7 +179,7 @@ class ShardRouter:
         residual = self._residual_deadline(request)
         detail = f"forward {request.rid} to shard {target}"
         if not (yield from within(self.env, done, residual, detail)):
-            self._fragment_timeouts.inc()
+            self.fragment_timeouts += 1
             error = WaitTimeout(residual, f"shard {target} missed the residual deadline")
             request.settle(self.stats, self.env.now, "failed", error)
             return request
@@ -221,14 +193,14 @@ class ShardRouter:
         """Cross-shard scan: scatter per-shard fragments, gather in order."""
         start_key, end_key = request.op[1], request.op[2]
         fragments = self.plan.fragments(start_key, end_key)
-        self._scan_fragments.inc(len(fragments))
+        self.scan_fragments += len(fragments)
         if len(fragments) == 1:
             # Fast path: the scan lives entirely on one shard — no scatter
             # state, no fan-out cost, just a routed forward.
-            self._single_shard_scans.inc()
+            self.single_shard_scans += 1
             yield from self._forward(request, fragments[0][0])
             return request
-        self._cross_shard_scans.inc()
+        self.cross_shard_scans += 1
         results: dict[int, int] = {}
         outcomes: dict[int, str] = {}
         waiters = []
@@ -277,7 +249,7 @@ class ShardRouter:
         if not (yield from within(self.env, done, residual, detail)):
             # Abandon the fragment: the shard still finishes it server-side
             # (and counts it completed); the gather records a timeout.
-            self._fragment_timeouts.inc()
+            self.fragment_timeouts += 1
             outcomes[shard_id] = "timeout"
             results[shard_id] = 0
             return
@@ -285,7 +257,7 @@ class ShardRouter:
             outcomes[shard_id] = "ok"
             results[shard_id] = sub.rows
         else:
-            self._fragment_failures.inc()
+            self.fragment_failures += 1
             outcomes[shard_id] = sub.outcome
             results[shard_id] = 0
 

@@ -132,10 +132,10 @@ def test_conservation_holds_mid_batch():
     submit_lookups(server, existing_keys(server)[:6])
     # Freeze the simulation while the batch traversal is in flight.
     server.run(until=WINDOW_US + 5_000.0)
-    assert server.stats.in_flight == 6
+    assert server.stats.in_flight.value == 6
     assert server.stats.conserved()
     server.run()
-    assert server.stats.in_flight == 0
+    assert server.stats.in_flight.value == 0
     assert server.stats.completed == 6
     assert server.stats.conserved()
 
@@ -151,7 +151,7 @@ def test_whole_batch_sheds_when_admission_is_full():
     server.run()
     assert scan.outcome == "ok"
     assert [r.outcome for r in requests] == ["shed"] * 3
-    assert server.stats.shed_count == 3
+    assert server.stats.shed == 3
     assert server.stats.batches == 1  # the batch still closed (then shed whole)
     assert server.stats.conserved()
 

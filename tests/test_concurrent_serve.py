@@ -206,10 +206,10 @@ def test_leaf_map_cache_invalidated_by_recovery():
 def test_scrub_counters_surface_in_stats_snapshot():
     stats = ServerStats()
     assert stats.scrubs == 0 and stats.scrub_violations == 0
-    stats.scrub_pass()
-    stats.scrub_violation()
-    assert stats.scrubs == 2
-    assert stats.scrub_violations == 1
+    stats.scrubs += 2  # one clean scrub, one that found a violation
+    stats.scrub_violations += 1
     resilience = stats.snapshot()["resilience"]
     assert resilience["scrubs"] == 2
     assert resilience["scrub_violations"] == 1
+    assert stats.metrics.value("serve.scrubs") == 2
+    assert stats.metrics.value("serve.scrub_violations") == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, PriorityStore, Resource, SimulationError, Store
+from repro.des import Environment, Resource, SimulationError, Store
 
 
 def test_resource_serializes_access():
@@ -137,36 +137,3 @@ def test_store_get_blocks_until_put():
     env.process(producer())
     env.run()
     assert got == [("late", 7)]
-
-
-def test_priority_store_orders_items():
-    env = Environment()
-    store = PriorityStore(env)
-    out = []
-
-    def run():
-        for value in [5, 1, 3]:
-            store.put(value)
-        for __ in range(3):
-            item = yield store.get()
-            out.append(item)
-
-    env.process(run())
-    env.run()
-    assert out == [1, 3, 5]
-
-
-def test_priority_store_key_function():
-    env = Environment()
-    store = PriorityStore(env, key=lambda item: item["rank"])
-    out = []
-
-    def run():
-        store.put({"rank": 2, "name": "b"})
-        store.put({"rank": 1, "name": "a"})
-        first = yield store.get()
-        out.append(first["name"])
-
-    env.process(run())
-    env.run()
-    assert out == ["a"]

@@ -174,17 +174,63 @@ class TestMetricAttrFacade:
             server.submit(server.make_request(("lookup", int(key))))
         server.run()
         reg = server.obs.metrics
-        old_pool, old_reader = server.pool, server.reader
-        hits, demands = reg.value("pool.hits"), reg.value("reader.demand_reads")
-        assert hits > 0 and demands > 0
+        old_pool, old_reader, old_admission = server.pool, server.reader, server.admission
+        names = ("pool.hits", "reader.demand_reads", "admission.admitted")
+        totals = tuple(reg.value(name) for name in names)
+        assert all(total > 0 for total in totals)
         server.rebuild_substrate()
-        assert server.pool is not old_pool
-        assert (server.pool.hits, server.reader.demand_reads) == (hits, demands)
+        assert server.pool is not old_pool and server.admission is not old_admission
+        live = (server.pool.hits, server.reader.demand_reads, server.admission.admitted)
+        assert live == totals
         old_pool.hits += 100  # a dead owner no longer feeds the registry
         old_reader.demand_reads += 100
-        assert (reg.value("pool.hits"), reg.value("reader.demand_reads")) == (hits, demands)
+        old_admission.admitted += 100
+        assert tuple(reg.value(name) for name in names) == totals
         server.pool.hits += 1
-        assert reg.value("pool.hits") == hits + 1
+        server.admission.admitted += 1
+        assert reg.value("pool.hits") == totals[0] + 1
+        assert reg.value("admission.admitted") == totals[2] + 1
+
+    def test_every_serving_counter_is_a_bound_owner_attribute(self):
+        from repro.faults import ChaosSchedule
+        from repro.serve import BreakerConfig, BrownoutConfig, ChaosRunner, ClientRetryPolicy
+        from repro.shard import BoundaryPlanner, build_fleet
+
+        db = MiniDbms(num_rows=2_000, num_disks=2, page_size=4096, seed=7, mature=False)
+        server = DbmsServer(db, pool_frames=16, admission_mode="batch")
+        for key in db.stored_keys[:40:4]:
+            server.submit(server.make_request(("lookup", int(key))))
+        server.run()
+        keys = db.stored_keys
+        router = build_fleet(2_000, BoundaryPlanner(keys, 2).equal_width(), num_disks=2)
+        for op in (("lookup", int(keys[3])), ("scan", int(keys[10]), int(keys[-10])),
+                   ("insert", None)):
+            router.submit(router.make_request(op))
+        router.run()
+        chaos = ChaosRunner(
+            ChaosSchedule.parse("crash wal=4", seed=5), num_rows=2_000, sessions=4,
+            ops_per_session=20, retry=ClientRetryPolicy(backoff_cap_us=20_000.0),
+            breaker=BreakerConfig(), brownout=BrownoutConfig(p99_slo_us=15_000.0), seed=11,
+        )
+        assert chaos.run()["crashes"] == 1
+        live = chaos.server
+        registries = [
+            server.obs.metrics, router.stats.metrics, live.obs.metrics,
+            *(shard.obs.metrics for shard in router.shards),
+        ]
+        for reg in registries:
+            snapshot = reg.snapshot()
+            for name in reg.names():
+                metric = reg.get(name)
+                if isinstance(metric, Counter):
+                    assert isinstance(metric, BoundCounter), name
+                    assert getattr(metric.owner, metric.attr) == snapshot[name], name
+        # The views read the live owners, through the crash rebuild too.
+        assert live.obs.metrics.get("serve.crashes").owner is live.stats
+        assert live.obs.metrics.get("admission.admitted").owner is live.admission
+        assert router.stats.metrics.get("router.cross_shard_scans").owner is router
+        assert live.stats.crashes == live.stats.recoveries == 1
+        assert router.cross_shard_scans == 1 and server.stats.batches > 0
 
     def test_merges_sum_bound_counters(self):
         regs = [MetricsRegistry(), MetricsRegistry()]

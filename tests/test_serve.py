@@ -6,9 +6,9 @@ from repro.dbms.engine import MiniDbms
 from repro.des import Environment
 from repro.faults import FaultPlan
 from repro.serve import (
+    ADMISSION_MODES,
     AdmissionController,
     AdmissionRejected,
-    ClosedLoopLoadGenerator,
     DbmsServer,
     OpenLoopLoadGenerator,
 )
@@ -26,11 +26,11 @@ def small_db(num_rows=2_000, seed=7):
 # -- admission control -----------------------------------------------------
 
 
-def holder(env, admission, name, order, hold_us=100.0, delay_us=0.0, priority=0):
+def holder(env, admission, name, order, hold_us=100.0, delay_us=0.0):
     if delay_us:
         yield env.timeout(delay_us)
     try:
-        ticket = yield from admission.admit(priority)
+        ticket = yield from admission.admit()
     except AdmissionRejected:
         order.append((name, "shed"))
         return
@@ -49,23 +49,15 @@ def test_admission_fifo_grant_order():
         env.process(holder(env, admission, name, order, hold_us=100.0, delay_us=i * 10.0))
     env.run()
     assert order == [("a", "in"), ("b", "in"), ("c", "in"), ("d", "in")]
-    assert admission.admitted_count == 4
-    assert admission.shed_count == 0
+    assert admission.admitted == 4
+    assert admission.shed == 0
     assert admission.in_service == 0 and admission.queue_depth == 0
 
 
-def test_admission_priority_grant_order():
-    env = Environment()
-    admission = AdmissionController(env, max_concurrency=1, max_queue_depth=16, mode="priority")
-    order = []
-    env.process(holder(env, admission, "first", order, hold_us=100.0))
-    # All three wait while "first" holds the token; the lowest priority
-    # value must win regardless of arrival order (10, 30, 20 us).
-    env.process(holder(env, admission, "p5", order, delay_us=10.0, priority=5))
-    env.process(holder(env, admission, "p1", order, delay_us=30.0, priority=1))
-    env.process(holder(env, admission, "p3", order, delay_us=20.0, priority=3))
-    env.run()
-    assert [name for name, __ in order] == ["first", "p1", "p3", "p5"]
+def test_server_admits_only_fifo_or_batch():
+    assert ADMISSION_MODES == ("fifo", "batch")
+    with pytest.raises(ValueError, match="unknown admission mode 'priority'"):
+        DbmsServer(small_db(), admission_mode="priority")
 
 
 def test_admission_sheds_past_queue_bound():
@@ -79,8 +71,8 @@ def test_admission_sheds_past_queue_bound():
         )
     env.run()
     assert order[:3] == [("a", "in"), ("d", "shed"), ("e", "shed")]
-    assert admission.shed_count == 2
-    assert admission.admitted_count == 3
+    assert admission.shed == 2
+    assert admission.admitted == 3
 
 
 def test_admission_queue_wait_accounting():
@@ -113,7 +105,7 @@ def test_latency_percentiles_match_hand_computed_distribution():
     # samples, quantile(q) is the upper bound of the bucket holding rank
     # ceil(10q), i.e. bounds[ceil(10q) - 1].
     for bound in SERVE_LATENCY_BOUNDS_US[:10]:
-        stats.complete("lookup", bound)
+        stats.settle("lookup", "ok", bound)
     got = stats.percentiles_us("lookup")
     assert got["p50"] == SERVE_LATENCY_BOUNDS_US[4]
     assert got["p95"] == SERVE_LATENCY_BOUNDS_US[9]
@@ -126,9 +118,9 @@ def test_latency_percentiles_skewed_distribution():
     # 90 fast ops in the first bucket, 10 slow ones in the eleventh: the
     # median sits in the fast bucket, the tail percentiles in the slow one.
     for __ in range(90):
-        stats.complete("scan", SERVE_LATENCY_BOUNDS_US[0])
+        stats.settle("scan", "ok", SERVE_LATENCY_BOUNDS_US[0])
     for __ in range(10):
-        stats.complete("scan", SERVE_LATENCY_BOUNDS_US[10])
+        stats.settle("scan", "ok", SERVE_LATENCY_BOUNDS_US[10])
     got = stats.percentiles_us("scan")
     assert got["p50"] == SERVE_LATENCY_BOUNDS_US[0]
     assert got["p95"] == SERVE_LATENCY_BOUNDS_US[10]
@@ -141,22 +133,6 @@ def test_latency_percentiles_skewed_distribution():
 # -- conservation ----------------------------------------------------------
 
 
-def test_closed_loop_conservation_and_totals():
-    db = small_db()
-    server = DbmsServer(db, max_concurrency=4, queue_depth=8, pool_frames=32, seed=3)
-    generator = ClosedLoopLoadGenerator(
-        server, clients=6, ops_per_client=5, think_time_us=2_000.0, seed=3
-    )
-    stats = generator.run()
-    assert stats.issued == 6 * 5
-    assert stats.in_flight == 0
-    assert stats.conserved()
-    assert stats.issued == stats.completed + stats.shed_count + stats.failed
-    # Closed loop with 6 clients over 4 tokens + depth-8 queue never sheds.
-    assert stats.shed_count == 0 and stats.failed == 0
-    assert all(request.outcome == "ok" for request in server.requests)
-
-
 def test_open_loop_conservation_holds_mid_run():
     db = small_db()
     server = DbmsServer(db, max_concurrency=2, queue_depth=16, pool_frames=32, seed=5)
@@ -165,10 +141,10 @@ def test_open_loop_conservation_holds_mid_run():
     # Freeze mid-traffic: requests must be genuinely in flight and the
     # identity must hold at that instant, not just after the drain.
     server.env.run(until=50_000.0)
-    assert server.stats.in_flight > 0
+    assert server.stats.in_flight.value > 0
     assert server.stats.conserved()
     server.env.run()
-    assert server.stats.in_flight == 0
+    assert server.stats.in_flight.value == 0
     assert server.stats.conserved()
     assert server.stats.issued == generator.issued
 
@@ -182,7 +158,7 @@ def test_deadline_timeouts_do_not_break_conservation():
     generator = OpenLoopLoadGenerator(server, rate_ops_s=1_500, duration_s=0.2, seed=9)
     stats = generator.run()
     assert stats.timeouts > 0
-    assert stats.conserved() and stats.in_flight == 0
+    assert stats.conserved() and stats.in_flight.value == 0
     timed_out = [request for request in server.requests if request.timed_out]
     assert len(timed_out) == stats.timeouts
     # The server finishes abandoned ops: they are counted as completed.
@@ -194,10 +170,10 @@ def test_open_loop_sheds_under_overload():
     server = DbmsServer(db, max_concurrency=2, queue_depth=4, pool_frames=32, seed=1)
     generator = OpenLoopLoadGenerator(server, rate_ops_s=4_000, duration_s=0.2, seed=1)
     stats = generator.run()
-    assert stats.shed_count > 0
+    assert stats.shed > 0
     assert stats.conserved()
     shed = [request for request in server.requests if request.outcome == "shed"]
-    assert len(shed) == stats.shed_count
+    assert len(shed) == stats.shed
     assert all(isinstance(request.error, AdmissionRejected) for request in shed)
 
 
@@ -213,10 +189,10 @@ def test_shed_and_failed_requests_hold_no_traceback():
     )
     generator = OpenLoopLoadGenerator(server, rate_ops_s=4_000, duration_s=0.2, seed=1)
     stats = generator.run()
-    assert stats.shed_count > 0 and stats.failed > 0  # both paths ran
+    assert stats.shed > 0 and stats.failed > 0  # both paths ran
     assert stats.conserved()
     errored = [r for r in server.requests if r.outcome in ("shed", "failed")]
-    assert len(errored) == stats.shed_count + stats.failed
+    assert len(errored) == stats.shed + stats.failed
     chained = 0
     for request in errored:
         error = request.error
@@ -345,7 +321,7 @@ def test_unknown_op_kind_fails_closed_and_conserves():
     assert bad.outcome == "failed"
     assert isinstance(bad.error, ValueError)
     assert server.stats.failed == 1
-    assert server.stats.conserved() and server.stats.in_flight == 0
+    assert server.stats.conserved() and server.stats.in_flight.value == 0
     # The service token came back: a normal request still gets through.
     good = server.make_request(("lookup", int(db._workload.keys[0])))
     server.submit(good)
@@ -359,7 +335,7 @@ def test_unknown_op_kind_fails_closed_and_conserves():
 
 def _identity_holds(stats):
     return stats.issued == (
-        stats.completed + stats.shed_count + stats.failed + stats.in_flight
+        stats.completed + stats.shed + stats.failed + stats.in_flight.value
     )
 
 
@@ -377,29 +353,24 @@ def test_stats_conserved_through_every_mixed_outcome_step():
     for step in range(500):
         if open_requests and rng.random() < 0.5:
             kind = rng.choice(["lookup", "scan", "insert"])
-            terminal = rng.choice(["ok", "shed", "fail", "timeout-then-ok"])
+            terminal = rng.choice(["ok", "shed", "failed", "timeout-then-ok"])
             open_requests.pop()
-            if terminal == "ok":
-                stats.complete(kind, rng.uniform(100.0, 50_000.0))
-            elif terminal == "shed":
-                stats.shed()
-            elif terminal == "fail":
-                stats.fail(kind)
-            else:
-                stats.timeout()  # client abandons...
-                stats.complete(kind, rng.uniform(100.0, 50_000.0))  # ...server finishes
+            if terminal == "timeout-then-ok":
+                stats.timeouts += 1  # client abandons...
+                terminal = "ok"  # ...server finishes
+            stats.settle(kind, terminal, rng.uniform(100.0, 50_000.0))
         else:
             stats.issue()
             open_requests.append(step)
         assert _identity_holds(stats), f"identity broke at step {step}"
-    assert stats.in_flight == len(open_requests)
+    assert stats.in_flight.value == len(open_requests)
     # Drain the stragglers; the identity must close exactly.
     while open_requests:
         open_requests.pop()
-        stats.fail("lookup")
+        stats.settle("lookup", "failed", 0.0)
         assert _identity_holds(stats)
-    assert stats.in_flight == 0
-    assert stats.issued == stats.completed + stats.shed_count + stats.failed
+    assert stats.in_flight.value == 0
+    assert stats.issued == stats.completed + stats.shed + stats.failed
     assert stats.timeouts <= stats.completed  # every timeout later completed
 
 
@@ -408,13 +379,13 @@ def test_stats_shed_then_retry_counts_two_issues():
     # count, and the identity holds at every intermediate instant.
     stats = ServerStats()
     stats.issue()
-    stats.shed()
+    stats.settle("lookup", "shed", 0.0)
     assert _identity_holds(stats)
     stats.issue()  # the retry
-    assert stats.in_flight == 1 and _identity_holds(stats)
-    stats.complete("lookup", 1_500.0)
+    assert stats.in_flight.value == 1 and _identity_holds(stats)
+    stats.settle("lookup", "ok", 1_500.0)
     assert _identity_holds(stats)
-    assert stats.issued == 2 and stats.completed == 1 and stats.shed_count == 1
+    assert stats.issued == 2 and stats.completed == 1 and stats.shed == 1
 
 
 def test_stats_listener_sees_terminal_outcomes_only():
@@ -422,11 +393,13 @@ def test_stats_listener_sees_terminal_outcomes_only():
     stats = ServerStats()
     stats.listeners.append(lambda kind, latency, ok: seen.append((kind, latency, ok)))
     stats.issue()
-    stats.timeout()  # not terminal: the server is still working
+    stats.timeouts += 1  # not terminal: the server is still working
     assert seen == []
-    stats.complete("scan", 2_000.0, rows=10)
+    stats.settle("scan", "ok", 2_000.0, rows=10)
     stats.issue()
-    stats.fail("insert")
+    stats.settle("insert", "failed", 2_500.0)
+    stats.issue()
+    stats.settle("lookup", "shed", 3_000.0)  # a shed is not a served outcome
     assert seen == [("scan", 2_000.0, True), ("insert", None, False)]
 
 
@@ -434,31 +407,23 @@ def test_stats_listener_sees_terminal_outcomes_only():
 
 
 class RecordingStats(ServerStats):
-    """ServerStats that also logs each terminal recording call by name."""
+    """ServerStats that also logs each terminal settle call."""
 
     def __init__(self) -> None:
         super().__init__()
         self.calls = []
 
-    def complete(self, kind, latency_us, rows=0):
-        self.calls.append(("complete", kind, latency_us, rows))
-        super().complete(kind, latency_us, rows)
-
-    def shed(self):
-        self.calls.append(("shed",))
-        super().shed()
-
-    def fail(self, kind):
-        self.calls.append(("fail", kind))
-        super().fail(kind)
+    def settle(self, kind, outcome, latency_us, rows=0):
+        self.calls.append((kind, outcome, latency_us, rows))
+        super().settle(kind, outcome, latency_us, rows)
 
 
 @pytest.mark.parametrize(
     "outcome, call",
     [
-        ("ok", ("complete", "scan", 250.0, 7)),
-        ("shed", ("shed",)),
-        ("failed", ("fail", "scan")),
+        ("ok", ("scan", "ok", 250.0, 7)),
+        ("shed", ("scan", "shed", 250.0, 0)),
+        ("failed", ("scan", "failed", 250.0, 0)),
     ],
 )
 def test_settle_makes_one_stats_call_per_outcome(outcome, call):
@@ -470,7 +435,7 @@ def test_settle_makes_one_stats_call_per_outcome(outcome, call):
     assert stats.calls == [call]
     assert request.outcome == outcome and request.finished_at == 300.0
     assert request.error is error
-    assert stats.in_flight == 0 and _identity_holds(stats)
+    assert stats.in_flight.value == 0 and _identity_holds(stats)
 
 
 def test_abandon_after_settle_keeps_the_terminal_outcome():
@@ -489,7 +454,7 @@ def test_abandon_while_pending_reads_timeout_until_settled():
     stats.issue()
     abandon(request, stats)
     assert request.outcome == "timeout" and request.timed_out
-    assert stats.in_flight == 1 and _identity_holds(stats)
+    assert stats.in_flight.value == 1 and _identity_holds(stats)
     request.settle(stats, 900.0, "failed", RuntimeError("late"))
     assert request.outcome == "failed" and request.timed_out
     assert stats.failed == 1 and _identity_holds(stats)

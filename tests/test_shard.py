@@ -213,7 +213,7 @@ def test_fragment_timeout_propagates_the_residual_deadline():
     # The abandoned fragments still completed server-side on their shards.
     assert sum(shard.stats.completed for shard in router.shards) == 4
     router.check_conservation()
-    assert router.stats.failed == 1 and router.stats.in_flight == 0
+    assert router.stats.failed == 1 and router.stats.in_flight.value == 0
 
 
 def test_forwarded_lookup_times_out_at_the_residual_deadline():
@@ -224,7 +224,7 @@ def test_forwarded_lookup_times_out_at_the_residual_deadline():
     assert isinstance(request.error, WaitTimeout)
     assert router.fragment_timeouts == 1
     router.check_conservation()
-    assert router.stats.failed == 1 and router.stats.in_flight == 0
+    assert router.stats.failed == 1 and router.stats.in_flight.value == 0
 
 
 def test_partial_fragment_failure_fails_the_scan_but_keeps_accounting():
@@ -253,7 +253,7 @@ def test_partial_fragment_failure_fails_the_scan_but_keeps_accounting():
         assert router.fragment_failures > 0
     router.check_conservation()
     fleet = router.fleet_stats()
-    assert fleet.conserved() and fleet.in_flight == 0
+    assert fleet.conserved() and fleet.in_flight.value == 0
 
 
 # -- fleet-wide accounting and determinism ----------------------------------
@@ -267,11 +267,11 @@ def test_fleet_conservation_holds_mid_run_with_requests_in_flight():
     generator.start()
     router.run(until=200_000.0)  # freeze mid-traffic
     router.check_conservation()
-    assert router.fleet_stats().in_flight > 0
+    assert router.fleet_stats().in_flight.value > 0
     router.run()  # drain
     router.check_conservation()
     fleet = router.fleet_stats()
-    assert fleet.in_flight == 0
+    assert fleet.in_flight.value == 0
     assert fleet.issued == router.stats.issued + sum(
         s.stats.issued for s in router.shards
     )

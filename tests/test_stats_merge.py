@@ -87,9 +87,9 @@ def _stats_a():
     stats = ServerStats()
     for __ in range(3):
         stats.issue()
-    stats.complete("lookup", 200.0, rows=1)
-    stats.complete("lookup", 200.0, rows=1)
-    stats.shed()
+    stats.settle("lookup", "ok", 200.0, rows=1)
+    stats.settle("lookup", "ok", 200.0, rows=1)
+    stats.settle("lookup", "shed", 300.0)
     return stats  # issued 3 = completed 2 + shed 1 + in_flight 0
 
 
@@ -97,8 +97,8 @@ def _stats_b():
     stats = ServerStats()
     for __ in range(3):
         stats.issue()
-    stats.complete("scan", 400.0, rows=64)
-    stats.fail("scan")
+    stats.settle("scan", "ok", 400.0, rows=64)
+    stats.settle("scan", "failed", 500.0)
     return stats  # issued 3 = completed 1 + failed 1 + in_flight 1
 
 
@@ -107,9 +107,9 @@ def test_server_stats_merge_hand_computed():
     merged = a.merge(b)
     assert merged.issued == 6
     assert merged.completed == 3
-    assert merged.shed_count == 1
+    assert merged.shed == 1
     assert merged.failed == 1
-    assert merged.in_flight == 1
+    assert merged.in_flight.value == 1
     assert merged.rows_returned == 66
     # Conservation survives merging because every field sums.
     assert a.conserved() and b.conserved() and merged.conserved()
@@ -125,7 +125,7 @@ def test_server_stats_merge_leaves_sources_untouched():
     a.merge(b)
     assert a.issued == 3 and b.issued == 3
     assert a.latency_histogram("all").count == 2
-    assert b.in_flight == 1
+    assert b.in_flight.value == 1
 
 
 def test_server_stats_merge_multiple_and_empty():
