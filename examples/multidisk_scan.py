@@ -11,7 +11,6 @@ Run:  python examples/multidisk_scan.py
 """
 
 from repro import DiskFirstFpTree, KeyWorkload, TreeEnvironment, build_mature_tree
-from repro.bench.io_scan import leaf_pids_for_span
 from repro.bench.io_scan import timed_range_scan
 from repro.storage import DiskParameters
 
@@ -27,7 +26,7 @@ def main():
     print(f"  {tree.num_pages} pages, {tree.page_splits} page splits during maturing")
 
     start_key, end_key = workload.range_scans(1, SPAN)[0]
-    pids, __ = leaf_pids_for_span(tree, start_key, end_key)
+    pids, __ = tree.leaf_span(start_key, end_key)
     scattered = DiskParameters(sequential_window_blocks=0)
     print(f"Scanning {SPAN:,} entries across {len(pids)} leaf pages.\n")
 

@@ -65,15 +65,26 @@ class DiskPageLayout:
 class DiskPage:
     """One page-sized tree node."""
 
-    __slots__ = ("level", "count", "keys", "ptrs", "next_leaf", "prev_leaf")
+    __slots__ = ("level", "count", "keys", "ptrs", "next_page", "prev_page")
 
     def __init__(self, layout: DiskPageLayout, level: int, key_dtype: np.dtype) -> None:
         self.level = level  # 0 = leaf
         self.count = 0
         self.keys = np.zeros(layout.capacity, dtype=key_dtype)
         self.ptrs = np.zeros(layout.capacity, dtype=np.uint32)
-        self.next_leaf = INVALID_PAGE_ID
-        self.prev_leaf = INVALID_PAGE_ID
+        self.next_page = INVALID_PAGE_ID
+        self.prev_page = INVALID_PAGE_ID
+
+    def __len__(self) -> int:
+        return self.count
+
+    def first_key(self) -> Optional[int]:
+        """Smallest key in the page, or None if it holds no entries."""
+        return int(self.keys[0]) if self.count else None
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh copies of the page's sorted ``(keys, ptrs)`` arrays."""
+        return self.keys[: self.count].copy(), self.ptrs[: self.count].copy()
 
 
 class DiskBPlusTree(Index):
@@ -144,9 +155,9 @@ class DiskBPlusTree(Index):
             page.keys[:size] = keys[start : start + size]
             page.ptrs[:size] = tids[start : start + size]
             page.count = size
-            page.prev_leaf = prev_pid
+            page.prev_page = prev_pid
             if prev_pid != INVALID_PAGE_ID:
-                self.store.page(prev_pid).next_leaf = pid
+                self.store.page(prev_pid).next_page = pid
             level_pids.append(pid)
             level_firsts.append(int(keys[start]))
             prev_pid = pid
@@ -299,12 +310,12 @@ class DiskBPlusTree(Index):
             moved * self.layout.ptr_size,
         )
         if is_leaf:
-            new_page.next_leaf = page.next_leaf
-            new_page.prev_leaf = pid
-            if page.next_leaf != INVALID_PAGE_ID:
-                self.store.page(page.next_leaf).prev_leaf = new_pid
-                self.store.mark_dirty(page.next_leaf)
-            page.next_leaf = new_pid
+            new_page.next_page = page.next_page
+            new_page.prev_page = pid
+            if page.next_page != INVALID_PAGE_ID:
+                self.store.page(page.next_page).prev_page = new_pid
+                self.store.mark_dirty(page.next_page)
+            page.next_page = new_pid
         self._after_page_rebuild(page, base)
         self._after_page_rebuild(new_page, new_base)
 
@@ -412,9 +423,9 @@ class DiskBPlusTree(Index):
                 self.tracer.scan(self.layout.ptr_address(base, slot), taken * TUPLE_ID_SIZE)
                 count += taken
                 tid_sum += int(leaf.ptrs[slot:hi].sum(dtype=np.uint64))
-            if hi < leaf.count or leaf.next_leaf == INVALID_PAGE_ID:
+            if hi < leaf.count or leaf.next_page == INVALID_PAGE_ID:
                 break
-            pid = leaf.next_leaf
+            pid = leaf.next_page
             leaf, base = self._page(pid)
             slot = 0
         return ScanResult(count, tid_sum)
@@ -436,20 +447,12 @@ class DiskBPlusTree(Index):
                 self.tracer.scan(self.layout.ptr_address(base, lo), taken * TUPLE_ID_SIZE)
                 count += taken
                 tid_sum += int(leaf.ptrs[lo:hi].sum(dtype=np.uint64))
-            if lo > 0 or leaf.prev_leaf == INVALID_PAGE_ID:
+            if lo > 0 or leaf.prev_page == INVALID_PAGE_ID:
                 break
-            leaf, base = self._page(leaf.prev_leaf)
+            leaf, base = self._page(leaf.prev_page)
         return ScanResult(count, tid_sum)
 
     # -- introspection ----------------------------------------------------------
-
-    def leaf_page_ids(self) -> list[int]:
-        pids = []
-        pid = self.first_leaf_pid
-        while pid != INVALID_PAGE_ID:
-            pids.append(pid)
-            pid = self.store.page(pid).next_leaf
-        return pids
 
     def page_path(self, key: int) -> list[int]:
         """Page ids visited by a search (untraced; for I/O experiments)."""
@@ -461,14 +464,6 @@ class DiskBPlusTree(Index):
             path.append(pid)
             page = self.store.page(pid)
         return path
-
-    def items(self) -> Iterable[tuple[int, int]]:
-        pid = self.first_leaf_pid
-        while pid != INVALID_PAGE_ID:
-            page = self.store.page(pid)
-            for i in range(page.count):
-                yield int(page.keys[i]), int(page.ptrs[i])
-            pid = page.next_leaf
 
     def scan_items(self, start_key: int, end_key: int) -> Iterable[tuple[int, int]]:
         """Positioned cursor: descend to the start key, then walk leaves."""
@@ -483,9 +478,9 @@ class DiskBPlusTree(Index):
                 if key > end_key:
                     return
                 yield key, int(page.ptrs[i])
-            if page.next_leaf == INVALID_PAGE_ID:
+            if page.next_page == INVALID_PAGE_ID:
                 return
-            page = self.store.page(page.next_leaf)
+            page = self.store.page(page.next_page)
             slot = 0
 
     def page_path_biased(self, key: int) -> int:

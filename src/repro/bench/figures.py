@@ -34,7 +34,7 @@ from ..storage.config import DiskParameters
 from ..wal import WalManager, recover
 from ..workloads.generator import KeyWorkload, build_mature_tree
 from .cache_runner import PAPER_INDEX_ORDER, build_tree, make_index, measure_operations
-from .io_scan import leaf_pids_for_span, timed_range_scan
+from .io_scan import timed_range_scan
 from .results import FigureResult
 
 __all__ = [
@@ -479,10 +479,6 @@ def fig17(
     return result
 
 
-def _leaf_pids_for_span(tree: Index, start_key: int, end_key: int) -> tuple[list[int], list[int]]:
-    return leaf_pids_for_span(tree, start_key, end_key)
-
-
 def fig18(
     num_keys: int = 500_000,
     spans: Sequence[int] = (100, 1_000, 10_000, 100_000),
@@ -513,7 +509,7 @@ def fig18(
 
     def run_one(kind: str, start_key: int, end_key: int, disks: int) -> float:
         tree = trees[kind]
-        pids, extra = _leaf_pids_for_span(tree, start_key, end_key)
+        pids, extra = tree.leaf_span(start_key, end_key)
         timing = timed_range_scan(
             tree.store,
             pids,
@@ -815,7 +811,7 @@ def ablation_overshoot(num_keys: int = 200_000, span: int = 2_000, disks: int = 
     start_index = num_keys // 3
     start_key = int(workload.keys[start_index])
     end_key = int(workload.keys[start_index + span - 1])
-    pids, extra = _leaf_pids_for_span(tree, start_key, end_key)
+    pids, extra = tree.leaf_span(start_key, end_key)
     for avoid in (True, False):
         timing = timed_range_scan(
             tree.store, pids,
@@ -902,7 +898,7 @@ def ablation_jpa_on_standard_btree(
     start_index = num_keys // 4
     start_key = int(workload.keys[start_index])
     end_key = int(workload.keys[start_index + span - 1])
-    pids, __ = _leaf_pids_for_span(tree, start_key, end_key)
+    pids, __ = tree.leaf_span(start_key, end_key)
     scattered = DiskParameters(sequential_window_blocks=0)
     timings = {}
     for use_prefetch in (False, True):
@@ -938,7 +934,7 @@ def ablation_prefetch_depth(
     workload = KeyWorkload(num_keys, seed=17)
     build_mature_tree(tree, workload, bulk_fraction=0.9)
     start_key, end_key = workload.range_scans(1, span)[0]
-    pids, __ = _leaf_pids_for_span(tree, start_key, end_key)
+    pids, __ = tree.leaf_span(start_key, end_key)
     for depth in depths:
         timing = timed_range_scan(
             tree.store, pids, num_disks=disks, use_prefetch=True, prefetch_depth=depth,

@@ -16,9 +16,7 @@ never consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..des import Environment
 from ..storage.buffer import BufferPool
@@ -27,13 +25,7 @@ from ..storage.disk import DiskArray
 from ..storage.pager import PageStore
 from ..storage.prefetch import AsyncPageReader
 
-__all__ = [
-    "ScanTiming",
-    "timed_range_scan",
-    "leaf_pids_for_span",
-    "leaf_first_keys",
-    "first_key_of_leaf_page",
-]
+__all__ = ["ScanTiming", "timed_range_scan"]
 
 
 @dataclass(frozen=True)
@@ -123,74 +115,3 @@ def timed_range_scan(
         prefetches=reader.prefetches,
         overshoot_reads=overshoot_issued,
     )
-
-
-def leaf_pids_for_span(tree, start_key: int, end_key: int) -> tuple[list[int], list[int]]:
-    """Leaf pages covering [start_key, end_key], plus the pages after them.
-
-    Works for any of the four disk-resident index structures.  The second
-    list (up to 64 following pages) feeds the overshooting ablation.
-    """
-    pids = tree.leaf_page_ids()
-    firsts = leaf_first_keys(tree, pids)
-    lo = max(int(np.searchsorted(firsts, start_key, side="right")) - 1, 0)
-    hi = max(int(np.searchsorted(firsts, end_key, side="right")) - 1, lo)
-    return pids[lo : hi + 1], pids[hi + 1 : hi + 65]
-
-
-#: Routing key of a trailing empty leaf page: above every storable key.
-_PAST_LAST_KEY = np.iinfo(np.int64).max
-
-
-def leaf_first_keys(tree, pids: Sequence[int]) -> np.ndarray:
-    """First key of each leaf page in ``pids`` (chain order), for routing.
-
-    Deletes are lazy, so a leaf page can be empty.  An empty page takes its
-    successor's first key (past the last key if none follows): the array
-    stays non-decreasing for ``np.searchsorted``, no scan starts or ends on
-    an empty page, and one that crosses it still walks through it.
-    """
-    first_key = _first_key_reader(tree)
-    firsts = np.empty(len(pids), dtype=np.int64)
-    following = _PAST_LAST_KEY
-    for i in range(len(pids) - 1, -1, -1):
-        key = first_key(pids[i])
-        if key is not None:
-            following = key
-        firsts[i] = following
-    return firsts
-
-
-def _first_key_reader(tree) -> Callable[[int], Optional[int]]:
-    """``pid -> smallest key in that leaf page`` (None if empty) for ``tree``'s kind.
-
-    The tree type is resolved once, not per page.
-    """
-    from ..baselines.disk_btree import DiskBPlusTree
-    from ..core.cache_first import CacheFirstFpTree
-    from ..core.disk_first import DiskFirstFpTree
-
-    if isinstance(tree, DiskFirstFpTree):
-        return lambda pid: tree.store.page(pid).first_key()
-    if isinstance(tree, DiskBPlusTree):  # covers micro-indexing too
-
-        def sorted_array_first(pid: int) -> Optional[int]:
-            leaf = tree.store.page(pid)
-            return int(leaf.keys[0]) if leaf.count else None
-
-        return sorted_array_first
-    if isinstance(tree, CacheFirstFpTree):
-
-        def cache_first_first(pid: int) -> Optional[int]:
-            for node in tree._page_leaves_in_order(tree.store.page(pid)):
-                if node.count:
-                    return int(node.keys[0])
-            return None
-
-        return cache_first_first
-    raise TypeError(f"unsupported tree type {type(tree)!r}")
-
-
-def first_key_of_leaf_page(tree, pid: int) -> Optional[int]:
-    """Smallest key stored in a leaf page (None if it is empty), for any supported tree type."""
-    return _first_key_reader(tree)(pid)

@@ -19,13 +19,15 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .keys import KeySpec
+from .keys import INVALID_PAGE_ID, KeySpec
 
-__all__ = ["Index", "ScanResult", "IndexCorruptionError", "as_key_array", "chunk_evenly"]
+__all__ = [
+    "Index", "ScanResult", "IndexCorruptionError", "as_key_array", "chunk_evenly", "span_bounds",
+]
 
 
 class IndexCorruptionError(AssertionError):
@@ -54,6 +56,23 @@ def as_key_array(keys: Sequence[int] | np.ndarray, spec: KeySpec) -> np.ndarray:
     if array.size and (int(array.min()) < 0 or int(array.max()) > spec.max_key):
         raise ValueError(f"keys out of range for {spec.size}-byte keys")
     return array.astype(spec.dtype, copy=False)
+
+
+#: Routing key of a trailing empty leaf page: above every storable key.
+_PAST_LAST_KEY = np.iinfo(np.int64).max
+
+
+def span_bounds(firsts: np.ndarray, start_key: int, end_key: int) -> tuple[int, int]:
+    """``(lo, hi)``: leaves ``lo:hi`` of a first-key array cover [start_key, end_key].
+
+    ``firsts`` is :meth:`Index.leaf_first_keys` of the leaf chain.  The span
+    starts at the last leaf whose first key is at most ``start_key`` and
+    ends at the last one whose first key is at most ``end_key``; it always
+    holds at least one leaf.
+    """
+    lo = max(int(firsts.searchsorted(start_key, side="right")) - 1, 0)
+    hi = max(int(firsts.searchsorted(end_key, side="right")) - 1, lo)
+    return lo, hi + 1
 
 
 def chunk_evenly(total: int, max_chunk: int) -> list[int]:
@@ -116,17 +135,60 @@ class Index(ABC):
         """
         raise NotImplementedError(f"{type(self).__name__} does not support reverse scans")
 
-    @abstractmethod
+    # -- leaf walks over page-id storage -----------------------------------
+    #
+    # Every disk-resident tree keeps its leaf pages in a ``next_page`` chain
+    # headed by ``first_leaf_pid`` in ``self.store``, and every leaf page
+    # answers ``first_key()``, ``entries()`` and ``len(page)`` for its own
+    # format.  A tree without pages overrides ``leaf_page_ids`` and ``items``.
+
+    def _leaf_pages(self) -> Iterator[tuple[int, Any]]:
+        pid = self.first_leaf_pid
+        while pid != INVALID_PAGE_ID:
+            page = self.store.page(pid)
+            yield pid, page
+            pid = page.next_page
+
     def leaf_page_ids(self) -> list[int]:
         """Page ids of all leaf pages, in key order (for I/O experiments)."""
+        return [pid for pid, __ in self._leaf_pages()]
+
+    def items(self) -> Iterable[tuple[int, int]]:
+        """All (key, tid) entries in key order (untraced; for testing)."""
+        for __, page in self._leaf_pages():
+            keys, tids = page.entries()
+            yield from zip(keys.tolist(), tids.tolist())
+
+    def leaf_first_keys(self, pids: Sequence[int]) -> np.ndarray:
+        """First key of each leaf page in ``pids`` (chain order), for routing.
+
+        Deletes are lazy, so a leaf page can be empty.  An empty page takes its
+        successor's first key (past the last key if none follows): the array
+        stays non-decreasing for ``np.searchsorted``, no scan starts or ends on
+        an empty page, and one that crosses it still walks through it.
+        """
+        firsts = np.empty(len(pids), dtype=np.int64)
+        following = _PAST_LAST_KEY
+        for i in range(len(pids) - 1, -1, -1):
+            key = self.store.page(pids[i]).first_key()
+            if key is not None:
+                following = key
+            firsts[i] = following
+        return firsts
+
+    def leaf_span(self, start_key: int, end_key: int) -> tuple[list[int], list[int]]:
+        """Leaf pages covering [start_key, end_key], plus the pages after them.
+
+        The second list (up to 64 following pages) feeds the overshooting
+        ablation (paper Section 2.2).
+        """
+        pids = self.leaf_page_ids()
+        lo, hi = span_bounds(self.leaf_first_keys(pids), start_key, end_key)
+        return pids[lo:hi], pids[hi : hi + 64]
 
     @abstractmethod
     def validate(self) -> None:
         """Check structural invariants; raise IndexCorruptionError if broken."""
-
-    @abstractmethod
-    def items(self) -> Iterable[tuple[int, int]]:
-        """All (key, tid) entries in key order (untraced; for testing)."""
 
     def scan_items(self, start_key: int, end_key: int) -> Iterable[tuple[int, int]]:
         """Yield (key, tid) entries with start_key <= key <= end_key, in order.

@@ -64,30 +64,10 @@ class TreeReport:
 
 def inspect_tree(tree: Index) -> TreeReport:
     """Produce a :class:`TreeReport` for any supported index."""
-    from ..baselines.disk_btree import DiskBPlusTree
-    from ..core.cache_first import CacheFirstFpTree
-    from ..core.disk_first import DiskFirstFpTree
-
-    if isinstance(tree, DiskFirstFpTree):
-        return _inspect_disk_first(tree)
-    if isinstance(tree, CacheFirstFpTree):
-        return _inspect_cache_first(tree)
-    if isinstance(tree, DiskBPlusTree):  # covers micro-indexing
-        return _inspect_disk_like(tree)
-    raise TypeError(f"cannot inspect index type {type(tree).__name__}")
-
-
-def _fill_stats(fills: list[float]) -> tuple[float, float, float]:
-    if not fills:
-        return 0.0, 0.0, 0.0
-    return float(np.mean(fills)), float(min(fills)), float(max(fills))
-
-
-def _inspect_disk_like(tree) -> TreeReport:
+    leaf_capacity, extras = _kind_specifics(tree)
     leaf_pids = tree.leaf_page_ids()
-    fills = [tree.store.page(pid).count / tree.layout.capacity for pid in leaf_pids]
+    fills = [len(tree.store.page(pid)) / leaf_capacity for pid in leaf_pids]
     avg, low, high = _fill_stats(fills)
-    total_bytes = tree.num_pages * tree.env.page_size
     return TreeReport(
         kind=tree.name,
         num_entries=tree.num_entries,
@@ -98,14 +78,33 @@ def _inspect_disk_like(tree) -> TreeReport:
         avg_leaf_fill=avg,
         min_leaf_fill=low,
         max_leaf_fill=high,
-        bytes_per_entry=total_bytes / max(1, tree.num_entries),
+        bytes_per_entry=tree.num_pages * tree.env.page_size / max(1, tree.num_entries),
+        **extras,
     )
 
 
-def _inspect_disk_first(tree) -> TreeReport:
-    leaf_pids = tree.leaf_page_ids()
-    fills = [tree.store.page(pid).total / tree.layout.page_fanout for pid in leaf_pids]
-    avg, low, high = _fill_stats(fills)
+def _fill_stats(fills: list[float]) -> tuple[float, float, float]:
+    if not fills:
+        return 0.0, 0.0, 0.0
+    return float(np.mean(fills)), float(min(fills)), float(max(fills))
+
+
+def _kind_specifics(tree: Index) -> tuple[int, dict]:
+    """A leaf page's entry capacity, and the report fields only fpB+-Trees fill."""
+    from ..baselines.disk_btree import DiskBPlusTree
+    from ..core.cache_first import CacheFirstFpTree
+    from ..core.disk_first import DiskFirstFpTree
+
+    if isinstance(tree, DiskFirstFpTree):
+        return tree.layout.page_fanout, _disk_first_extras(tree)
+    if isinstance(tree, CacheFirstFpTree):
+        return tree.slots_per_page * tree.leaf_capacity, _cache_first_extras(tree)
+    if isinstance(tree, DiskBPlusTree):  # covers micro-indexing
+        return tree.layout.capacity, {}
+    raise TypeError(f"cannot inspect index type {type(tree).__name__}")
+
+
+def _disk_first_extras(tree) -> dict:
     node_count = 0
     node_fill_total = 0.0
     used_lines = 0
@@ -117,33 +116,14 @@ def _inspect_disk_first(tree) -> TreeReport:
         for node in page.nodes.values():
             node_count += 1
             node_fill_total += node.count / node.capacity
-    total_bytes = tree.num_pages * tree.env.page_size
-    return TreeReport(
-        kind=tree.name,
-        num_entries=tree.num_entries,
-        num_pages=tree.num_pages,
-        height=tree.height,
-        page_size=tree.env.page_size,
-        leaf_pages=len(leaf_pids),
-        avg_leaf_fill=avg,
-        min_leaf_fill=low,
-        max_leaf_fill=high,
-        bytes_per_entry=total_bytes / max(1, tree.num_entries),
-        inpage_nodes=node_count,
-        avg_node_fill=node_fill_total / max(1, node_count),
-        line_utilization=used_lines / max(1, total_lines),
-    )
+    return {
+        "inpage_nodes": node_count,
+        "avg_node_fill": node_fill_total / max(1, node_count),
+        "line_utilization": used_lines / max(1, total_lines),
+    }
 
 
-def _inspect_cache_first(tree) -> TreeReport:
-    leaf_pids = tree.leaf_page_ids()
-    page_capacity = tree.slots_per_page * tree.leaf_capacity
-    fills = []
-    for pid in leaf_pids:
-        page = tree.store.page(pid)
-        entries = sum(node.count for node in page.nodes())
-        fills.append(entries / page_capacity)
-    avg, low, high = _fill_stats(fills)
+def _cache_first_extras(tree) -> dict:
     node_count = 0
     node_fill_total = 0.0
     for pid in tree.store.page_ids():
@@ -151,19 +131,8 @@ def _inspect_cache_first(tree) -> TreeReport:
             capacity = tree.leaf_capacity if node.is_leaf else tree.nonleaf_capacity
             node_count += 1
             node_fill_total += node.count / capacity
-    total_bytes = tree.num_pages * tree.env.page_size
-    return TreeReport(
-        kind=tree.name,
-        num_entries=tree.num_entries,
-        num_pages=tree.num_pages,
-        height=tree.height,
-        page_size=tree.env.page_size,
-        leaf_pages=len(leaf_pids),
-        avg_leaf_fill=avg,
-        min_leaf_fill=low,
-        max_leaf_fill=high,
-        bytes_per_entry=total_bytes / max(1, tree.num_entries),
-        inpage_nodes=node_count,
-        avg_node_fill=node_fill_total / max(1, node_count),
-        overflow_pages=tree.overflow_page_count(),
-    )
+    return {
+        "inpage_nodes": node_count,
+        "avg_node_fill": node_fill_total / max(1, node_count),
+        "overflow_pages": tree.overflow_page_count(),
+    }

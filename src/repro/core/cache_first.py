@@ -28,7 +28,7 @@ subtrees together, rather than orphaning nodes or cascading promotions.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -107,6 +107,52 @@ class CfPage:
 
     def nodes(self) -> list[CfNode]:
         return [node for node in self.slots if node is not None]
+
+    # -- a leaf page's entries ------------------------------------------------
+
+    def first_leaf(self) -> Optional[CfNode]:
+        """The first (leftmost) leaf node resident in a leaf page.
+
+        The chain has no prev links, so the first node is the resident that
+        no other resident's ``next_leaf`` points to.
+        """
+        residents = self.nodes()
+        if not residents:
+            return None
+        pointed_to = {id(node.next_leaf) for node in residents if node.next_leaf is not None}
+        for node in residents:
+            if id(node) not in pointed_to:
+                return node
+        return residents[0]
+
+    def leaves_in_order(self) -> list[CfNode]:
+        """A leaf page's resident leaf nodes, in key order."""
+        first = self.first_leaf()
+        out = []
+        node = first
+        while node is not None and node.pid == first.pid:
+            out.append(node)
+            node = node.next_leaf
+        return out
+
+    def __len__(self) -> int:
+        return sum(node.count for node in self.nodes())
+
+    def first_key(self) -> Optional[int]:
+        """Smallest key in a leaf page, or None if it holds no entries."""
+        for node in self.leaves_in_order():
+            if node.count:
+                return int(node.keys[0])
+        return None
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """A leaf page's entries as fresh flat sorted ``(keys, tids)`` arrays."""
+        leaves = self.leaves_in_order()
+        if not leaves:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
+        keys = np.concatenate([node.keys[: node.count] for node in leaves])
+        tids = np.concatenate([node.tids[: node.count] for node in leaves])
+        return keys, tids
 
 
 class CacheFirstFpTree(Index):
@@ -254,6 +300,11 @@ class CacheFirstFpTree(Index):
     @property
     def num_pages(self) -> int:
         return self.store.num_pages
+
+    @property
+    def first_leaf_pid(self) -> int:
+        """Head of the leaf page chain: the page of the first leaf node."""
+        return self.first_leaf.pid
 
     @property
     def page_splits(self) -> int:
@@ -661,40 +712,16 @@ class CacheFirstFpTree(Index):
         self.tracer.read(self._ptr_address(parent, 0), parent.count * 6)
         for child in parent.children or []:
             page = self.store.page(child.pid)
-            if page.slots and self._first_leaf_of_page(page) is child:
+            if page.first_leaf() is child:
                 page.back_pointer = child.parent
 
     # -- leaf page split ------------------------------------------------------------------------------------
-
-    def _first_leaf_of_page(self, page: CfPage) -> Optional[CfNode]:
-        """The first (leftmost) leaf node resident in a leaf page.
-
-        The chain has no prev links, so the first node is the resident that
-        no other resident's ``next_leaf`` points to.
-        """
-        residents = page.nodes()
-        if not residents:
-            return None
-        pointed_to = {id(node.next_leaf) for node in residents if node.next_leaf is not None}
-        for node in residents:
-            if id(node) not in pointed_to:
-                return node
-        return residents[0]
-
-    def _page_leaves_in_order(self, page: CfPage) -> list[CfNode]:
-        first = self._first_leaf_of_page(page)
-        out = []
-        node = first
-        while node is not None and node.pid == first.pid:
-            out.append(node)
-            node = node.next_leaf
-        return out
 
     def _split_leaf_page(self, pid: int) -> None:
         """Move the second half of a full leaf page's nodes to a new page."""
         self.leaf_page_splits += 1
         page = self.store.page(pid)
-        ordered = self._page_leaves_in_order(page)
+        ordered = page.leaves_in_order()
         half = len(ordered) // 2
         moving = ordered[half:]
         new_pid = self._new_page(PAGE_LEAF)
@@ -816,7 +843,7 @@ class CacheFirstFpTree(Index):
             for resident in page.nodes():
                 self.tracer.prefetch(self._node_address(resident), self.node_bytes)
             done = False
-            for node in reversed(self._page_leaves_in_order(page)):
+            for node in reversed(page.leaves_in_order()):
                 if node.count == 0:
                     continue
                 lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
@@ -837,15 +864,6 @@ class CacheFirstFpTree(Index):
 
     # -- introspection -----------------------------------------------------------------------------------------------
 
-    def leaf_page_ids(self) -> list[int]:
-        pids: list[int] = []
-        node = self.first_leaf
-        while node is not None:
-            if not pids or pids[-1] != node.pid:
-                pids.append(node.pid)
-            node = node.next_leaf
-        return pids
-
     def page_path(self, key: int) -> list[int]:
         """Page ids visited by a search (untraced; for I/O experiments).
 
@@ -861,13 +879,6 @@ class CacheFirstFpTree(Index):
                 return path
             slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
             node = node.children[slot]
-
-    def items(self) -> Iterable[tuple[int, int]]:
-        node = self.first_leaf
-        while node is not None:
-            for i in range(node.count):
-                yield int(node.keys[i]), int(node.tids[i])
-            node = node.next_leaf
 
     def overflow_page_count(self) -> int:
         return len(self._overflow_pids)
@@ -945,7 +956,7 @@ class CacheFirstFpTree(Index):
         # 4. Back pointers and jump-pointer array.
         for pid in self.leaf_page_ids():
             page = self.store.page(pid)
-            first = self._first_leaf_of_page(page)
+            first = page.first_leaf()
             if first is not None and first.parent is not None:
                 if page.back_pointer is not first.parent:
                     raise IndexCorruptionError(f"leaf page {pid} back pointer wrong")

@@ -23,7 +23,7 @@ Operation highlights (Section 3.1.2):
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -402,16 +402,6 @@ class DiskFirstFpTree(Index):
 
     # -- reorganize / rebuild --------------------------------------------------------------
 
-    def _collect_entries(self, page: FpPage) -> tuple[np.ndarray, np.ndarray]:
-        nodes = page.leaf_nodes_in_order()
-        keys = np.concatenate([n.keys[: n.count] for n in nodes]) if nodes else self.keyspec.empty(0)
-        ptrs = (
-            np.concatenate([n.ptrs[: n.count] for n in nodes])
-            if nodes
-            else np.zeros(0, dtype=np.uint32)
-        )
-        return keys, ptrs
-
     def _rebuild_page(
         self, pid: int, page: FpPage, keys: np.ndarray, ptrs: np.ndarray, spread: bool
     ) -> None:
@@ -553,7 +543,7 @@ class DiskFirstFpTree(Index):
 
     def _reorganize_page(self, pid: int, page: FpPage, base: int) -> None:
         self.reorganizations += 1
-        keys, ptrs = self._collect_entries(page)
+        keys, ptrs = page.entries()
         self._rebuild_page(pid, page, keys, ptrs, spread=True)
         self._charge_rebuild(page, base)
 
@@ -578,7 +568,7 @@ class DiskFirstFpTree(Index):
         nodes = page.leaf_nodes_in_order()
         if len(nodes) < 2:
             # Degenerate single-node page (tiny page sizes): split entries.
-            keys_all, ptrs_all = self._collect_entries(page)
+            keys_all, ptrs_all = page.entries()
             half_entries = len(keys_all) // 2
             new_pid = self._new_page(page.level)
             new_page = self.store.page(new_pid)
@@ -646,7 +636,7 @@ class DiskFirstFpTree(Index):
             new_root_pid = self._new_page(self.store.page(left_pid).level + 1)
             new_root = self.store.page(new_root_pid)
             left_page = self.store.page(left_pid)
-            left_keys, __ = self._collect_entries(left_page)
+            left_keys, __ = left_page.entries()
             left_min = int(left_keys[0]) if len(left_keys) else separator
             self._rebuild_page(
                 new_root_pid,
@@ -688,7 +678,7 @@ class DiskFirstFpTree(Index):
         # separator, inserting by binary search would land *before* the left
         # child's entry, breaking the order against the sibling chain.
         if slot < node.count and int(node.ptrs[slot]) == left_pid and separator <= int(node.keys[slot]):
-            left_keys, __ = self._collect_entries(self.store.page(left_pid))
+            left_keys, __ = self.store.page(left_pid).entries()
             if len(left_keys):
                 node.keys[slot] = int(left_keys[0])
                 self.tracer.write(
@@ -847,26 +837,18 @@ class DiskFirstFpTree(Index):
             page, base = self._page(page.prev_page)
         return ScanResult(count, tid_sum)
 
-    # -- introspection ---------------------------------------------------------------------------------
-
-    def leaf_page_ids(self) -> list[int]:
-        pids = []
-        pid = self.first_leaf_pid
-        while pid != INVALID_PAGE_ID:
-            pids.append(pid)
-            pid = self.store.page(pid).next_page
-        return pids
-
     # -- the served routing primitive (untraced) ---------------------------------------------------
 
     def page_entries(self, pid: int) -> tuple[np.ndarray, np.ndarray]:
         """Page ``pid``'s flat sorted ``(keys, ptrs)`` pair (:meth:`FpPage.entries`).
 
-        Built lazily and cached per page id; the cached pair is valid while
-        the store's write token for the page is unchanged, and every
-        in-page mutation restamps it (``mark_dirty``, ``allocate``,
-        ``place``, ``replace``).  Every untraced routing of the served path
-        is one ``searchsorted`` on this pair: ``side="right"`` routes,
+        The keys are signed 64-bit, the dtype of a probe batch, so a
+        below-range probe compares below every key instead of wrapping an
+        unsigned dtype.  Built lazily and cached per page id; the cached
+        pair is valid while the store's write token for the page is
+        unchanged, and every in-page mutation restamps it (``mark_dirty``,
+        ``allocate``, ``place``, ``replace``).  Every untraced routing of
+        the served path is one ``searchsorted`` on this pair: ``side="right"`` routes,
         ``side="left"`` routes a left-biased scan descent and exact-matches
         a leaf.  Routing equals the traced in-page node walk's on both
         sides; an exact match equals ``search``'s for a key stored once
@@ -877,7 +859,8 @@ class DiskFirstFpTree(Index):
         cached = self._flat.get(pid)
         if cached is not None and cached[0] == token:
             return cached[1]
-        pair = self.store.page(pid).entries()
+        keys, ptrs = self.store.page(pid).entries()
+        pair = (keys.astype(np.int64, copy=False), ptrs)
         self._flat[pid] = (token, pair)
         return pair
 
@@ -922,15 +905,6 @@ class DiskFirstFpTree(Index):
                 pids.extend(int(p) for p in node.ptrs[: node.count])
             pid = page.next_page
         return pids
-
-    def items(self) -> Iterable[tuple[int, int]]:
-        pid = self.first_leaf_pid
-        while pid != INVALID_PAGE_ID:
-            page = self.store.page(pid)
-            for node in page.leaf_nodes_in_order():
-                for i in range(node.count):
-                    yield int(node.keys[i]), int(node.ptrs[i])
-            pid = page.next_page
 
     def validate(self) -> None:
         seen_entries = 0

@@ -138,15 +138,16 @@ class FpPage:
         visit(self.root_line)
         return out
 
+    def __len__(self) -> int:
+        return self.total
+
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The page's entries as one flat sorted ``(keys, ptrs)`` pair.
 
         The in-page leaf nodes concatenated in key order: child page ids
         (interior pages) or tuple ids (leaf pages) beside their keys.  Both
         arrays are fresh copies, so later in-place node edits cannot reach
-        them; the keys are signed 64-bit, the dtype of a probe batch, so a
-        below-range probe compares below every key instead of wrapping an
-        unsigned dtype.  O(entries): the serving tree caches it per page
+        them.  O(entries): the serving tree caches it per page
         (:meth:`DiskFirstFpTree.page_entries`).
         """
         nodes = self.leaf_nodes_in_order()
@@ -154,7 +155,7 @@ class FpPage:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32)
         keys = np.concatenate([node.keys[: node.count] for node in nodes])
         ptrs = np.concatenate([node.ptrs[: node.count] for node in nodes])
-        return keys.astype(np.int64, copy=False), ptrs
+        return keys, ptrs
 
     def first_key(self) -> Optional[int]:
         """Smallest key in the page, or None if it holds no entries.

@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..btree.base import span_bounds
 from ..btree.batch import NULL_PROTOCOL, LevelWiseLookupBatch, descend
 from ..btree.cc import LatchChain
 from ..btree.context import TreeEnvironment
@@ -194,15 +195,6 @@ class MiniDbms:
             return DiskBPlusTree(env)
         raise ValueError(f"unknown index kind {kind!r}")
 
-    def _entries_in_leaf_page(self, pid: int) -> int:
-        """Entry count of one leaf page, for any index kind."""
-        page = self.store.page(pid)
-        if hasattr(page, "total"):  # disk-first fp pages
-            return page.total
-        if hasattr(page, "count"):  # sorted-array pages
-            return page.count
-        return sum(node.count for node in page.nodes())  # cache-first pages
-
     # -- query execution ------------------------------------------------------
 
     def count_star(
@@ -361,7 +353,7 @@ class MiniDbms:
                         issued += 1
                 start = env.now
                 yield from reader.demand(pid)
-                rows = int(self._entries_in_leaf_page(pid))
+                rows = len(self.store.page(pid))
                 row_count += rows
                 yield env.timeout(page_process_us)
                 if tracer is not None:
@@ -431,13 +423,11 @@ class MiniDbms:
         """(first keys, leaf page ids) in leaf order, for range planning.
 
         The first keys are non-decreasing: an emptied leaf page takes its
-        successor's first key (:func:`~repro.bench.io_scan.leaf_first_keys`).
+        successor's first key (:meth:`~repro.btree.base.Index.leaf_first_keys`).
         Serving reads it through :meth:`cached_leaf_map`.
         """
-        from ..bench.io_scan import leaf_first_keys  # late: avoids a cycle
-
         pids = self.index.leaf_page_ids()
-        return leaf_first_keys(self.index, pids), pids
+        return self.index.leaf_first_keys(pids), pids
 
     def leaf_map_epoch(self) -> tuple:
         """Stamp of the leaf-page topology: ``(index, index.page_splits)``.
@@ -616,9 +606,8 @@ class MiniDbms:
         # residual window per-key lookups live with, and untruncated counts
         # come from an atomic fresh range_count at the end.)
         firsts, pids = self.cached_leaf_map()
-        lo = max(int(firsts.searchsorted(start_key, side="right")) - 1, 0)
-        hi = max(int(firsts.searchsorted(end_key, side="right")) - 1, lo)
-        span_pids = pids[lo : hi + 1]
+        lo, hi = span_bounds(firsts, start_key, end_key)
+        span_pids = pids[lo:hi]
         truncated = max_pages is not None and len(span_pids) > max_pages
         if truncated:
             span_pids = span_pids[:max_pages]
@@ -648,9 +637,7 @@ class MiniDbms:
         if not all(protocol.validate(pid, token) for pid, token in visited):
             return None
         if truncated:
-            return int(
-                sum(self._entries_in_leaf_page(pid) for pid in span_pids if pid in self.store)
-            )
+            return sum(len(self.store.page(pid)) for pid in span_pids if pid in self.store)
         return self.index.range_count(int(start_key), int(end_key))
 
     def serve_insert(

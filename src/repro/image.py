@@ -109,17 +109,17 @@ def _read_array(src: BinaryIO, dtype: np.dtype, count: int, capacity: int) -> np
 
 
 def _write_disk_page(out: BinaryIO, page: DiskPage) -> None:
-    _write(out, "<BIII", page.level, page.count, page.next_leaf, page.prev_leaf)
+    _write(out, "<BIII", page.level, page.count, page.next_page, page.prev_page)
     _write_array(out, page.keys, page.count)
     _write_array(out, page.ptrs, page.count)
 
 
 def _read_disk_page(src: BinaryIO, tree: DiskBPlusTree) -> DiskPage:
-    level, count, next_leaf, prev_leaf = _read(src, "<BIII")
+    level, count, next_page, prev_page = _read(src, "<BIII")
     page = DiskPage(tree.layout, level, tree.keyspec.dtype)
     page.count = count
-    page.next_leaf = next_leaf
-    page.prev_leaf = prev_leaf
+    page.next_page = next_page
+    page.prev_page = prev_page
     page.keys = _read_array(src, tree.keyspec.dtype, count, tree.layout.capacity)
     page.ptrs = _read_array(src, np.uint32, count, tree.layout.capacity)
     return page

@@ -37,12 +37,13 @@ from ..faults.errors import SimulatedCrash
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
 from ..obs import MetricsRegistry, Observability
+from ..storage.buffer import BufferPool
 from ..storage.config import StorageConfig
-from ..storage.prefetch import RetryPolicy
+from ..storage.disk import DiskArray
+from ..storage.prefetch import AsyncPageReader, RetryPolicy
 from ..workloads.ops import FreshKeys
-from .admission import AdmissionRejected
+from .admission import AdmissionController, AdmissionRejected
 from .stats import ServerStats
-from .substrate import build_serving_substrate
 
 __all__ = [
     "ADMISSION_MODES",
@@ -281,31 +282,28 @@ class DbmsServer:
     def _build_substrate(self, initial_time: float) -> None:
         """(Re)create the DES environment and everything bound to it.
 
-        The wiring itself lives in
-        :func:`~repro.serve.substrate.build_serving_substrate` — the same
-        factory a :class:`~repro.shard.ShardRouter` drives (via ``env=``)
-        for every shard, so single-server and shard construction cannot
-        drift apart.
+        A standalone server gets a fresh environment starting at
+        ``initial_time``, so a recovered server's clock stays monotonic; a
+        shard-attached server binds its disk array, reader and admission
+        queue to the fleet's shared clock instead.
         """
-        substrate = build_serving_substrate(
-            self._config,
-            self.db.store,
-            env=self._external_env,
-            initial_time=initial_time,
-            injector=self.injector,
-            mirrored=self.mirrored,
-            obs=self.obs,
-            policy=self._policy,
-            seed=self._seed,
+        env = self._external_env
+        if env is None:
+            env = Environment(initial_time=initial_time)
+        self.env = env
+        self.disks = DiskArray(
+            env, self._config, injector=self.injector, mirrored=self.mirrored, obs=self.obs
+        )
+        self.pool = BufferPool(self._config, self.db.store, obs=self.obs)
+        self.reader = AsyncPageReader(
+            env, self.disks, self.pool, policy=self._policy, seed=self._seed, obs=self.obs
+        )
+        self.admission = AdmissionController(
+            env,
             max_concurrency=self._max_concurrency,
-            queue_depth=self._queue_depth,
+            max_queue_depth=self._queue_depth,
             metrics=self.obs.metrics,
         )
-        self.env = substrate.env
-        self.disks = substrate.disks
-        self.pool = substrate.pool
-        self.reader = substrate.reader
-        self.admission = substrate.admission
         #: An open batch's closer timer died with the old environment, so a
         #: crash-rebuild starts with no batch collecting (its requests are
         #: drained by fail_unfinished like every other in-flight op).

@@ -249,7 +249,7 @@ def test_truncated_scan_follows_mid_descent_split():
         # below cannot pass by reading the wrong page.
         uppers = iter(gap for gap in gaps if gap > start_key)
         sibling = db.index.page_path(start_key)[-1]
-        while db._entries_in_leaf_page(sibling) == db._entries_in_leaf_page(old_leaf):
+        while len(db.store.page(sibling)) == len(db.store.page(old_leaf)):
             db.insert(next(uppers))
 
     env.process(inserter())
@@ -258,8 +258,8 @@ def test_truncated_scan_follows_mid_descent_split():
     )
     new_leaf = db.index.page_path(start_key)[-1]
     assert new_leaf != old_leaf, "the split must have moved the start key"
-    assert db._entries_in_leaf_page(new_leaf) != db._entries_in_leaf_page(old_leaf)
-    assert count == db._entries_in_leaf_page(new_leaf)
+    assert len(db.store.page(new_leaf)) != len(db.store.page(old_leaf))
+    assert count == len(db.store.page(new_leaf))
     assert reader.pool.contains(new_leaf), "the scan must have read the new sibling"
 
 

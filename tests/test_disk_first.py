@@ -195,7 +195,7 @@ class TestDiskFirstStructure:
             page = tree.store.page(pid)
             import numpy as np
 
-            keys, ptrs = tree._collect_entries(page)
+            keys, ptrs = page.entries()
             tree._rebuild_page(pid, page, keys, ptrs, spread=True)
             lines.add((pid, page.root_line))
             trees.append(tree)

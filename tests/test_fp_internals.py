@@ -68,7 +68,7 @@ class TestCacheFirstPlacementInternals:
         tree.bulkload(range(10, 10 + 2 * n, 2), [1] * n)
         for pid in tree.leaf_page_ids():
             page = tree.store.page(pid)
-            first = tree._first_leaf_of_page(page)
+            first = page.first_leaf()
             residents = page.nodes()
             assert first in residents
             assert all(int(first.keys[0]) <= int(n.keys[0]) for n in residents if n.count)
