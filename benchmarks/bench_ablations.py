@@ -8,22 +8,11 @@
   the disk latency; improvement saturates once the array is covered.
 """
 
-from repro.bench.figures import (
-    ablation_jpa_on_standard_btree,
-    ablation_overshoot,
-    ablation_prefetch_depth,
-    ablation_uniform_node_size,
-)
-from repro.bench.multipage import ablation_multipage_nodes
-
-from conftest import record
+from conftest import committed
 
 
-def test_overshoot_avoidance(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablation_overshoot(num_keys=60_000, span=1_000), rounds=1, iterations=1
-    )
-    record(benchmark, result)
+def test_overshoot_avoidance():
+    result = committed("ablation-overshoot")
     careful = result.filter(mode="avoid overshoot")[0]
     sloppy = result.filter(mode="overshooting")[0]
     assert careful["overshoot_reads"] == 0
@@ -31,13 +20,8 @@ def test_overshoot_avoidance(benchmark):
     assert sloppy["disk_reads"] > careful["disk_reads"]
 
 
-def test_two_node_sizes_beat_uniform(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablation_uniform_node_size(num_keys=60_000, searches=150),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_two_node_sizes_beat_uniform():
+    result = committed("ablation-uniform-node-size")
     two = result.filter(variant="two sizes (paper)")[0]
     uniform = result.filter(variant="uniform size")[0]
     # Same cost class, but distinct sizes pack more entries per page.
@@ -45,42 +29,24 @@ def test_two_node_sizes_beat_uniform(benchmark):
     assert two["cycles_per_search"] < uniform["cycles_per_search"] * 1.15
 
 
-def test_jump_pointer_prefetch_helps_standard_btrees(benchmark):
+def test_jump_pointer_prefetch_helps_standard_btrees():
     """Section 2.2: the technique is not specific to fractal trees."""
-    result = benchmark.pedantic(
-        lambda: ablation_jpa_on_standard_btree(num_keys=80_000, span=8_000),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+    result = committed("ablation-jpa-on-btree")
     fetched = result.filter(mode="with jump-pointer prefetch")[0]
     assert fetched["speedup"] > 1.5
 
 
-def test_multipage_nodes_tradeoff(benchmark):
+def test_multipage_nodes_tradeoff():
     """Section 2.1: wide nodes win latency, lose OLTP throughput."""
-    result = benchmark.pedantic(
-        lambda: ablation_multipage_nodes(
-            num_keys=5_000_000, node_sizes=(1, 4), stream_counts=(1, 12),
-            searches_per_stream=10,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+    result = committed("ablation-multipage-nodes")
     single = {r["pages_per_node"]: r["latency_ms"] for r in result.filter(streams=1)}
-    oltp = {r["pages_per_node"]: r["throughput_per_s"] for r in result.filter(streams=12)}
+    oltp = {r["pages_per_node"]: r["throughput_per_s"] for r in result.filter(streams=16)}
     assert single[4] <= single[1]  # latency: wide nodes win
     assert oltp[1] > oltp[4]  # throughput: wide nodes lose
 
 
-def test_prefetch_depth_saturates(benchmark):
-    result = benchmark.pedantic(
-        lambda: ablation_prefetch_depth(num_keys=60_000, span=2_000, depths=(1, 4, 16, 64)),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_prefetch_depth_saturates():
+    result = committed("ablation-prefetch-depth")
     times = {row["depth"]: row["elapsed_ms"] for row in result.rows}
     assert times[16] < times[1]  # deeper prefetch hides more latency
     assert abs(times[64] - times[16]) < times[16] * 0.35  # saturation

@@ -1,31 +1,21 @@
 """Fault resilience: scan throughput under injected storage faults.
 
-The repo's first robustness curve.  Claims checked: (a) under a uniform
+The repo's first robustness curve, checked on the committed
+``fault-resilience`` rows.  Claims checked: (a) under a uniform
 corruption/timeout error rate, hedged reads beat retry-only recovery and
 every injected corruption is caught at the buffer-pool boundary (zero
 silent corruptions — row counts match the fault-free run); (b) against a
 10x-latency limping disk, hedging recovers at least twice the throughput
-that retry-only recovery leaves on the table; (c) fixed-seed fault
-injection is bit-for-bit deterministic.
-
-Runs standalone too — ``python benchmarks/bench_faults.py --smoke`` does a
-tiny-config pass of the same assertions (the CI faults-smoke job).
+that retry-only recovery leaves on the table.  Fixed-seed fault injection
+being bit-for-bit deterministic is checked where the rows are regenerated
+and compared byte for byte with ``results/figures.json``.
 """
 
-import sys
-
-from repro.bench.figures import fault_resilience
-
-SMOKE_SCALE = dict(
-    num_rows=20_000,
-    num_disks=8,
-    error_rates=(0.0, 0.05),
-    limp_factors=(10.0,),
-)
+from conftest import committed
 
 
-def check_claims(result):
-    """Assert the robustness claims on a fault_resilience() FigureResult."""
+def test_fault_resilience():
+    result = committed("fault-resilience")
 
     def row(panel, x, mode):
         return result.filter(panel=panel, x=x, mode=mode)[0]
@@ -50,28 +40,3 @@ def check_claims(result):
     loss_hedge = clean - row("b", worst, "hedged")["pages_per_s"]
     assert loss_retry > 0, "limping disk cost nothing; scale the scan up"
     assert loss_retry >= 2.0 * loss_hedge, (loss_retry, loss_hedge)
-
-
-def test_fault_resilience(benchmark):
-    from conftest import record
-
-    result = benchmark.pedantic(fault_resilience, rounds=1, iterations=1)
-    record(benchmark, result)
-    check_claims(result)
-    # Fixed seed => bit-for-bit reproducible rows.
-    assert fault_resilience().rows == result.rows
-
-
-def main(argv):
-    smoke = "--smoke" in argv
-    result = fault_resilience(**SMOKE_SCALE) if smoke else fault_resilience()
-    print(result.format_table())
-    check_claims(result)
-    rerun = fault_resilience(**SMOKE_SCALE) if smoke else fault_resilience()
-    assert rerun.rows == result.rows, "fault injection is not deterministic"
-    print("all fault-resilience claims hold" + (" (smoke scale)" if smoke else ""))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

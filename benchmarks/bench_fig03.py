@@ -5,16 +5,11 @@ cache stalls than the cache-optimized pB+-Tree, and its busy time carries
 the buffer-pool instruction overhead.
 """
 
-from repro.bench.figures import fig03
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig03_breakdown(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig03(num_keys=80_000, searches=300), rounds=1, iterations=1
-    )
-    record(benchmark, result)
+def test_fig03_breakdown():
+    result = committed("fig03")
 
     disk = next(r for r in result.rows if "disk" in r["index"])
     pb = next(r for r in result.rows if r["index"] == "pB+tree")

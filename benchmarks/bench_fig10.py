@@ -6,20 +6,14 @@ beat the disk-optimized baseline at every page size, with speedups in the
 """
 
 from repro.bench.cache_runner import build_tree
-from repro.bench.figures import fig10
 from repro.mem import MemorySystem
 from repro.workloads import KeyWorkload
 
-from conftest import record
+from conftest import committed
 
 
-def test_fig10_search_speedups(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig10(page_sizes=(8192, 16384), sizes=(30_000, 100_000), searches=150),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_fig10_search_speedups():
+    result = committed("fig10")
 
     for page_size in (8192, 16384):
         for num_keys in (30_000, 100_000):

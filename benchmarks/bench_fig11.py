@@ -5,16 +5,11 @@ search performance within a few percent of the best width in the sweep —
 "within 2% of the best" for disk-first, "within 5%" for cache-first.
 """
 
-from repro.bench.figures import fig11
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig11_selected_widths_near_best(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig11(num_keys=60_000, searches=150), rounds=1, iterations=1
-    )
-    record(benchmark, result)
+def test_fig11_selected_widths_near_best():
+    result = committed("fig11")
 
     for variant, tolerance in (("disk-first", 1.10), ("cache-first", 1.12)):
         rows = result.filter(variant=variant)

@@ -2,22 +2,15 @@
 
 Claim checked (paper Section 4.2.1): the cache-sensitive schemes achieve
 speedups between roughly 1.37 and 1.60 over the baseline at every bulkload
-factor from 60% to 100% — we assert a slightly wider band for the scaled
-runs.
+factor from 60% to 100% — we assert a slightly wider band for the
+scaled-down tree.
 """
 
-from repro.bench.figures import fig12
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig12_bulkload_factor_sweep(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig12(num_keys=60_000, searches=150, bulkload_factors=(0.6, 0.8, 1.0)),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_fig12_bulkload_factor_sweep():
+    result = committed("fig12")
 
     for fill in (0.6, 0.8, 1.0):
         rows = {r["index"]: r["cycles_per_search"] for r in result.filter(fill=fill)}

@@ -11,24 +11,11 @@ Claims checked (paper Section 4.2.2):
 * the fp curves are flat from 60-90% full while the baseline's grow.
 """
 
-from repro.bench.figures import fig13
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig13_insertions(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig13(
-            num_keys=60_000,
-            inserts=150,
-            bulkload_factors=(0.6, 0.9, 1.0),
-            sizes=(30_000,),
-            page_sizes=(8192, 32768),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_fig13_insertions():
+    result = committed("fig13")
 
     # Panel (a), non-full trees: big fp wins, micro ~ baseline.
     for fill in (0.6, 0.9):

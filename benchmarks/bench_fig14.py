@@ -6,23 +6,11 @@ baseline's cost grows with bulkload factor and page size while the fp
 trees' barely changes; micro-indexing tracks the baseline.
 """
 
-from repro.bench.figures import fig14
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig14_deletions(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig14(
-            num_keys=60_000,
-            deletions=150,
-            bulkload_factors=(0.6, 1.0),
-            page_sizes=(8192, 32768),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_fig14_deletions():
+    result = committed("fig14")
 
     for fill in (0.6, 1.0):
         rows = {r["index"]: r["cycles_per_delete"] for r in result.filter(panel="a", x=fill)}

@@ -5,16 +5,11 @@ disk-optimized baseline on large scans (paper: 4.2x disk-first, 3.5x
 cache-first) thanks to jump-pointer prefetching of the leaf nodes.
 """
 
-from repro.bench.figures import fig15
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig15_range_scan(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig15(num_keys=100_000, scans=3), rounds=1, iterations=1
-    )
-    record(benchmark, result)
+def test_fig15_range_scan():
+    result = committed("fig15")
 
     rows = {r["index"]: r for r in result.rows}
     assert rows["disk"]["speedup_vs_disk"] == 1.0

@@ -6,18 +6,11 @@ pages (leaf parents living in overflow pages) — the reason the paper
 recommends disk-first when I/O matters.
 """
 
-from repro.bench.figures import fig17
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig17_search_io(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig17(num_keys=150_000, searches=800, page_sizes=(4096, 16384)),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_fig17_search_io():
+    result = committed("fig17")
 
     for scenario in ("bulkload", "mature"):
         for page_size in (4096, 16384):

@@ -6,23 +6,11 @@ processes until it approaches the in-memory ceiling; increasing the SMP
 degree helps, with the prefetched curve tracking the in-memory curve.
 """
 
-from repro.bench.figures import fig19
-
-from conftest import record
+from conftest import committed
 
 
-def test_fig19_dbms_prefetching(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig19(
-            num_rows=60_000,
-            num_disks=40,
-            prefetcher_counts=(1, 4, 8, 12),
-            smp_degrees=(1, 3, 6, 9),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    record(benchmark, result)
+def test_fig19_dbms_prefetching():
+    result = committed("fig19")
 
     def value(panel, x, mode):
         return result.filter(panel=panel, x=x, mode=mode)[0]["elapsed_s"]

@@ -1,31 +1,24 @@
 """Crash consistency: WAL logging overhead and redo recovery time.
 
-Claims checked on the ``recovery`` experiment: (a) logging the update path
-costs a bounded, deterministic number of WAL appends (at least
+Claims checked on the committed ``recovery`` rows: (a) logging the update
+path costs a bounded, deterministic number of WAL appends (at least
 BEGIN + one page image + COMMIT per update) and checkpointing shifts
 write cost into the runtime — the tightest interval forces the most
 pages; (b) after a crash at ~90% of the log, redo recovery always
 succeeds, and more frequent checkpoints strictly reduce the records that
-must be replayed (and never make recovery slower); (c) the whole
-experiment is bit-for-bit deterministic.
-
-Runs standalone too — ``python benchmarks/bench_recovery.py --smoke`` does
-a tiny-config pass of the same assertions (the CI recovery-smoke job).
+must be replayed (and never make recovery slower).  The experiment being
+bit-for-bit deterministic is checked where the rows are regenerated and
+compared byte for byte with ``results/figures.json``.
 """
 
-import sys
+from conftest import committed
 
-from repro.bench.figures import recovery_overhead
-
-SMOKE_SCALE = dict(
-    num_keys=3_000,
-    num_updates=400,
-    checkpoint_intervals=(0, 25, 100),
-)
+#: Updates per run in the committed rows (``recovery_overhead``'s default).
+NUM_UPDATES = 2_000
 
 
-def check_claims(result, num_updates=2_000):
-    """Assert the crash-consistency claims on a recovery_overhead() result."""
+def test_recovery_overhead():
+    result = committed("recovery")
 
     def row(panel, interval):
         return result.filter(panel=panel, checkpoint_interval=interval)[0]
@@ -38,7 +31,7 @@ def check_claims(result, num_updates=2_000):
     # simulated disk-write time for them.
     for interval in intervals:
         runtime = row("a", interval)
-        assert runtime["wal_appends"] >= 3 * num_updates, runtime
+        assert runtime["wal_appends"] >= 3 * NUM_UPDATES, runtime
         assert runtime["write_us_per_op"] > 0, runtime
     # Checkpointing trades runtime writes for recovery speed: the tightest
     # interval forces the most pages and pays at least as much write time.
@@ -53,30 +46,3 @@ def check_claims(result, num_updates=2_000):
     assert row("b", tightest)["recovery_us"] <= row("b", 0)["recovery_us"]
     for interval in intervals:
         assert row("b", interval)["recovery_us"] > 0
-
-
-def test_recovery_overhead(benchmark):
-    from conftest import record
-
-    result = benchmark.pedantic(recovery_overhead, rounds=1, iterations=1)
-    record(benchmark, result)
-    check_claims(result)
-    # (c) Fixed workload => bit-for-bit reproducible rows.
-    assert recovery_overhead().rows == result.rows
-
-
-def main(argv):
-    smoke = "--smoke" in argv
-    kwargs = SMOKE_SCALE if smoke else {}
-    num_updates = kwargs.get("num_updates", 2_000)
-    result = recovery_overhead(**kwargs)
-    print(result.format_table())
-    check_claims(result, num_updates=num_updates)
-    rerun = recovery_overhead(**kwargs)
-    assert rerun.rows == result.rows, "crash recovery is not deterministic"
-    print("all crash-consistency claims hold" + (" (smoke scale)" if smoke else ""))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -3,15 +3,12 @@
 
 Usage (from the repo root, ``PYTHONPATH=src`` or the package installed)::
 
-    python benchmarks/determinism_gate.py rerun -- \
-        python benchmarks/bench_faults.py --smoke
     python benchmarks/determinism_gate.py jobs -- \
         python -m repro.bench fig10 --set page_sizes=4096,8192 --set sizes=2000
 
-``rerun`` executes the command twice and fails unless the
-wall-clock-normalized stdout is byte-identical; ``jobs`` appends
-``--jobs 1`` / ``--jobs 2`` and diffs stdout.  Exit status 0 on identical, 1 with the first diverging line
-otherwise.  Scenario matrices gate themselves: ``python -m repro.bench
+``jobs`` appends ``--jobs 1`` / ``--jobs 2`` to the command and diffs the
+wall-clock-normalized stdout.  Exit status 0 on identical, 1 with the
+first diverging line otherwise.  Scenario matrices gate themselves: ``python -m repro.bench
 scenario --matrix FILE --jobs 2 --gate``.
 """
 

@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..btree.base import Index, IndexCorruptionError, ScanResult, as_key_array, chunk_evenly
+from ..btree.base import (
+    Index, IndexCorruptionError, ScanResult, as_key_array, check_key, chunk_evenly,
+)
 from ..btree.context import TreeEnvironment
 from ..btree.keys import INVALID_PAGE_ID, PAGE_ID_SIZE, TUPLE_ID_SIZE
 from ..btree.search import child_slot, insertion_slot
@@ -241,6 +243,7 @@ class DiskBPlusTree(Index):
     # -- insertion ---------------------------------------------------------------
 
     def insert(self, key: int, tid: int) -> None:
+        check_key(key, self.keyspec)
         self.tracer.call_overhead()
         with self._update_txn():
             pid, leaf, base, path = self._descend(key, record_path=True)

@@ -19,7 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..btree.base import Index, IndexCorruptionError, ScanResult, as_key_array, chunk_evenly
+from ..btree.base import (
+    Index, IndexCorruptionError, ScanResult, as_key_array, check_key, chunk_evenly,
+)
 from ..btree.keys import KEY4, KeySpec, TUPLE_ID_SIZE
 from ..btree.search import child_slot, insertion_slot
 from ..btree.trace import Tracer
@@ -209,6 +211,7 @@ class PrefetchingBPlusTree(Index):
     # -- updates -----------------------------------------------------------------
 
     def insert(self, key: int, tid: int) -> None:
+        check_key(key, self.keyspec)
         self.tracer.call_overhead()
         leaf, path = self._descend(key, record_path=True)
         slot = insertion_slot(

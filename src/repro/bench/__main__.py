@@ -215,18 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.json_path:
         import json
 
-        payload = [
-            {
-                "name": r.name,
-                "description": r.description,
-                "columns": list(r.columns),
-                "rows": r.rows,
-                "notes": r.notes,
-            }
-            for r in collected
-        ]
         with open(args.json_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
+            json.dump([r.to_dict() for r in collected], handle, indent=2)
         print(f"wrote {args.json_path}")
     if args.trace_path:
         traced = [r for r in collected if r.trace is not None]

@@ -8,8 +8,12 @@ implementation they all share, used two ways:
 
 * in-process, by the scenario runner's ``--gate`` flag
   (:func:`assert_identical_bytes`), and
-* as a CLI, ``python benchmarks/determinism_gate.py``, by the CI smoke
-  cells (:func:`rerun_gate` / :func:`jobs_gate`).
+* as a CLI, ``python benchmarks/determinism_gate.py jobs``, by the CI
+  smoke cells (:func:`jobs_gate`).
+
+Same-seed reruns of the paper experiments need no gate of their own: CI
+regenerates every one of them and compares the payload byte for byte with
+the committed ``results/figures.json``.
 
 Stdout comparisons normalize the one legitimately nondeterministic line
 — the ``finished in 1.23s`` wall-clock trailer — so the gate tests the
@@ -28,7 +32,6 @@ from typing import Optional, Sequence
 __all__ = [
     "normalize_stdout",
     "assert_identical_bytes",
-    "rerun_gate",
     "jobs_gate",
     "DeterminismError",
 ]
@@ -78,13 +81,6 @@ def _run(argv: Sequence[str]) -> bytes:
     return proc.stdout
 
 
-def rerun_gate(command: Sequence[str]) -> bytes:
-    """Run ``command`` twice; its wall-clock-normalized stdout must match."""
-    first, second = (normalize_stdout(_run(command)) for __ in range(2))
-    assert_identical_bytes(first, second, "stdout of two same-seed runs")
-    return first
-
-
 def jobs_gate(command: Sequence[str], jobs: Sequence[int] = (1, 2)) -> bytes:
     """Run ``command --jobs N`` for each N; stdout must be byte-identical.
 
@@ -105,20 +101,17 @@ def jobs_gate(command: Sequence[str], jobs: Sequence[int] = (1, 2)) -> bytes:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI shared by every CI smoke cell; see ``--help`` for the two modes."""
+    """CLI shared by the CI smoke cells; see ``--help``."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="determinism_gate",
         description=(
-            "Gate a seeded command on byte-identical output: 'rerun' runs it "
-            "twice and diffs stdout, 'jobs' appends --jobs 1 / --jobs 2 and "
-            "diffs stdout."
+            "Gate a seeded command on byte-identical output: 'jobs' appends "
+            "--jobs 1 / --jobs 2 and diffs stdout."
         ),
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    rerun = sub.add_parser("rerun", help="same command twice, stdout must match")
-    rerun.add_argument("command", nargs=argparse.REMAINDER)
     jobs = sub.add_parser("jobs", help="--jobs 1 vs --jobs 2, stdout must match")
     jobs.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args(argv)
@@ -126,14 +119,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if command and command[0] == "--":
         command = command[1:]
     if not command:
-        parser.error("no command given (put it after the mode, e.g. 'rerun -- python ...')")
+        parser.error("no command given (put it after the mode, e.g. 'jobs -- python ...')")
     try:
-        if args.mode == "rerun":
-            rerun_gate(command)
-            print(f"determinism gate passed: two runs byte-identical ({shlex.join(command)})")
-        else:
-            jobs_gate(command)
-            print(f"determinism gate passed: --jobs 1 == --jobs 2 ({shlex.join(command)})")
+        jobs_gate(command)
+        print(f"determinism gate passed: --jobs 1 == --jobs 2 ({shlex.join(command)})")
     except DeterminismError as exc:
         print(exc, file=sys.stderr)
         return 1

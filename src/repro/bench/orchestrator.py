@@ -131,33 +131,26 @@ def plan_cells(name: str, overrides: Optional[dict] = None) -> list[dict]:
 
 
 def _run_cell(task: tuple[str, dict]) -> dict:
-    """Worker entry point: run one cell, return a picklable result dict.
+    """Worker entry point: run one cell, return its picklable ``to_dict`` form.
 
     The attached trace (``traced-scan`` only) is not picklable and is
     dropped here; single-cell experiments run inline and keep it.
     """
     name, kwargs = task
-    result = ALL_EXPERIMENTS[name](**kwargs)
-    return {
-        "description": result.description,
-        "columns": list(result.columns),
-        "rows": result.rows,
-        "notes": result.notes,
-        "trace": None,
-    }
+    return ALL_EXPERIMENTS[name](**kwargs).to_dict()
 
 
-def _merge(name: str, partials: Sequence[dict]) -> FigureResult:
+def _merge(name: str, partials: Sequence[FigureResult]) -> FigureResult:
     """Concatenate cell results in cell order (never completion order)."""
     first = partials[0]
-    merged = FigureResult(name, first["description"], first["columns"])
+    merged = FigureResult(name, first.description, list(first.columns))
     for partial in partials:
-        merged.rows.extend(partial["rows"])
-        for note in partial["notes"]:
+        merged.rows.extend(partial.rows)
+        for note in partial.notes:
             if note not in merged.notes:
                 merged.notes.append(note)
-        if partial["trace"] is not None:
-            merged.trace = partial["trace"]
+        if partial.trace is not None:
+            merged.trace = partial.trace
     return merged
 
 
@@ -196,18 +189,7 @@ def run_experiment(
     cells = plan_cells(name, overrides)
     tasks = [(name, cell) for cell in cells]
     if jobs == 1 or len(tasks) == 1:
-        partials = []
-        for task in tasks:
-            result = ALL_EXPERIMENTS[name](**task[1])
-            partials.append(
-                {
-                    "description": result.description,
-                    "columns": list(result.columns),
-                    "rows": result.rows,
-                    "notes": result.notes,
-                    "trace": result.trace,
-                }
-            )
+        partials = [ALL_EXPERIMENTS[name](**kwargs) for __, kwargs in tasks]
     else:
-        partials = map_cells(_run_cell, tasks, jobs)
+        partials = [FigureResult.from_dict(d) for d in map_cells(_run_cell, tasks, jobs)]
     return _merge(name, partials)

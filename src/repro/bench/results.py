@@ -20,6 +20,27 @@ class FigureResult:
     #: Optional attached :class:`repro.obs.QueryTrace` (``--trace-out`` writes it).
     trace: Any = field(default=None, repr=False)
 
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON form ``--json`` writes; the attached trace is not part of it."""
+        return {
+            "name": self.name,
+            "description": self.description,
+            "columns": list(self.columns),
+            "rows": self.rows,
+            "notes": self.notes,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "FigureResult":
+        """Rebuild a result from its :meth:`to_dict` form (e.g. a ``--json`` entry)."""
+        return cls(
+            data["name"],
+            data["description"],
+            list(data["columns"]),
+            list(data["rows"]),
+            list(data["notes"]),
+        )
+
     def add(self, **values: Any) -> None:
         self.rows.append(values)
 

@@ -26,7 +26,8 @@ import numpy as np
 from .keys import INVALID_PAGE_ID, KeySpec
 
 __all__ = [
-    "Index", "ScanResult", "IndexCorruptionError", "as_key_array", "chunk_evenly", "span_bounds",
+    "Index", "ScanResult", "IndexCorruptionError", "as_key_array", "check_key", "chunk_evenly",
+    "span_bounds",
 ]
 
 
@@ -56,6 +57,12 @@ def as_key_array(keys: Sequence[int] | np.ndarray, spec: KeySpec) -> np.ndarray:
     if array.size and (int(array.min()) < 0 or int(array.max()) > spec.max_key):
         raise ValueError(f"keys out of range for {spec.size}-byte keys")
     return array.astype(spec.dtype, copy=False)
+
+
+def check_key(key: int, spec: KeySpec) -> None:
+    """Reject one key outside ``[0, spec.max_key]``, as :func:`as_key_array` does."""
+    if not 0 <= key <= spec.max_key:
+        raise ValueError(f"key {key} out of range for {spec.size}-byte keys")
 
 
 #: Routing key of a trailing empty leaf page: above every storable key.

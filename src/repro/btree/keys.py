@@ -9,6 +9,7 @@ width with its numpy dtype so page layouts can be computed for other widths
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,10 +45,16 @@ class KeySpec:
                 f"dtype {self.dtype} is {np.dtype(self.dtype).itemsize} bytes, expected {self.size}"
             )
 
-    @property
+    @cached_property
     def max_key(self) -> int:
-        """Largest representable key value."""
-        return int(np.iinfo(self.dtype).max)
+        """Largest storable key value.
+
+        Page routing (``page_entries``, ``descend``'s probes and
+        ``leaf_first_keys``) runs in signed 64 bits, and int64's maximum is
+        the routing key past the last leaf, so a key stays below it and
+        every cast is exact.
+        """
+        return min(int(np.iinfo(self.dtype).max), int(np.iinfo(np.int64).max) - 1)
 
     def empty(self, capacity: int) -> np.ndarray:
         """A zeroed key array of the given capacity."""
@@ -55,4 +62,6 @@ class KeySpec:
 
 
 KEY4 = KeySpec(4, np.dtype(np.uint32))
-KEY8 = KeySpec(8, np.dtype(np.uint64))
+#: Signed, like page routing: a uint64 key array compared with a Python int
+#: promotes both to float64 in numpy, which loses exactness past 2**53.
+KEY8 = KeySpec(8, np.dtype(np.int64))

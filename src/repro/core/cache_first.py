@@ -32,7 +32,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..btree.base import Index, IndexCorruptionError, ScanResult, as_key_array, chunk_evenly
+from ..btree.base import (
+    Index, IndexCorruptionError, ScanResult, as_key_array, check_key, chunk_evenly,
+)
 from ..btree.context import TreeEnvironment
 from ..btree.keys import INVALID_PAGE_ID, TUPLE_ID_SIZE
 from ..btree.search import child_slot, insertion_slot
@@ -455,6 +457,7 @@ class CacheFirstFpTree(Index):
     # -- insertion -----------------------------------------------------------------------------------
 
     def insert(self, key: int, tid: int) -> None:
+        check_key(key, self.keyspec)
         self._begin_op()
         leaf = self._descend(key)
         slot = insertion_slot(

@@ -27,7 +27,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..btree.base import Index, IndexCorruptionError, ScanResult, as_key_array, chunk_evenly
+from ..btree.base import (
+    Index, IndexCorruptionError, ScanResult, as_key_array, check_key, chunk_evenly,
+)
 from ..btree.context import TreeEnvironment
 from ..btree.keys import INVALID_PAGE_ID, TUPLE_ID_SIZE
 from ..btree.search import child_slot, insertion_slot
@@ -258,6 +260,7 @@ class DiskFirstFpTree(Index):
     # -- insertion ----------------------------------------------------------------------
 
     def insert(self, key: int, tid: int) -> None:
+        check_key(key, self.keyspec)
         self.tracer.call_overhead()
         with self._update_txn():
             pid, page, base, path = self._descend_to_leaf_page(key, record_path=True)

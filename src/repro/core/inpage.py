@@ -114,9 +114,6 @@ class FpPage:
         self.next_page = INVALID_PAGE_ID
         self.prev_page = INVALID_PAGE_ID
 
-    def node_at(self, line: int) -> InPageNode:
-        return self.nodes[line]
-
     @property
     def root(self) -> InPageNode:
         return self.nodes[self.root_line]

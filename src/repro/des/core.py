@@ -323,10 +323,6 @@ class Environment:
         """Event that triggers when all ``events`` have triggered."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` triggers."""
-        return AnyOf(self, events)
-
     # -- scheduling / execution --------------------------------------------
 
     def step(self) -> None:

@@ -85,11 +85,6 @@ class FaultInjector:
                 return FaultDecision(ReadOutcome.CORRUPT, multiplier)
         return FaultDecision(ReadOutcome.OK, multiplier)
 
-    @property
-    def total_injected(self) -> int:
-        """All faults injected so far (excluding pure latency limping)."""
-        return self.injected_corruptions + self.injected_timeouts + self.injected_disk_failures
-
 
 class WriteOutcome(enum.Enum):
     """What the crash injector decided a single durable write should do."""

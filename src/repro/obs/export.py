@@ -137,9 +137,6 @@ class QueryTrace:
 
     # -- export --------------------------------------------------------------
 
-    def chrome_dict(self) -> dict:
-        return chrome_trace_dict(self.tracer, label=self.label)
-
     def to_json(self) -> str:
         return to_chrome_json(self.tracer, label=self.label)
 

@@ -1,8 +1,10 @@
 """Structural verification of an index — the post-recovery scrubber.
 
 :func:`scrub_tree` generalizes the per-tree ``validate()`` methods into a
-single verifier that any :class:`~repro.btree.base.Index` over page-id
-storage can pass through after crash recovery:
+single verifier for the kinds the write-ahead log recovers — the disk
+B+-Tree, micro-indexing and the disk-first fpB+-Tree, whose pages all
+live in page-id storage under a ``root_pid`` — and rejects any other
+kind with TypeError before walking anything:
 
 * **page structure** — the tree's own ``validate()`` (node allocator
   consistency, per-node ordering, entry counters, sibling chains, and
@@ -24,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .baselines.disk_btree import DiskBPlusTree
 from .btree.base import IndexCorruptionError
+from .core.disk_first import DiskFirstFpTree
 
 __all__ = ["ScrubReport", "scrub_tree"]
 
@@ -41,6 +45,12 @@ class ScrubReport:
 
 def scrub_tree(tree) -> ScrubReport:
     """Verify a tree's structure; raises ``IndexCorruptionError`` on damage."""
+    # MicroIndexTree subclasses DiskBPlusTree.
+    if not isinstance(tree, (DiskBPlusTree, DiskFirstFpTree)):
+        raise TypeError(
+            f"scrub_tree covers the disk, micro and fp-disk trees (the kinds the "
+            f"WAL recovers), not {type(tree).__name__}"
+        )
     tree.validate()
 
     store = tree.store

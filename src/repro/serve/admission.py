@@ -48,11 +48,15 @@ class AdmissionRejected(RuntimeError):
 
 @dataclass
 class AdmissionTicket:
-    """A granted service slot plus its queue-time accounting."""
+    """A claimed service slot plus its queue-time accounting.
+
+    ``grant`` fires when the token is granted; ``granted_at`` stays -1.0
+    until :meth:`AdmissionController.granted` stamps it.
+    """
 
     grant: ResourceRequest
     enqueued_at: float
-    granted_at: float
+    granted_at: float = -1.0
 
     @property
     def queue_wait_us(self) -> float:
@@ -104,13 +108,14 @@ class AdmissionController:
 
     # -- the gate ----------------------------------------------------------
 
-    def admit(self):
-        """Process generator: wait for a service token (or be shed).
+    def claim(self) -> AdmissionTicket:
+        """Claim a service token without waiting for it (or be shed).
 
-        Returns an :class:`AdmissionTicket` once granted; raises
-        :class:`AdmissionRejected` *immediately* (no simulated time passes)
-        when the wait queue is already at its bound.  The caller must pass
-        the ticket to :meth:`release` when its operation finishes.
+        Raises :class:`AdmissionRejected` *immediately* (no simulated time
+        passes) when the wait queue is already at its bound.  Otherwise the
+        returned ticket's ``grant`` event fires once a token is free; pass
+        the ticket to :meth:`granted` at that moment and to :meth:`release`
+        when its operation finishes.
         """
         if self._resource.queue_length >= self.max_queue_depth and (
             self._resource.count >= self.max_concurrency
@@ -122,13 +127,26 @@ class AdmissionController:
         if not grant.triggered:
             self.queued += 1
         self._depth_gauge.set(self._resource.queue_length)
-        yield grant
-        granted_at = self.env.now
+        return AdmissionTicket(grant, enqueued_at)
+
+    def granted(self, ticket: AdmissionTicket) -> AdmissionTicket:
+        """Account a claimed ticket whose grant has just fired."""
+        ticket.granted_at = self.env.now
         self.admitted += 1
         self._depth_gauge.set(self._resource.queue_length)
         self._in_service_gauge.set(self._resource.count)
-        self._queue_wait.record(granted_at - enqueued_at)
-        return AdmissionTicket(grant, enqueued_at, granted_at)
+        self._queue_wait.record(ticket.queue_wait_us)
+        return ticket
+
+    def admit(self):
+        """Process generator: :meth:`claim` a token and wait for its grant.
+
+        Returns the granted :class:`AdmissionTicket`; a shed raises
+        :class:`AdmissionRejected` before any simulated time passes.
+        """
+        ticket = self.claim()
+        yield ticket.grant
+        return self.granted(ticket)
 
     def release(self, ticket: AdmissionTicket) -> None:
         """Return a ticket's token, waking the next waiter (if any)."""

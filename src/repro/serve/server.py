@@ -11,9 +11,9 @@ storage, and every outcome lands in :class:`~repro.serve.stats.ServerStats`.
 The request life cycle::
 
     submit() ── admission ──┬── shed (queue full)  -> settle("shed")
-                            └── granted ── execute op ── settle("ok"|"failed")
-                                   │                        │
-                                   └── within(deadline_us) ─┴─> False: abandon()
+                            └── queued ── grant starts execute ── settle("ok"|"failed")
+                                   │                                 │
+                                   └── within(deadline since issue) ─┴─> False: abandon()
 
 :meth:`ServedRequest.settle` is the one place a request ends and
 :func:`within` the one place a client waits on a deadline, here and in
@@ -52,6 +52,7 @@ __all__ = [
     "ServedRequest",
     "abandon",
     "detached",
+    "remaining",
     "within",
 ]
 
@@ -138,8 +139,10 @@ def within(env: Environment, event: Event, budget_us: Optional[float], detail: s
 
     A process generator (``ok = yield from within(...)``): returns False
     when the budget ran out first.  The event keeps running either way.
+    An event already triggered fires now, inside any budget, so it arms
+    no timer.
     """
-    if budget_us is None:
+    if budget_us is None or event.triggered:
         yield event
         return True
     try:
@@ -147,6 +150,14 @@ def within(env: Environment, event: Event, budget_us: Optional[float], detail: s
     except WaitTimeout:
         return False
     return True
+
+
+def remaining(env: Environment, request: ServedRequest,
+              budget_us: Optional[float]) -> Optional[float]:
+    """What is left now of a client budget that runs from issue (None: unbounded)."""
+    if budget_us is None:
+        return None
+    return max(0.0, budget_us - (env.now - request.issued_at))
 
 
 def abandon(request: ServedRequest, stats: ServerStats) -> None:
@@ -366,24 +377,39 @@ class DbmsServer:
             )
             self.stats.brownout_rejected += 1
             return request
+        # Every op's deadline runs from *issue*: batch window and admission
+        # queue included.
+        detail = f"request {request.rid}"
         if self.batching and request.kind == "lookup":
-            # A batched op's deadline runs from *issue*, batch window wait
-            # included; the batch completes the op for its batchmates anyway.
+            # The batch completes the op for its batchmates anyway.
             done = self._join_lookup_batch(request)
         else:
             try:
-                ticket = yield from self.admission.admit()
+                ticket = self.admission.claim()
             except AdmissionRejected as exc:
                 request.settle(self.stats, self.env.now, "shed", exc)
                 return request
-            request.admitted_at = self.env.now
-            request.queue_wait_us = ticket.queue_wait_us
-            # An individual op's deadline runs from admission; an abandoned
-            # worker keeps its token until it finishes.
-            done = self.env.process(self._execute(request, ticket))
-        if not (yield from within(self.env, done, self.deadline_us, f"request {request.rid}")):
+            # The grant itself starts the worker, so an op whose client gave
+            # up in the queue still runs, holding its token, once granted.
+            workers = []
+            ticket.grant.callbacks.append(
+                lambda __: workers.append(self._start_granted(request, ticket))
+            )
+            if not (yield from within(self.env, ticket.grant, self.deadline_us, detail)):
+                abandon(request, self.stats)
+                return request
+            done = workers[0]
+        budget = remaining(self.env, request, self.deadline_us)
+        if not (yield from within(self.env, done, budget, detail)):
             abandon(request, self.stats)
         return request
+
+    def _start_granted(self, request: ServedRequest, ticket):
+        """Start ``request``'s worker the moment its admission token is granted."""
+        self.admission.granted(ticket)
+        request.admitted_at = self.env.now
+        request.queue_wait_us = ticket.queue_wait_us
+        return self.env.process(self._execute(request, ticket))
 
     def _execute(self, request: ServedRequest, ticket):
         """Server-side worker: run the op, then release the service token."""

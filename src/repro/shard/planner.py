@@ -83,10 +83,6 @@ class ShardPlan:
         """The shard owning ``key`` (a key equal to a cut goes *above* it)."""
         return int(self._cuts_arr.searchsorted(key, side="right"))
 
-    def shard_for_position(self, position: int) -> int:
-        """The shard owning universe rank ``position``."""
-        return int(self._pos_arr.searchsorted(position, side="right"))
-
     def key_ranges(self) -> list:
         """Per-shard ``(lo, hi)`` half-open key ranges (``None`` = unbounded)."""
         edges = [None, *self.cuts, None]

@@ -52,7 +52,7 @@ import numpy as np
 from ..dbms.engine import MiniDbms
 from ..des import Environment, WaitTimeout
 from ..obs import MetricsRegistry, bind_counters
-from ..serve.server import DbmsServer, ServedRequest, abandon, within
+from ..serve.server import DbmsServer, ServedRequest, abandon, remaining, within
 from ..serve.stats import ServerStats
 from ..workloads.ops import RangeFreshKeys
 from .planner import ShardPlan
@@ -136,12 +136,6 @@ class ShardRouter:
             abandon(request, self.stats)
         return request
 
-    def _residual_deadline(self, request: ServedRequest) -> Optional[float]:
-        """Client budget left right now (None when the router is undeadlined)."""
-        if self.deadline_us is None:
-            return None
-        return max(0.0, self.deadline_us - (self.env.now - request.issued_at))
-
     def _route(self, request: ServedRequest):
         """Router worker: burn routing CPU, then dispatch by op kind."""
         yield self.env.timeout(self.route_cpu_us)
@@ -176,7 +170,7 @@ class ShardRouter:
         shard = self.shards[target]
         sub = shard.make_request(request.op, session=f"{request.session}@r{request.rid}")
         done = shard.submit(sub)
-        residual = self._residual_deadline(request)
+        residual = remaining(self.env, request, self.deadline_us)
         detail = f"forward {request.rid} to shard {target}"
         if not (yield from within(self.env, done, residual, detail)):
             self.fragment_timeouts += 1
@@ -244,7 +238,7 @@ class ShardRouter:
 
     def _gather_fragment(self, request, shard_id, sub, done, results, outcomes):
         """Await one fragment under the residual deadline; record its fate."""
-        residual = self._residual_deadline(request)
+        residual = remaining(self.env, request, self.deadline_us)
         detail = f"fragment of request {request.rid} on shard {shard_id}"
         if not (yield from within(self.env, done, residual, detail)):
             # Abandon the fragment: the shard still finishes it server-side

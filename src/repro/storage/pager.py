@@ -205,7 +205,3 @@ class PageStore:
     def page_ids(self) -> Iterator[int]:
         """Iterate over live page ids (unspecified order)."""
         return iter(self._pages)
-
-    def max_page_id(self) -> Optional[int]:
-        """Largest id ever allocated, or None if none were."""
-        return self._next_id - 1 if self._next_id else None

@@ -76,10 +76,6 @@ class WriteAheadLog:
         """The on-media byte image of the log (includes any torn tail)."""
         return bytes(self._data)
 
-    @property
-    def next_lsn(self) -> int:
-        return self._next_lsn
-
     def records(self) -> list[LogRecord]:
         """The valid record prefix currently on media."""
         return scan_records(self._data)[0]

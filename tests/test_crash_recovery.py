@@ -12,9 +12,12 @@ import random
 import pytest
 
 from repro import (
+    CacheFirstFpTree,
     DiskBPlusTree,
     DiskFirstFpTree,
+    MicroIndexTree,
     MiniDbms,
+    PrefetchingBPlusTree,
     TreeEnvironment,
     WalManager,
     recover,
@@ -194,6 +197,23 @@ class TestRecoveryEdges:
         tree, stats = recover(wal.crash_state(), lambda: fresh_tree(DiskBPlusTree))
         assert dict(tree.items()) == expected_after(attempted, stats.committed_txns)
         scrub_tree(tree)
+
+
+class TestScrubCoverage:
+    @pytest.mark.parametrize("kind", [DiskBPlusTree, MicroIndexTree, DiskFirstFpTree])
+    def test_scrubs_every_kind_the_wal_recovers(self, kind):
+        report = scrub_tree(loaded_tree(kind))
+        assert report.entries == 1000 and report.leaf_pages >= 1
+
+    def test_rejects_other_kinds_before_walking(self):
+        cache_first = CacheFirstFpTree(
+            TreeEnvironment(page_size=PAGE, buffer_pages=FRAMES), num_keys_hint=2000
+        )
+        keys = list(range(2000))
+        cache_first.bulkload(keys, keys)
+        for tree in (cache_first, PrefetchingBPlusTree()):
+            with pytest.raises(TypeError, match="disk, micro and fp-disk"):
+                scrub_tree(tree)
 
 
 class TestPropertyBasedCrashRecovery:

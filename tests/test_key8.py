@@ -10,6 +10,7 @@ import pytest
 
 from repro.baselines import DiskBPlusTree, MicroIndexTree, PrefetchingBPlusTree
 from repro.btree import KEY8
+from repro.btree.base import _PAST_LAST_KEY
 from repro.btree.context import TreeEnvironment
 from repro.core import (
     CacheFirstFpTree,
@@ -68,6 +69,47 @@ def test_key8_range_scan(kind):
     tree.bulkload(keys, [1] * 2000)
     result = tree.range_scan(BIG + 5000, BIG + 9990)
     assert result.count == 500
+
+
+def test_key8_keys_up_to_the_cap_route_like_search():
+    # Page routing runs in signed 64 bits: keys at the cap must still route
+    # to the leaf that search finds, and the untraced count must match.
+    assert KEY8.max_key == _PAST_LAST_KEY - 1 == (1 << 63) - 2
+    tree = FACTORIES["fp-disk"]()
+    keys = list(range(KEY8.max_key - 2999, KEY8.max_key + 1))
+    tree.bulkload(keys, list(range(1, 3001)))
+    probes = keys[::7] + [key + 1 for key in keys[::7]] + [KEY8.max_key]
+    for key in probes:
+        leaf = tree.page_path(key)[-1]
+        assert tree.leaf_tid(leaf, key) == (tree.search(key) or 0), key
+    assert tree.search(KEY8.max_key) == 3000
+    assert tree.range_count(keys[0], KEY8.max_key) == 3000
+    assert tree.range_scan(keys[0], KEY8.max_key).count == 3000
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_key8_search_is_exact_at_the_cap(kind):
+    # Adjacent keys this large share one float64: every comparison must
+    # stay in integers.
+    tree = FACTORIES[kind]()
+    keys = list(range(KEY8.max_key - 2999, KEY8.max_key + 1))
+    tree.bulkload(keys, list(range(1, 3001)))
+    for slot in range(0, 3000, 7):
+        assert tree.search(keys[slot]) == slot + 1, keys[slot]
+    assert tree.search(keys[0] - 1) is None
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_key8_rejects_keys_past_the_cap(kind):
+    with pytest.raises(ValueError, match="out of range"):
+        FACTORIES[kind]().bulkload([1, KEY8.max_key + 1], [1, 2])
+    tree = FACTORIES[kind]()
+    tree.bulkload([1, 2], [1, 2])
+    for key in (KEY8.max_key + 1, (1 << 64) - 1, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            tree.insert(key, 3)
+    tree.insert(KEY8.max_key, 3)
+    assert tree.search(KEY8.max_key) == 3
 
 
 def test_key8_rejects_overflowing_keys_on_key4_tree():

@@ -165,6 +165,35 @@ def test_deadline_timeouts_do_not_break_conservation():
     assert all(request.outcome in ("ok", "timeout") for request in timed_out)
 
 
+def test_queued_lookup_deadline_runs_from_issue():
+    # Regression: a fifo op's deadline was armed only once admission granted
+    # its token, so time spent queued never counted against it.
+    def two_lookups(deadline_us):
+        server = DbmsServer(
+            small_db(), max_concurrency=1, queue_depth=4, pool_frames=32,
+            deadline_us=deadline_us,
+        )
+        keys = server.workload_keys
+        requests = [server.make_request(("lookup", int(keys[i]))) for i in (10, 1_500)]
+        for request in requests:
+            server.submit(request)
+        server.run()
+        return requests
+
+    first, queued = two_lookups(None)
+    service_us = max(first.latency_us, queued.finished_at - queued.admitted_at)
+    assert queued.admitted_at == first.finished_at  # it waited for the one token
+    # Longer than either lookup's service, shorter than the queued one's
+    # wait plus service.
+    deadline_us = (service_us + queued.latency_us) / 2
+    assert service_us < deadline_us < queued.latency_us
+
+    first, queued = two_lookups(deadline_us)
+    assert not first.timed_out
+    assert queued.timed_out
+    assert queued.outcome == "ok"  # the server still finished it
+
+
 def test_open_loop_sheds_under_overload():
     db = small_db()
     server = DbmsServer(db, max_concurrency=2, queue_depth=4, pool_frames=32, seed=1)
