@@ -14,13 +14,11 @@ exactly what the fpB+-Trees attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..btree.base import (
-    Index, IndexCorruptionError, ScanResult, as_key_array, check_key, chunk_evenly,
-)
+from ..btree.base import Index, IndexCorruptionError, ScanResult, check_key, chunk_evenly
 from ..btree.context import TreeEnvironment
 from ..btree.keys import INVALID_PAGE_ID, PAGE_ID_SIZE, TUPLE_ID_SIZE
 from ..btree.search import child_slot, insertion_slot
@@ -131,17 +129,10 @@ class DiskBPlusTree(Index):
         return self.store.num_pages
 
     def bulkload(self, keys: Sequence[int], tids: Sequence[int], fill: float = 1.0) -> None:
-        fill = self.check_fill(fill)
-        keys = as_key_array(keys, self.keyspec)
-        tids = np.asarray(tids, dtype=np.uint32)
-        if keys.shape != tids.shape:
-            raise ValueError("keys and tids must have the same length")
-        if np.any(keys[:-1] > keys[1:]):
-            raise ValueError("bulkload requires sorted keys")
-        if self._entries:
-            raise RuntimeError("bulkload requires an empty tree")
-        if keys.size == 0:
+        checked = self._bulkload_input(keys, tids, fill)
+        if checked is None:
             return
+        keys, tids, fill = checked
         self.store.free(self.root_pid)
         self.pool.invalidate(self.root_pid)
 
@@ -496,43 +487,6 @@ class DiskBPlusTree(Index):
             page = self.store.page(pid)
         return pid
 
-    def _iter_level(self, pid: int) -> Iterator[tuple[int, DiskPage]]:
-        page = self.store.page(pid)
-        yield pid, page
-        if page.level > 0:
-            for i in range(page.count):
-                yield from self._iter_level(int(page.ptrs[i]))
-
-    def validate(self) -> None:
-        seen_entries = 0
-        leaf_pids: list[int] = []
-        for pid, page in self._iter_level(self.root_pid):
-            if page.count > self.layout.capacity:
-                raise IndexCorruptionError(f"page {pid} overfull: {page.count}")
-            keys = page.keys[: page.count]
-            if np.any(keys[:-1] > keys[1:]):
-                raise IndexCorruptionError(f"page {pid} keys unsorted")
-            if page.level > 0:
-                for i in range(page.count):
-                    child = self.store.page(int(page.ptrs[i]))
-                    if child.level != page.level - 1:
-                        raise IndexCorruptionError(f"page {pid} child level mismatch")
-                    # The first separator acts as -infinity: keys smaller than
-                    # every separator are routed to (and inserted into) child 0.
-                    if i > 0 and child.count and int(child.keys[0]) < int(page.keys[i]):
-                        raise IndexCorruptionError(
-                            f"separator too large for child of page {pid}"
-                        )
-            else:
-                seen_entries += page.count
-                leaf_pids.append(pid)
-        if seen_entries != self._entries:
-            raise IndexCorruptionError(
-                f"entry count mismatch: tree walk found {seen_entries}, "
-                f"counter says {self._entries}"
-            )
-        if leaf_pids and leaf_pids != self.leaf_page_ids():
-            raise IndexCorruptionError("leaf sibling chain disagrees with tree order")
-        root = self.store.page(self.root_pid)
-        if root.level != self.height - 1:
-            raise IndexCorruptionError("height does not match root level")
+    def _check_page(self, pid: int, page: DiskPage) -> None:
+        if page.count > self.layout.capacity:
+            raise IndexCorruptionError(f"page {pid} overfull: {page.count}")

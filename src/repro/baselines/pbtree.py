@@ -15,13 +15,11 @@ number of page-sized regions its nodes span so that contrast is measurable.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..btree.base import (
-    Index, IndexCorruptionError, ScanResult, as_key_array, check_key, chunk_evenly,
-)
+from ..btree.base import Index, IndexCorruptionError, ScanResult, check_key, chunk_evenly
 from ..btree.keys import KEY4, KeySpec, TUPLE_ID_SIZE
 from ..btree.search import child_slot, insertion_slot
 from ..btree.trace import Tracer
@@ -127,17 +125,10 @@ class PrefetchingBPlusTree(Index):
         return -(-used // self._page_size)
 
     def bulkload(self, keys: Sequence[int], tids: Sequence[int], fill: float = 1.0) -> None:
-        fill = self.check_fill(fill)
-        keys = as_key_array(keys, self.keyspec)
-        tids = np.asarray(tids, dtype=np.uint32)
-        if keys.shape != tids.shape:
-            raise ValueError("keys and tids must have the same length")
-        if np.any(keys[:-1] > keys[1:]):
-            raise ValueError("bulkload requires sorted keys")
-        if self._entries:
-            raise RuntimeError("bulkload requires an empty tree")
-        if keys.size == 0:
+        checked = self._bulkload_input(keys, tids, fill)
+        if checked is None:
             return
+        keys, tids, fill = checked
         self._nodes = 0
         per_node = max(2, int(self.capacity * fill))
 
@@ -368,58 +359,38 @@ class PrefetchingBPlusTree(Index):
 
     # -- introspection ----------------------------------------------------------------
 
+    def _leaf_chain(self) -> Iterator[PBTreeNode]:
+        """Leaf nodes in ``next_leaf`` order."""
+        node = self.first_leaf
+        while node is not None:
+            yield node
+            node = node.next_leaf
+
     def leaf_page_ids(self) -> list[int]:
         """Memory-resident tree: report distinct page regions of the leaves.
 
         Demonstrates the leaf-page scatter that makes cache-optimized trees
         disk-hostile (Section 1): consecutive leaves rarely share a page.
         """
-        pids = []
-        node = self.first_leaf
-        while node is not None:
-            pids.append(node.address // self._page_size)
-            node = node.next_leaf
-        return pids
+        return [node.address // self._page_size for node in self._leaf_chain()]
 
     def items(self) -> Iterable[tuple[int, int]]:
-        node = self.first_leaf
-        while node is not None:
-            for i in range(node.count):
-                yield int(node.keys[i]), int(node.ptrs[i])
-            node = node.next_leaf
+        for node in self._leaf_chain():
+            yield from zip(node.keys[: node.count].tolist(), node.ptrs[: node.count].tolist())
 
-    def validate(self) -> None:
-        def walk(node: PBTreeNode, depth: int):
-            nonlocal entries
-            if node.count > self.capacity:
-                raise IndexCorruptionError("node overfull")
-            keys = node.keys[: node.count]
-            if np.any(keys[:-1] > keys[1:]):
-                raise IndexCorruptionError("node keys unsorted")
-            if node.is_leaf:
-                if depth != self.height:
-                    raise IndexCorruptionError("leaves at unequal depth")
-                entries += node.count
-                leaves.append(node)
-            else:
-                if len(node.children) != node.count:
-                    raise IndexCorruptionError("child count mismatch")
-                for i, child in enumerate(node.children):
-                    if i > 0 and child.count and int(child.keys[0]) < int(node.keys[i]):
-                        raise IndexCorruptionError("separator too large")
-                    walk(child, depth + 1)
+    # -- structural-walk hooks (:meth:`Index.validate`) ----------------------------
 
-        entries = 0
-        leaves: list[PBTreeNode] = []
-        walk(self.root, 1)
-        if entries != self._entries:
-            raise IndexCorruptionError(
-                f"entry count mismatch: walk={entries} counter={self._entries}"
-            )
-        chain = []
-        node = self.first_leaf
-        while node is not None:
-            chain.append(node)
-            node = node.next_leaf
-        if leaves and chain != leaves:
-            raise IndexCorruptionError("leaf chain disagrees with tree order")
+    def _walk_root(self) -> PBTreeNode:
+        return self.root
+
+    def _node_label(self, node: PBTreeNode) -> str:
+        return f"node at {node.address:#x}"
+
+    def _node_entries(
+        self, node: PBTreeNode, level: int
+    ) -> tuple[list[int], Optional[list[PBTreeNode]]]:
+        if node.count > self.capacity:
+            raise IndexCorruptionError(f"{self._node_label(node)} overfull")
+        if not node.is_leaf and len(node.children) != node.count:
+            raise IndexCorruptionError(f"{self._node_label(node)} child count mismatch")
+        return node.keys[: node.count].tolist(), node.children

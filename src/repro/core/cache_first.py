@@ -28,13 +28,11 @@ subtrees together, rather than orphaning nodes or cascading promotions.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..btree.base import (
-    Index, IndexCorruptionError, ScanResult, as_key_array, check_key, chunk_evenly,
-)
+from ..btree.base import Index, IndexCorruptionError, ScanResult, check_key, chunk_evenly
 from ..btree.context import TreeEnvironment
 from ..btree.keys import INVALID_PAGE_ID, TUPLE_ID_SIZE
 from ..btree.search import child_slot, insertion_slot
@@ -328,17 +326,10 @@ class CacheFirstFpTree(Index):
     # -- bulkload -------------------------------------------------------------------------------
 
     def bulkload(self, keys: Sequence[int], tids: Sequence[int], fill: float = 1.0) -> None:
-        fill = self.check_fill(fill)
-        keys = as_key_array(keys, self.keyspec)
-        tids = np.asarray(tids, dtype=np.uint32)
-        if keys.shape != tids.shape:
-            raise ValueError("keys and tids must have the same length")
-        if np.any(keys[:-1] > keys[1:]):
-            raise ValueError("bulkload requires sorted keys")
-        if self._entries:
-            raise RuntimeError("bulkload requires an empty tree")
-        if keys.size == 0:
+        checked = self._bulkload_input(keys, tids, fill)
+        if checked is None:
             return
+        keys, tids, fill = checked
         # Discard the empty bootstrap structure.
         self.store.free(self.root.pid)
         self.pool.invalidate(self.root.pid)
@@ -886,8 +877,38 @@ class CacheFirstFpTree(Index):
     def overflow_page_count(self) -> int:
         return len(self._overflow_pids)
 
-    def validate(self) -> None:
-        # 1. Node/page slot-table consistency and page typing.
+    # -- structural-walk hooks (:meth:`Index.validate`) ------------------------------------------------
+
+    def _walk_root(self) -> CfNode:
+        return self.root
+
+    def _node_label(self, node: CfNode) -> str:
+        return f"node at page {node.pid} slot {node.slot}"
+
+    def _node_entries(
+        self, node: CfNode, level: int
+    ) -> tuple[list[int], Optional[list[CfNode]]]:
+        label = self._node_label(node)
+        if node.pid not in self.store or self.store.page(node.pid).slots[node.slot] is not node:
+            raise IndexCorruptionError(f"node location mismatch: {label}")
+        capacity = self.leaf_capacity if node.is_leaf else self.nonleaf_capacity
+        if node.count > capacity:
+            raise IndexCorruptionError(f"{label} overfull")
+        if not node.is_leaf:
+            if len(node.children) != node.count:
+                raise IndexCorruptionError(f"{label} child list length mismatch")
+            if any(child.parent is not node for child in node.children):
+                raise IndexCorruptionError(f"{label}: a child's parent pointer is wrong")
+        return node.keys[: node.count].tolist(), node.children
+
+    def _leaf_chain(self) -> Iterator[CfNode]:
+        node = self.first_leaf
+        while node is not None:
+            yield node
+            node = node.next_leaf
+
+    def _check_tree(self, leaves: list[CfNode]) -> None:
+        # Slot tables agree with their residents; pages are typed by them.
         for pid in list(self.store.page_ids()):
             page = self.store.page(pid)
             if not isinstance(page, CfPage):
@@ -906,78 +927,34 @@ class CacheFirstFpTree(Index):
             if used != page.used:
                 raise IndexCorruptionError(f"page {pid} used-count mismatch")
 
-        # 2. Tree walk: keys sorted, separators valid, parents consistent.
-        entries = 0
-        leaves: list[CfNode] = []
-
-        def walk(node: CfNode, depth: int) -> None:
-            nonlocal entries
-            capacity = self.leaf_capacity if node.is_leaf else self.nonleaf_capacity
-            if node.count > capacity:
-                raise IndexCorruptionError("node overfull")
-            keys = node.keys[: node.count]
-            if np.any(keys[:-1] > keys[1:]):
-                raise IndexCorruptionError("node keys unsorted")
-            if node.is_leaf:
-                if depth != self.height:
-                    raise IndexCorruptionError("leaves at unequal depth")
-                entries += node.count
-                leaves.append(node)
-                return
-            if len(node.children) != node.count:
-                raise IndexCorruptionError("child list length mismatch")
-            for i, child in enumerate(node.children):
-                if child.parent is not node:
-                    raise IndexCorruptionError("child's parent pointer wrong")
-                if i > 0 and child.count and int(child.keys[0]) < int(node.keys[i]):
-                    raise IndexCorruptionError("separator too large")
-                walk(child, depth + 1)
-
-        walk(self.root, 1)
-        if entries != self._entries:
-            raise IndexCorruptionError(
-                f"entry count mismatch: walk={entries} counter={self._entries}"
-            )
-
-        # 3. Leaf chain matches tree order; page residency is contiguous.
-        chain: list[CfNode] = []
-        node = self.first_leaf
-        while node is not None:
-            chain.append(node)
-            node = node.next_leaf
-        if leaves and [id(n) for n in chain] != [id(n) for n in leaves]:
-            raise IndexCorruptionError("leaf chain disagrees with tree order")
+        # A leaf page holds consecutive siblings.
         seen_pids: set[int] = set()
         previous_pid = -1
-        for leaf in chain:
+        for leaf in leaves:
             if leaf.pid != previous_pid:
                 if leaf.pid in seen_pids:
                     raise IndexCorruptionError("leaf page nodes are not contiguous siblings")
                 seen_pids.add(leaf.pid)
                 previous_pid = leaf.pid
 
-        # 4. Back pointers and jump-pointer array.
-        for pid in self.leaf_page_ids():
+        # Back pointers and the external jump-pointer array.
+        leaf_pids = self.leaf_page_ids()
+        for pid in leaf_pids:
             page = self.store.page(pid)
             first = page.first_leaf()
             if first is not None and first.parent is not None:
                 if page.back_pointer is not first.parent:
                     raise IndexCorruptionError(f"leaf page {pid} back pointer wrong")
-        if self.jump_pointers.to_list() != self.leaf_page_ids():
+        if self.jump_pointers.to_list() != leaf_pids:
             raise IndexCorruptionError("external jump-pointer array out of sync")
 
-        # 5. Leaf-parent sibling chain covers all leaf parents in order.
+        # The leaf-parent sibling chain links every leaf parent in order.
         if self.height >= 2:
-            parents_in_order: list[CfNode] = []
-            seen_parent = None
-            for leaf in chain:
-                if leaf.parent is not seen_parent:
-                    seen_parent = leaf.parent
-                    parents_in_order.append(leaf.parent)
-            node = parents_in_order[0]
+            parents = list(dict.fromkeys(leaf.parent for leaf in leaves))
             chained: list[CfNode] = []
-            while node is not None:
+            node = parents[0]
+            while node is not None and len(chained) <= len(parents):
                 chained.append(node)
                 node = node.next_parent
-            if [id(n) for n in chained] != [id(n) for n in parents_in_order]:
+            if chained != parents:
                 raise IndexCorruptionError("leaf-parent sibling chain broken")
