@@ -41,7 +41,9 @@ def with_timeout(env: Environment, event: Event, delay: float, detail: str = "")
     Returns a new event that mirrors ``event`` if it resolves in time, and
     fails with :class:`WaitTimeout` otherwise.  Either way the underlying
     event is left to run to completion; its late result (success *or*
-    failure) is silently absorbed.
+    failure) is silently absorbed.  When ``event`` wins, the timer stays
+    queued (when ``run()`` drains is unchanged) but drops its callback, so
+    it holds nothing of this wait until the deadline.
     """
     if not delay >= 0:  # NaN too (see Timeout)
         raise ValueError(f"delay must be a non-negative number, got {delay}")
@@ -53,6 +55,8 @@ def with_timeout(env: Environment, event: Event, delay: float, detail: str = "")
 
     def on_event(ev: Event) -> None:
         _forward(ev, result)
+        if not timer.processed:
+            timer.callbacks.remove(on_timer)
 
     def on_timer(__: Event) -> None:
         if not result.triggered:

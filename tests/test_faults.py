@@ -292,6 +292,20 @@ class TestDesControl:
         assert env.run(until=env.process(proc())) == "done"
         env.run()  # drain the losing timer
 
+    def test_with_timeout_event_win_detaches_the_timer(self):
+        env = Environment()
+
+        def proc():
+            yield with_timeout(env, env.timeout(5, value="done"), 10)
+
+        env.run(until=env.process(proc()))
+        # The losing timer stays queued, so the run still drains at its
+        # deadline, but it no longer holds the wait's callback.
+        (timer,) = [event for __, __, event in env._queue]
+        assert timer.callbacks == []
+        env.run()
+        assert env.now == 10
+
     def test_with_timeout_expires(self):
         env = Environment()
 
