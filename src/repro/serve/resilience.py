@@ -48,7 +48,7 @@ from ..faults.errors import SimulatedCrash
 from ..faults.schedule import ChaosSchedule
 from ..scrub import scrub_tree
 from ..verify.linearizability import HistoryRecorder
-from ..storage.prefetch import RetryPolicy
+from ..storage.prefetch import BackoffPolicy, RetryPolicy
 from ..workloads.ops import MixedOpStream, OpMix
 from .server import DbmsServer
 from .stats import ServerStats
@@ -68,46 +68,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ClientRetryPolicy:
+class ClientRetryPolicy(BackoffPolicy):
     """Session-level retries of failed/shed/timed-out operations.
 
     Distinct from the storage layer's :class:`~repro.storage.prefetch.RetryPolicy`
     (which retries individual page reads): this one re-submits whole
-    operations.  ``retry_budget`` bounds the *total* retries one session
-    may spend across its lifetime — a blunt token bucket that stops retry
-    storms against a dying backend.
+    operations, with the same backoff rule but a longer default base and
+    cap.  ``retry_budget`` bounds the *total* retries one session may spend
+    across its lifetime — a blunt token bucket that stops retry storms
+    against a dying backend.
     """
 
-    max_attempts: int = 4
     backoff_base_us: float = 2_000.0
-    backoff_multiplier: float = 2.0
     backoff_cap_us: float = 100_000.0
-    jitter_fraction: float = 0.25
     retry_budget: Optional[int] = 64
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_us < 0:
-            raise ValueError(f"backoff_base_us must be >= 0, got {self.backoff_base_us}")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}")
-        if self.backoff_cap_us < self.backoff_base_us:
-            raise ValueError("backoff_cap_us must be >= backoff_base_us")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError(f"jitter_fraction must be in [0, 1], got {self.jitter_fraction}")
+        super().__post_init__()
         if self.retry_budget is not None and self.retry_budget < 0:
             raise ValueError(f"retry_budget must be >= 0, got {self.retry_budget}")
-
-    def backoff_delay_us(self, retry: int, rng: random.Random) -> float:
-        """Backoff before retry number ``retry`` (1-based), with jitter."""
-        delay = min(
-            self.backoff_base_us * self.backoff_multiplier ** (retry - 1),
-            self.backoff_cap_us,
-        )
-        if self.jitter_fraction and delay > 0:
-            delay *= 1.0 + self.jitter_fraction * (2.0 * rng.random() - 1.0)
-        return delay
 
 
 # -- circuit breaker ----------------------------------------------------------

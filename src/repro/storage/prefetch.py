@@ -42,36 +42,31 @@ from ..obs import Observability, bind_counters
 from .buffer import BufferPool
 from .disk import DiskArray, ReadReceipt
 
-__all__ = ["AsyncPageReader", "RetryPolicy"]
+__all__ = ["AsyncPageReader", "BackoffPolicy", "RetryPolicy"]
 
 #: XOR mask applied to a delivered checksum when the wire corrupts a read.
 _WIRE_CORRUPTION = 0x00F00F00
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with DES-clock exponential backoff and hedging.
+class BackoffPolicy:
+    """Bounded attempts with DES-clock exponential backoff and seeded jitter.
 
-    ``timeout_us`` is the per-attempt deadline (``None`` waits forever);
-    ``hedge_after_us``, when set on a mirrored array, launches a second read
-    on the mirror replica once the primary has been in flight that long.
-    Jitter is drawn from the reader's seeded RNG, so backoff sequences are
-    deterministic per run.
+    The one backoff rule of both retry layers: page reads
+    (:class:`RetryPolicy`) and whole served operations
+    (:class:`~repro.serve.ClientRetryPolicy`).  Jitter is drawn from the
+    caller's seeded RNG, so backoff sequences are deterministic per run.
     """
 
     max_attempts: int = 4
-    timeout_us: Optional[float] = 60_000.0
     backoff_base_us: float = 1_000.0
     backoff_multiplier: float = 2.0
     backoff_cap_us: float = 64_000.0
     jitter_fraction: float = 0.25
-    hedge_after_us: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.timeout_us is not None and self.timeout_us <= 0:
-            raise ValueError(f"timeout_us must be positive or None, got {self.timeout_us}")
         if self.backoff_base_us < 0:
             raise ValueError(f"backoff_base_us must be >= 0, got {self.backoff_base_us}")
         if self.backoff_multiplier < 1.0:
@@ -80,8 +75,6 @@ class RetryPolicy:
             raise ValueError("backoff_cap_us must be >= backoff_base_us")
         if not 0.0 <= self.jitter_fraction <= 1.0:
             raise ValueError(f"jitter_fraction must be in [0, 1], got {self.jitter_fraction}")
-        if self.hedge_after_us is not None and self.hedge_after_us <= 0:
-            raise ValueError(f"hedge_after_us must be positive or None, got {self.hedge_after_us}")
 
     def backoff_delay_us(self, retry: int, rng: random.Random) -> float:
         """Backoff before retry number ``retry`` (1-based), with jitter."""
@@ -92,6 +85,26 @@ class RetryPolicy:
         if self.jitter_fraction and delay > 0:
             delay *= 1.0 + self.jitter_fraction * (2.0 * rng.random() - 1.0)
         return delay
+
+
+@dataclass(frozen=True)
+class RetryPolicy(BackoffPolicy):
+    """Bounded page-read retries with backoff, deadlines and hedging.
+
+    ``timeout_us`` is the per-attempt deadline (``None`` waits forever);
+    ``hedge_after_us``, when set on a mirrored array, launches a second read
+    on the mirror replica once the primary has been in flight that long.
+    """
+
+    timeout_us: Optional[float] = 60_000.0
+    hedge_after_us: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.timeout_us is not None and self.timeout_us <= 0:
+            raise ValueError(f"timeout_us must be positive or None, got {self.timeout_us}")
+        if self.hedge_after_us is not None and self.hedge_after_us <= 0:
+            raise ValueError(f"hedge_after_us must be positive or None, got {self.hedge_after_us}")
 
 
 class AsyncPageReader:
