@@ -132,18 +132,13 @@ class MicroIndexTree(DiskBPlusTree):
             self.tracer.prefetch(layout.ptr_address(base, 0), page.count * layout.ptr_size)
             return start, end
         self.tracer.prefetch(layout.micro_address(base, 0), used * layout.key_size)
-        # Virtual micro-index: entry j is keys[j * m].
+        # Virtual micro-index: entry j is keys[j * m], a strided view.
         m = layout.subarray_keys
-        lo, hi = 0, used
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.tracer.probe(layout.micro_address(base, mid), layout.key_size)
-            value = int(page.keys[mid * m])
-            if (key < value) if side == "right" else (key <= value):
-                hi = mid
-            else:
-                lo = mid + 1
-        subarray = max(lo - 1, 0)
+        position = traced_searchsorted(
+            page.keys[: (used - 1) * m + 1 : m], used, key,
+            layout.micro_address(base, 0), layout.key_size, self.tracer, side=side,
+        )
+        subarray = max(position - 1, 0)
         start = subarray * m
         end = min(start + m, page.count)
         span = end - start

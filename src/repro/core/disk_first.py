@@ -755,44 +755,40 @@ class DiskFirstFpTree(Index):
         return ScanResult(count, tid_sum)
 
     def range_count(self, start_key: int, end_key: int) -> int:
-        """:meth:`range_scan`'s count from an untraced walk over page totals.
+        """:meth:`range_scan`'s count from an untraced walk over page pairs.
 
-        Descends and stops exactly as the scan does, but a page that lies
+        Descends and stops exactly as the scan does, reading each page's
+        keys from its cached :meth:`page_entries` pair.  A page that lies
         wholly inside the range (its first key ``>= start_key``, its
-        successor's first key ``<= end_key``) contributes its ``total``
-        without a look at its nodes; only the boundary pages are counted
-        node by node.
+        successor's first key ``<= end_key``) contributes its entry count
+        with no search; only the boundary pages are searched.
         """
         if end_key < start_key:
             return 0
         pid = self.root_pid
-        page = self.store.page(pid)
-        while page.level > 0:
+        while self.store.page(pid).level > 0:
             pid = self.child_pid(pid, start_key, side="left")
-            page = self.store.page(pid)
-        first = page.first_key()
+        keys = self.page_entries(pid)[0]
         count = 0
         while True:
-            following = (
-                self.store.page(page.next_page) if page.next_page != INVALID_PAGE_ID else None
-            )
-            next_first = following.first_key() if following is not None else None
+            next_pid = self.store.page(pid).next_page
+            following = self.page_entries(next_pid)[0] if next_pid != INVALID_PAGE_ID else None
             if (
-                first is not None
-                and next_first is not None
-                and start_key <= first
-                and next_first <= end_key
+                len(keys)
+                and following is not None
+                and len(following)
+                and start_key <= keys[0]
+                and following[0] <= end_key
             ):
-                count += page.total
+                count += len(keys)
             else:  # a boundary page (an emptied one has an empty pair)
-                keys, __ = self.page_entries(pid)
                 hi = int(keys.searchsorted(end_key, side="right"))
                 count += hi - int(keys.searchsorted(start_key, side="left"))
                 if hi < len(keys):
                     return count
             if following is None:
                 return count
-            pid, page, first = page.next_page, following, next_first
+            pid, keys = next_pid, following
 
     def range_scan_reverse(self, start_key: int, end_key: int) -> ScanResult:
         """Scan [start_key, end_key] walking leaf pages right-to-left."""
@@ -915,6 +911,36 @@ class DiskFirstFpTree(Index):
                 int(line) in page.nodes for line in node.ptrs[: node.count]
             ):
                 raise IndexCorruptionError(f"page {pid} dangling in-page pointer")
+        # The in-page tree under :meth:`Index.validate`'s bounded rule: child
+        # i's keys lie within [sep i, sep i+1], child 0 inheriting its
+        # parent's lower bound; the page's own bounds are checked on its
+        # flat entries by the page-level walk.
+        seen: set[int] = set()
+        stack = [(page.root_line, None, None)]
+        while stack:
+            line, lo, hi = stack.pop()
+            if line in seen:
+                raise IndexCorruptionError(f"page {pid} in-page node at line {line} reached twice")
+            seen.add(line)
+            node = page.nodes[line]
+            keys = node.keys[: node.count].tolist()
+            if keys and lo is not None and keys[0] < lo:
+                raise IndexCorruptionError(
+                    f"page {pid} in-page keys out of order: node at line {line} "
+                    f"holds key {keys[0]} below its separator {lo}"
+                )
+            if keys and hi is not None and keys[-1] > hi:
+                raise IndexCorruptionError(
+                    f"page {pid} in-page keys out of order: node at line {line} "
+                    f"holds key {keys[-1]} above its next separator {hi}"
+                )
+            if node.kind == NONLEAF:
+                for i, child in enumerate(node.ptrs[: node.count].tolist()):
+                    stack.append((
+                        child,
+                        lo if i == 0 else keys[i],
+                        keys[i + 1] if i + 1 < len(keys) else hi,
+                    ))
 
     def _check_tree(self, leaves: list[int]) -> None:
         if self.height > 1 and leaves != self.leaf_pids_via_jump_pointers():

@@ -622,7 +622,12 @@ class MiniDbms:
                     issued += 1
             if pid not in self.store:
                 continue
-            token = tokens.pop(pid) if pid in tokens else (yield from protocol.begin(pid, owner))
+            if pid in tokens:
+                token = tokens.pop(pid)
+            elif protocol.latch_free_begin:
+                token = None
+            else:
+                token = yield from protocol.begin(pid, owner)
             visited.append((pid, token))
             yield from reader.demand(pid)
             pin = pool.pin(pid, owner)

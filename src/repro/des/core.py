@@ -125,6 +125,10 @@ class Timeout(Event):
 
 ProcessGenerator = Generator[Event, Any, Any]
 
+#: Allocates an :class:`Event` without running ``__init__`` (see
+#: :meth:`Process._resume_now`).
+_new_event = object.__new__
+
 
 class Process(Event):
     """Wraps a generator, resuming it whenever the yielded event triggers.
@@ -132,9 +136,15 @@ class Process(Event):
     A ``Process`` is itself an event: it triggers with the generator's return
     value when the generator finishes, so processes can wait on each other
     (``yield env.process(work())``).
+
+    A waiting process is referenced only from the callbacks of the event it
+    yielded; it keeps no pointer back to that event.  Resuming on an event
+    that was already processed, and the bootstrap at creation, go through
+    :meth:`_resume_now`, which queues a pre-triggered event at the current
+    time.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_resumer")
+    __slots__ = ("_generator", "_resumer")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator) -> None:
         if not hasattr(generator, "send"):
@@ -145,7 +155,6 @@ class Process(Event):
         self._ok = True
         self._triggered = False
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         #: The bound ``_resume``, made once rather than once per wait.
         self._resumer = self._resume
         # Bootstrap: resume the process at the current simulation time.
@@ -157,18 +166,25 @@ class Process(Event):
         return not self._triggered
 
     def _resume_now(self, ok: bool, value: Any) -> None:
-        """Schedule a resumption with ``(ok, value)`` at the current time."""
+        """Schedule a resumption with ``(ok, value)`` at the current time.
+
+        The resumption is an already-triggered :class:`Event` whose only
+        callback is this process, queued like :meth:`Event.succeed` would
+        queue it (same time, next event id).  Its slots are set directly:
+        the event is born triggered, so ``Event.__init__``'s pending state
+        would only be overwritten.
+        """
         env = self.env
-        event = Event(env)
-        event.callbacks.append(self._resumer)
-        event._ok = ok
+        event = _new_event(Event)
+        event.env = env
+        event.callbacks = [self._resumer]
         event._value = value
+        event._ok = ok
         event._triggered = True
         heappush(env._queue, (env._now, env._next_id, event))
         env._next_id += 1
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         env = self.env
         env._active_process = self
         try:
@@ -199,7 +215,6 @@ class Process(Event):
             self._resume_now(target._ok, target._value)
         else:
             callbacks.append(self._resumer)
-            self._waiting_on = target
 
 
 class _ConditionEvent(Event):

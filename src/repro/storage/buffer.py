@@ -164,16 +164,26 @@ class BufferPool:
         A miss evicts via CLOCK and installs the page.  Buffer-manager
         instruction overhead is charged to the memory system's busy time.
         """
+        frame = self.touch(page_id)
+        return self.store.page(page_id), self.frame_address(frame)
+
+    def touch(self, page_id: int) -> int:
+        """:meth:`access` without building its result; returns the page's frame.
+
+        The one place a pool access is accounted: the busy charge, a hit
+        (reference bit set) or a miss (CLOCK install).  :meth:`pin` and a
+        demand read that finds its page resident only need those side
+        effects, not the page object or its address.
+        """
         if self.mem is not None:
             self.mem.busy(self.mem.cpu.buffer_pool_access)
         frame = self._page_frame.get(page_id)
         if frame is not None:
             self.hits += 1
             self._ref_bit[frame] = 1
-        else:
-            self.misses += 1
-            frame = self._install(page_id)
-        return self.store.page(page_id), self.frame_address(frame)
+            return frame
+        self.misses += 1
+        return self._install(page_id)
 
     def address_of(self, page_id: int) -> int:
         """Base address for a page, faulting it in if needed (no busy charge).
@@ -293,8 +303,7 @@ class BufferPool:
         the serving layer passes its session/request ids here so pool
         deadlocks under concurrency are attributable.
         """
-        self.access(page_id)
-        frame = self._page_frame[page_id]
+        frame = self.touch(page_id)
         self._pin_count[frame] += 1
         if owner is not None:
             self._pin_owners[frame].append(owner)

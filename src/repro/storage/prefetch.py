@@ -184,7 +184,7 @@ class AsyncPageReader:
         """
         if self.pool.contains(page_id):
             self.demand_hits += 1
-            self.pool.access(page_id)  # refresh CLOCK reference bit
+            self.pool.touch(page_id)  # count the hit, refresh the CLOCK bit
             return
         event = self._inflight.get(page_id)
         coalesced = event is not None

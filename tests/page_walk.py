@@ -82,24 +82,37 @@ def assert_pages_route_like_walk(tree, probes_of) -> tuple[int, int]:
     return interior, leaves
 
 
-def assert_descend_matches_search(db, probes: list) -> None:
-    """One batched ``descend`` over ``probes`` (repeats allowed) ends every
-    probe on ``page_path``'s leaf with ``search``'s verdict."""
+def run_descend(db, keys: list, visit_leaf: bool = True, wave: bool = True):
+    """One null-protocol ``descend`` over ``keys`` on a fresh cold reader.
+
+    Returns ``{i: (leaf pid, page ids above it, tid)}`` per key index (tid
+    None when ``visit_leaf`` is False); every arrival must be fresh and no
+    key may need a retry.
+    """
     env = Environment()
     config = StorageConfig(
         page_size=db.page_size, num_disks=db.num_disks,
         buffer_pool_pages=32, disk=db.disk_params,
     )
     reader = AsyncPageReader(env, DiskArray(env, config), BufferPool(config, db.store))
-    arrivals, retry, __ = env.run(
-        until=env.process(descend(db, reader, probes, NULL_PROTOCOL, wave=True))
-    )
+    arrivals, retry, __ = env.run(until=env.process(
+        descend(db, reader, keys, NULL_PROTOCOL, visit_leaf=visit_leaf, wave=wave)
+    ))
     assert not retry
     reached = {}
     for leaf in arrivals:
         assert leaf.fresh
-        for i, tid in zip(leaf.idxs, leaf.tids):
-            reached[i] = (leaf.pid, tid)
+        tids = leaf.tids if leaf.tids is not None else [None] * len(leaf.idxs)
+        for i, tid in zip(leaf.idxs, tids):
+            reached[i] = (leaf.pid, leaf.above, tid)
+    assert sorted(reached) == list(range(len(keys)))
+    return reached
+
+
+def assert_descend_matches_search(db, probes: list) -> None:
+    """One batched ``descend`` over ``probes`` (repeats allowed) ends every
+    probe on ``page_path``'s leaf with ``search``'s verdict."""
+    reached = {i: (pid, tid) for i, (pid, __, tid) in run_descend(db, probes).items()}
     tree = db.index
     assert reached == {
         i: (tree.page_path(key)[-1], tree.search(key) or 0) for i, key in enumerate(probes)

@@ -57,6 +57,16 @@ class TestDiskFirstContract(IndexContract):
         page.root.ptrs[0] = max(page.nodes) + 1
         self.assert_corrupt(index, "dangling")
 
+    def test_validate_catches_lowered_inpage_separator(self):
+        """A lowered in-page separator strands keys of the node to its left."""
+        index, keys, __ = self.loaded(n=5000)
+        root = index.store.page(index.first_leaf_pid).root
+        assert root.kind == NONLEAF and root.count > 2
+        root.keys[1] = root.keys[0] + 1  # below the rest of child 0's keys
+        missed = [key for key in keys[:300] if index.search(key) is None]
+        assert missed  # the damage is real
+        self.assert_corrupt(index, "above its next separator")
+
     def test_validate_catches_page_total_mismatch(self):
         index, __, __ = self.loaded(n=2000)
         index.store.page(index.first_leaf_pid).total += 1
@@ -311,6 +321,29 @@ class TestFirstKeyAndRangeCount:
         for start, end in rng.integers(0, keys[-1] + 50, size=(300, 2)).tolist():
             assert tree.range_count(start, end) == tree.range_scan(start, end).count
         assert tree.range_count(0, keys[-1] + 50) == tree.num_entries
+
+    def test_range_count_tracks_pages_emptied_after_their_pairs_were_cached(self):
+        # range_count reads first keys from the cached page pairs: a full
+        # count caches every leaf's pair, then the first leaf page, a run of
+        # three middle ones and the last one are emptied (and one leftmost
+        # in-page node), so a stale pair would count deleted entries.
+        tree, keys = self.make_tree()
+        before = tree.num_entries
+        assert tree.range_count(0, keys[-1] + 50) == before
+        pids = tree.leaf_page_ids()
+        middle = len(pids) // 2
+        for pid in [pids[0], *pids[middle:middle + 3], pids[-1]]:
+            for node in tree.store.page(pid).leaf_nodes_in_order():
+                for key in node.keys[: node.count].tolist():
+                    assert tree.delete(key)
+        leftmost = tree.store.page(pids[2]).leaf_nodes_in_order()[0]
+        for key in leftmost.keys[: leftmost.count].tolist():
+            assert tree.delete(key)
+        rng = np.random.default_rng(11)
+        bounds = rng.integers(0, keys[-1] + 50, size=(300, 2)).tolist()
+        for start, end in bounds + [[0, keys[-1] + 50], [keys[0], keys[0]]]:
+            assert tree.range_count(start, end) == tree.range_scan(start, end).count
+        assert tree.range_count(0, keys[-1] + 50) == tree.num_entries < before
 
 
 class TestDiskFirstCacheBehaviour:

@@ -31,6 +31,7 @@ from page_walk import (
     assert_descend_matches_search,
     assert_pages_route_like_walk,
     assert_pairs_fresh,
+    run_descend,
     walk_pages,
     walk_route,
 )
@@ -206,3 +207,45 @@ def test_duplicates_straddling_node_and_page_boundaries_route_like_the_walk():
                         tree, page, key, side=side
                     )
     assert_pairs_fresh(tree)
+
+
+# -- a batched descent equals one descent per key ------------------------------
+
+#: Serving trees of three levels (512-byte pages) and two (4 KB pages).
+_DESCEND_DBS = {
+    page_size: MiniDbms(num_rows=rows, num_disks=2, page_size=page_size, seed=13, mature=False)
+    for page_size, rows in ((512, 3000), (4096, 20000))
+}
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    page_size=st.sampled_from([512, 4096]),
+    at=st.floats(0.0, 1.0),
+    cluster=st.integers(2, 12),
+    extra=st.lists(st.integers(-50, 10**6), max_size=12),
+    visit_leaf=st.booleans(),
+)
+def test_descend_equals_one_descent_per_key(page_size, at, cluster, extra, visit_leaf):
+    """A batch reaches, for every key, the leaf, path and tid a descent of
+    that key alone reaches.  Two batches: a cluster of one leaf's keys
+    alone (one run that every page sends to one child), and the cluster
+    plus a lone key half the key space away (a one-key run once it leaves
+    the cluster) plus random probes, repeats and misses included."""
+    db = _DESCEND_DBS[page_size]
+    stored = [int(k) for k in db._workload.keys]
+    first = int(at * (len(stored) - 1))
+    lone = stored[(first + len(stored) // 2) % len(stored)]
+    leaf = db.index.page_path(stored[first])[-1]
+    together = db.index.page_entries(leaf)[0][:cluster].tolist()
+    cluster = len(together)
+    assert cluster >= 2
+    for keys in (together, together + [lone] + extra):
+        batched = run_descend(db, keys, visit_leaf=visit_leaf)
+        alone = [run_descend(db, [key], visit_leaf=visit_leaf)[0] for key in keys]
+        assert [batched[i] for i in range(len(keys))] == alone
+    # The cluster is one leaf's keys, so every page on its path routes the
+    # whole run to one child; the lone key reaches a leaf of its own.
+    leaves = [pid for pid, __, __ in alone]
+    assert db.index.height >= 2
+    assert set(leaves[:cluster]) == {leaf} != {leaves[cluster]}

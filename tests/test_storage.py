@@ -169,6 +169,95 @@ def test_pin_has_the_side_effects_of_pinned():
     assert explicit._pin_owners == [[], []]
 
 
+class ClockModel:
+    """The CLOCK rule every pool access follows, written out as a reference.
+
+    A hit counts and sets the frame's reference bit; a miss counts, sweeps
+    the hand past (and clears) set bits, installs into the first clear
+    frame with its bit set and renews that frame's occupancy stamp.  No
+    pins: the accesses compared against it leave none behind.
+    """
+
+    def __init__(self, frames):
+        self.pages = [-1] * frames
+        self.ref = [0] * frames
+        self.gen = [0] * frames
+        self.hand = self.occupancy = self.hits = self.misses = 0
+
+    def access(self, pid):
+        if pid in self.pages:
+            frame = self.pages.index(pid)
+            self.hits += 1
+        else:
+            self.misses += 1
+            while self.ref[self.hand]:
+                self.ref[self.hand] = 0
+                self.hand = (self.hand + 1) % len(self.pages)
+            frame = self.hand
+            self.hand = (self.hand + 1) % len(self.pages)
+            self.pages[frame] = pid
+            self.occupancy += 1
+            self.gen[frame] = self.occupancy
+        self.ref[frame] = 1
+        return frame
+
+    def state(self):
+        return (
+            self.hits, self.misses, self.pages, bytes(self.ref), self.hand,
+            self.gen, self.occupancy,
+        )
+
+
+def clock_state(pool):
+    assert pool._pin_count == [0] * len(pool._pin_count)
+    return (
+        pool.hits, pool.misses, list(pool._frame_page), bytes(pool._ref_bit), pool._hand,
+        list(pool._frame_gen), pool._occupancy,
+    )
+
+
+#: On two frames: misses, evicting misses, and two hits on pages whose
+#: reference bit a sweep had cleared (so a hit that skips the bit shows).
+CLOCK_SEQUENCE = (0, 1, 2, 1, 3, 2, 0, 2)
+
+
+@pytest.mark.parametrize("with_mem", [False, True])
+@pytest.mark.parametrize("call", ["touch", "access"])
+def test_touch_and_access_follow_the_clock_rule(call, with_mem):
+    # touch() is the one place a pool access is accounted and access() is
+    # touch() plus its (page, address) result: both count hits and misses,
+    # set reference bits, move the CLOCK hand and renew occupancy stamps by
+    # the reference rule, and charge the busy time once per call.
+    mem = MemorySystem() if with_mem else None
+    __, store, pool = make_pool(frames=2, mem=mem)
+    for i in range(4):
+        store.allocate(FakePage(i))
+    model = ClockModel(2)
+    for pid in CLOCK_SEQUENCE:
+        frame = model.access(pid)
+        if call == "touch":
+            assert pool.touch(pid) == frame
+        else:
+            assert pool.access(pid) == (store.page(pid), pool.frame_address(frame))
+        assert clock_state(pool) == model.state()
+    assert (pool.hits, pool.misses) == (2, 6)
+    if with_mem:
+        assert mem.stats.busy_cycles == len(CLOCK_SEQUENCE) * mem.cpu.buffer_pool_access
+
+
+def test_pin_touches_the_pool_by_the_clock_rule():
+    # A pin is one pool access plus the pin bookkeeping, nothing else.
+    __, store, pool = make_pool(frames=2)
+    for i in range(4):
+        store.allocate(FakePage(i))
+    model = ClockModel(2)
+    for pid in CLOCK_SEQUENCE:
+        model.access(pid)
+        pool.unpin(pid, pool.pin(pid, owner="s#1"), owner="s#1")
+        assert clock_state(pool) == model.state()
+    assert pool._pin_owners == [[], []]
+
+
 def test_unpin_keeps_the_generation_stamp():
     # An invalidate plus a reinstall of the same page into the same frame
     # while pinned must not let the old token steal the newer pin.
@@ -393,6 +482,29 @@ def test_demand_hit_is_instant():
     env.run(until=env.process(scan()))
     assert env.now == 0
     assert reader.demand_hits == 1
+
+
+def test_demand_hit_touches_the_pool_by_the_clock_rule():
+    # A demand that finds its page resident counts a pool hit and sets the
+    # reference bit by the rule access() follows, and yields no event.
+    env, store, pool, reader = reader_fixture(frames=2)
+    model = ClockModel(2)
+    for i in range(3):
+        pool.access(store.allocate(FakePage(i)))
+        model.access(i)
+    resident = [pid for pid in range(3) if pool.contains(pid)]
+    assert pool._ref_bit[pool.frame_of(resident[0])] == 0  # the sweep cleared it
+
+    def scan():
+        for pid in resident:
+            yield from reader.demand(pid)
+
+    env.run(until=env.process(scan()))
+    for pid in resident:
+        model.access(pid)
+    assert env.now == 0
+    assert reader.demand_hits == len(resident) == 2
+    assert clock_state(pool) == model.state()
 
 
 def test_prefetch_then_demand_coalesces():
