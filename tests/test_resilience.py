@@ -394,6 +394,28 @@ class TestChaosUnderLoad:
         assert entry["drained_in_flight"] >= 1
         assert report["failed"] >= entry["drained_in_flight"]
 
+    def test_crash_in_an_inlined_execute_reaches_the_runner(self):
+        # Without a deadline every op's worker runs inside its client
+        # process, so the WAL crash unwinds through the client straight to
+        # the runner, whose drain still settles the op it killed.
+        runner = ChaosRunner(
+            ChaosSchedule.parse("crash wal=4", seed=5),
+            num_rows=2_000, sessions=4, ops_per_session=20, seed=11,
+        )
+        workers = []
+        runner.server.env.observer = lambda kind, event: (
+            workers.append(event._generator.__name__)
+            if kind == "process" and event._generator.__name__ in ("_admitted", "_execute")
+            else None
+        )
+        report = runner.run()
+        assert workers == []
+        assert report["crashes"] == 1
+        (entry,) = report["crash_log"]
+        assert entry["drained_in_flight"] >= 1
+        assert report["conserved"] and report["in_flight"] == 0
+        assert report["lost_inserts"] == 0
+
     def test_breaker_trips_on_crash(self):
         report = self.run_chaos("crash wal=4", ops=20)
         transitions = [(frm, to) for __, frm, to in report["breaker_transitions"]]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dbms.engine import MiniDbms
 from repro.des import Environment
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, SimulatedCrash
 from repro.serve import (
     ADMISSION_MODES,
     AdmissionController,
@@ -506,6 +506,86 @@ def test_settle_rejects_a_non_terminal_outcome():
     with pytest.raises(ValueError, match="timeout"):
         request.settle(stats, 10.0, "timeout")
     assert stats.calls == [] and request.finished_at < 0
+
+
+# -- a worker is a process of its own only when a deadline can abandon it ----
+
+
+def started_processes(env) -> list:
+    """The processes ``env`` starts from now on, seen through its observer."""
+    started = []
+    env.observer = lambda kind, event: started.append(event) if kind == "process" else None
+    return started
+
+
+def disk_ios(server) -> int:
+    return server.disks.total_reads + server.disks.total_writes
+
+
+SERVED_OPS = {
+    "lookup": lambda keys: ("lookup", int(keys[100])),
+    "scan": lambda keys: ("scan", int(keys[100]), int(keys[700])),
+    "insert": lambda keys: ("insert", None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SERVED_OPS))
+def test_undeadlined_fifo_op_starts_one_process_plus_its_disk_io(kind):
+    server = DbmsServer(small_db(), max_concurrency=2, queue_depth=4, pool_frames=32)
+    started = started_processes(server.env)
+    request = server.make_request(SERVED_OPS[kind](server.workload_keys))
+    server.submit(request)
+    server.run()
+    assert request.outcome == "ok"
+    assert disk_ios(server) > 0  # the op really went to disk
+    # The client, with admission and _execute inline, plus one per disk I/O.
+    assert len(started) == 1 + disk_ios(server)
+
+
+def test_undeadlined_queued_op_runs_inline_once_granted():
+    server = DbmsServer(small_db(), max_concurrency=1, queue_depth=4, pool_frames=32)
+    started = started_processes(server.env)
+    keys = server.workload_keys
+    requests = [server.make_request(("lookup", int(keys[i]))) for i in (10, 1_500)]
+    for request in requests:
+        server.submit(request)
+    server.run()
+    first, queued = requests
+    assert queued.admitted_at == first.finished_at  # it waited for the one token
+    assert queued.queue_wait_us > 0 and queued.outcome == "ok"
+    assert len(started) == 2 + disk_ios(server)
+
+
+def test_deadlined_fifo_op_gets_a_worker_process():
+    server = DbmsServer(
+        small_db(), max_concurrency=2, queue_depth=4, pool_frames=32, deadline_us=1e9
+    )
+    started = started_processes(server.env)
+    request = server.make_request(("lookup", int(server.workload_keys[100])))
+    server.submit(request)
+    server.run()
+    assert request.outcome == "ok" and not request.timed_out
+    assert len(started) == 2 + disk_ios(server)  # the client and its worker
+
+
+def test_crash_inside_an_inlined_execute_reaches_the_caller():
+    server = DbmsServer(small_db(), max_concurrency=1, queue_depth=4, pool_frames=32)
+    started = started_processes(server.env)
+
+    def crashing_dispatch(request):
+        yield server.env.timeout(50.0)
+        raise SimulatedCrash("test", 1)
+
+    server._dispatch = crashing_dispatch
+    for __ in range(2):  # one executing, one queued behind it
+        server.submit(server.make_request(("lookup", int(server.workload_keys[5]))))
+    with pytest.raises(SimulatedCrash) as crash:
+        server.run()
+    assert len(started) == 2  # both clients; neither op had a worker process
+    assert server.env.now == 50.0
+    assert server.fail_unfinished(crash.value) == 2
+    assert [r.outcome for r in server.requests] == ["failed", "failed"]
+    assert server.stats.conserved() and server.stats.in_flight.value == 0
 
 
 # -- one served traversal: per-page routing and scan prefetch under latches ----

@@ -256,6 +256,48 @@ def test_partial_fragment_failure_fails_the_scan_but_keeps_accounting():
     assert fleet.conserved() and fleet.in_flight.value == 0
 
 
+# -- a worker is a process of its own only when a deadline can abandon it ----
+
+
+@pytest.mark.parametrize(
+    "op, processes",
+    [
+        (lambda keys, cuts: ("lookup", int(keys[600])), 1),
+        (lambda keys, cuts: ("insert", None), 1),
+        (lambda keys, cuts: ("scan", int(keys[cuts[0] + 2]), int(keys[cuts[1] - 2])), 1),
+        (lambda keys, cuts: ("scan", int(keys[5]), int(keys[400])), 1 + 2),
+        (lambda keys, cuts: ("scan", int(keys[5]), int(keys[-5])), 1 + 4),
+    ],
+    ids=["lookup", "insert", "scan-1-fragment", "scan-2-fragments", "scan-4-fragments"],
+)
+def test_undeadlined_router_starts_one_process_per_op_and_one_per_fragment(op, processes):
+    router, plan, universe = make_fleet(shard_count=4)
+    started = []
+    router.env.observer = lambda kind, event: (
+        started.append(event) if kind == "process" else None
+    )
+    (request,) = run_ops(router, [op(universe.keys, plan.cut_positions)])
+    assert request.outcome == "ok"
+    ios = sum(s.disks.total_reads + s.disks.total_writes for s in router.shards)
+    assert ios > 0  # the op really went to disk
+    # The router client, with route, forward and the shard's client and
+    # execute inline; one gather per fragment of a scattered scan.
+    assert len(started) == processes + ios
+    router.check_conservation()
+
+
+def test_shard_shed_through_an_undeadlined_router_settles_shed():
+    router, __, universe = make_fleet(shard_count=2, max_concurrency=1, queue_depth=0)
+    # Both lookups land on shard 0, which holds one token and no queue.
+    requests = run_ops(router, [("lookup", int(universe.keys[i])) for i in (5, 6)])
+    assert [r.outcome for r in requests] == ["ok", "shed"]
+    shard = router.shards[0]
+    assert shard.stats.shed == 1 and shard.admission.shed == 1
+    assert router.stats.shed == 1
+    router.check_conservation()
+    assert router.fleet_stats().in_flight.value == 0
+
+
 # -- fleet-wide accounting and determinism ----------------------------------
 
 
