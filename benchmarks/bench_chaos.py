@@ -1,12 +1,14 @@
 """Chaos serving: client-side resilience pays for itself under a fault storm.
 
-Claims checked on every ``chaos`` scenario in the payload (one seeded
-fault schedule — array-wide corruption, a limping disk, a dead disk, a
-mid-run crash — served to a bare client fleet and to a resilient one):
+Claims checked on every closed-loop scenario with a chaos clause in the
+payload (one seeded fault schedule — array-wide corruption, a limping
+disk, a dead disk, a mid-run crash — served to a bare client fleet and to
+a resilient one):
 
 (a) both modes survive the storm with accounting conserved, the crash
-    actually fired (crashes >= 1), and zero acknowledged inserts were
-    lost across WAL recovery;
+    actually fired (crashes >= 1), zero acknowledged inserts were lost
+    across WAL recovery, and the history (crash, recovery and retries
+    included) passed the Wing–Gong checker;
 (b) the resilient mode completes strictly more operations *and* delivers
     strictly higher goodput than the baseline under the identical
     schedule — retries rescue transient failures the bare clients abandon;
@@ -29,16 +31,18 @@ import sys
 
 def check_claims(rows):
     """Assert the resilience claims on one chaos scenario's rows."""
-    rows = {row["mode"]: row for row in rows}
+    rows = {row["clients"]: row for row in rows}
     assert set(rows) == {"baseline", "resilient"}, sorted(rows)
     base, res = rows["baseline"], rows["resilient"]
 
-    # (a) both modes survive: conservation holds, the crash fired, and no
-    # acknowledged insert was lost across recovery.
+    # (a) both modes survive: conservation holds, the crash fired, no
+    # acknowledged insert was lost across recovery, and the history is
+    # linearizable.
     for row in (base, res):
         assert row["conserved"] == 1, row
         assert row["crashes"] >= 1, row
         assert row["lost_inserts"] == 0, row
+        assert row["linearizable"] == 1, row
 
     # (b) resilience wins on completed work and on goodput.
     assert res["ok_ops"] > base["ok_ops"], (base["ok_ops"], res["ok_ops"])
@@ -60,9 +64,9 @@ def main(argv):
     with open(argv[0]) as handle:
         scenarios = [
             entry for entry in json.load(handle)["scenarios"]
-            if entry["spec"]["runner"] == "chaos"
+            if entry["spec"]["runner"] == "closed" and entry["spec"]["chaos"]
         ]
-    assert scenarios, f"{argv[0]} holds no chaos scenario"
+    assert scenarios, f"{argv[0]} holds no closed-loop scenario with a chaos clause"
     for entry in scenarios:
         check_claims(entry["rows"])
         print(f"{entry['spec']['name']}: resilience claims hold")

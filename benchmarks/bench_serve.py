@@ -1,8 +1,8 @@
 """Serving layer: the throughput/latency hockey-stick under open-loop load.
 
-Claims checked on every saturation curve in the payload (a fifo ``serve``
-scenario with at least three offered loads, rising past the disk-array
-service limit):
+Claims checked on every saturation curve in the payload (a fifo
+open-loop scenario on one server with at least three offered loads,
+rising past the disk-array service limit):
 
 (a) below the knee the server keeps up — zero shedding and completed
     throughput within 10% of offered;
@@ -17,8 +17,8 @@ service limit):
     drained run).
 
 Claims checked on every batched-admission race in the payload (two
-``serve`` scenarios identical but for ``admission``, so both modes see
-the same arrival stream on a lookup-heavy mix):
+one-server open-loop scenarios identical but for ``admission``, so both
+modes see the same arrival stream on a lookup-heavy mix):
 
 (e) batch mode completes >= 1.5x the lookup throughput of individual
     admission at every offered load — one admission token carries a whole
@@ -116,7 +116,7 @@ def main(argv):
     with open(argv[0]) as handle:
         scenarios = [
             entry for entry in json.load(handle)["scenarios"]
-            if entry["spec"]["runner"] == "serve"
+            if entry["spec"]["runner"] == "open" and entry["spec"]["shard_count"] == 1
         ]
     checked = 0
     for entry in scenarios:

@@ -1,9 +1,12 @@
 """Sharded serving: fleet throughput scaling and boundary-placement quality.
 
-Claims checked on the ``shard`` scenarios in the payload, read as one
-grid (key-range fleets of 1 to 4 shards, equal-width vs optimized
-boundaries, block-Zipf key popularity, every fleet built from the *same
-per-shard hardware*):
+Claims checked on every fleet grid in the payload: the open-loop
+scenarios whose specs differ only in name, ``shard_count``, ``placement``
+and ``num_disks`` (the fleet total), at least one of them a fleet of more
+than one shard.  A grid holds key-range fleets of 1 to 4 shards,
+equal-width vs optimized boundaries, block-Zipf key popularity, every
+fleet built from the *same per-shard hardware*; its one-shard fleet is a
+bare server, with no router hop:
 
 (a) horizontal scaling — at an offered load that saturates one shard, the
     4-shard fleet completes >= 2.5x the single-shard lookup throughput
@@ -12,7 +15,7 @@ per-shard hardware*):
     dispatch strictly fewer scan fragments than equal-width cuts, and
     split at most 0.75x as many scans across shards (the excess-fragment
     count is the scatter–gather overhead the planner minimizes);
-(c) the router plane is exactly conserved on every row
+(c) the frontend is exactly conserved on every row
     (issued == completed + shed + failed on a drained run), and the
     mid-run conservation probe (asserted inside each cell) saw the
     identity hold with requests genuinely in flight on the loaded cells.
@@ -37,14 +40,14 @@ def _rows_at(rows, **conditions):
 
 
 def check_claims(rows):
-    """Assert the sharding claims on the shard scenarios' rows."""
-    assert rows, "payload holds no shard rows"
+    """Assert the sharding claims on one fleet grid's rows."""
+    assert rows, "fleet grid holds no rows"
     shard_counts = sorted({row["shard_count"] for row in rows})
     assert 1 in shard_counts and max(shard_counts) >= 4, shard_counts
     top_load = max(row["offered_ops_s"] for row in rows)
 
-    # (c) router-plane conservation on every drained row; the mid-run
-    # probe (asserted inside each cell) saw in-flight requests.
+    # (c) frontend conservation on every drained row; the mid-run probe
+    # (asserted inside each cell) saw in-flight requests.
     for row in rows:
         assert row["issued"] == row["completed"] + row["shed"] + row["failed"], row
     assert any(row["probe_in_flight"] > 0 for row in rows), rows
@@ -55,7 +58,7 @@ def check_claims(rows):
     wide = _rows_at(rows, shard_count=max(shard_counts), placement="optimized",
                     offered_ops_s=top_load)[0]
     assert base["shed"] > 0, f"single shard is not saturated: {base}"
-    ratio = wide["lookup_tput_ops_s"] / base["lookup_tput_ops_s"]
+    ratio = wide["lookup_throughput_ops_s"] / base["lookup_throughput_ops_s"]
     assert ratio >= 2.5, (
         f"4-shard fleet scaled only {ratio:.2f}x over one shard "
         f"(claim needs >= 2.5x): {base} vs {wide}"
@@ -74,17 +77,32 @@ def check_claims(rows):
         assert opt["cross_shard_scans"] <= 0.75 * ew["cross_shard_scans"], (ew, opt)
 
 
+def grids(scenarios):
+    """Open-loop scenario groups that differ only in their fleet."""
+    fleet_axes = ("name", "shard_count", "placement", "num_disks")
+    by_rest = {}
+    for entry in scenarios:
+        spec = entry["spec"]
+        if spec["runner"] != "open":
+            continue
+        rest = {k: v for k, v in spec.items() if k not in fleet_axes}
+        by_rest.setdefault(json.dumps(rest, sort_keys=True), []).append(entry)
+    return [
+        group for group in by_rest.values()
+        if any(entry["spec"]["shard_count"] > 1 for entry in group)
+    ]
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit("usage: python benchmarks/bench_shard.py PAYLOAD.json")
     with open(argv[0]) as handle:
-        rows = [
-            row
-            for entry in json.load(handle)["scenarios"]
-            if entry["spec"]["runner"] == "shard"
-            for row in entry["rows"]
-        ]
-    check_claims(rows)
+        found = grids(json.load(handle)["scenarios"])
+    assert found, f"{argv[0]} holds no fleet grid"
+    for group in found:
+        check_claims([row for entry in group for row in entry["rows"]])
+        names = ", ".join(entry["spec"]["name"] for entry in group)
+        print(f"{names}: sharding claims hold")
     print("all sharding claims hold")
     return 0
 

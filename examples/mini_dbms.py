@@ -32,16 +32,16 @@ def main():
     )
     print(f"  index: {db.index.num_pages} pages, {len(db.index.leaf_page_ids())} leaf pages")
 
-    check = db.count_star(smp_degree=2, prefetchers=4)
+    check = db.scan(smp_degree=2, prefetchers=4)
     assert check.row_count == ROWS
     print(f"  SELECT COUNT(*) = {check.row_count:,} (correct)\n")
 
     print("Varying the number of I/O prefetchers (SMP degree 9):")
-    plain = db.count_star(smp_degree=9, prefetchers=0)
-    warm = db.count_star(smp_degree=9, in_memory=True)
+    plain = db.scan(smp_degree=9, prefetchers=0)
+    warm = db.scan(smp_degree=9, in_memory=True)
     print(f"  {'no prefetch':>14}: {plain.elapsed_s * 1000:8.1f} ms")
     for n in (1, 2, 4, 8, 12):
-        stats = db.count_star(smp_degree=9, prefetchers=n)
+        stats = db.scan(smp_degree=9, prefetchers=n)
         print(f"  {n:>3} prefetchers: {stats.elapsed_s * 1000:8.1f} ms")
     print(f"  {'in memory':>14}: {warm.elapsed_s * 1000:8.1f} ms  (floor)\n")
 
@@ -49,13 +49,13 @@ def main():
     print(f"{'degree':>7}  {'no prefetch':>12}  {'with prefetch':>13}  {'in memory':>10}")
     for degree in (1, 2, 4, 6, 9):
         row = (
-            db.count_star(smp_degree=degree, prefetchers=0).elapsed_s,
-            db.count_star(smp_degree=degree, prefetchers=8).elapsed_s,
-            db.count_star(smp_degree=degree, in_memory=True).elapsed_s,
+            db.scan(smp_degree=degree, prefetchers=0).elapsed_s,
+            db.scan(smp_degree=degree, prefetchers=8).elapsed_s,
+            db.scan(smp_degree=degree, in_memory=True).elapsed_s,
         )
         print(f"{degree:>7}  {row[0] * 1000:>10.1f}ms  {row[1] * 1000:>11.1f}ms  {row[2] * 1000:>8.1f}ms")
 
-    speedup = db.count_star(smp_degree=1, prefetchers=0).elapsed_s / db.count_star(
+    speedup = db.scan(smp_degree=1, prefetchers=0).elapsed_s / db.scan(
         smp_degree=1, prefetchers=8
     ).elapsed_s
     print(f"\nPrefetching speedup at SMP degree 1: {speedup:.1f}x (paper: 2.5-5x on DB2)")

@@ -576,27 +576,27 @@ def fig19(
         page_size=page_size,
         disk=DiskParameters(sequential_window_blocks=0),
     )
-    plain = db.count_star(smp_degree=fixed_smp, prefetchers=0)
-    warm = db.count_star(smp_degree=fixed_smp, in_memory=True)
+    plain = db.scan(smp_degree=fixed_smp, prefetchers=0)
+    warm = db.scan(smp_degree=fixed_smp, in_memory=True)
     for n in prefetcher_counts:  # panel (a)
-        fetched = db.count_star(smp_degree=fixed_smp, prefetchers=n)
+        fetched = db.scan(smp_degree=fixed_smp, prefetchers=n)
         result.add(panel="a", x=n, mode="with prefetch", elapsed_s=round(fetched.elapsed_s, 3))
         result.add(panel="a", x=n, mode="no prefetch", elapsed_s=round(plain.elapsed_s, 3))
         result.add(panel="a", x=n, mode="in memory", elapsed_s=round(warm.elapsed_s, 3))
     for degree in smp_degrees:  # panel (b)
         result.add(
             panel="b", x=degree, mode="no prefetch",
-            elapsed_s=round(db.count_star(smp_degree=degree, prefetchers=0).elapsed_s, 3),
+            elapsed_s=round(db.scan(smp_degree=degree, prefetchers=0).elapsed_s, 3),
         )
         result.add(
             panel="b", x=degree, mode="with prefetch",
             elapsed_s=round(
-                db.count_star(smp_degree=degree, prefetchers=fixed_prefetchers).elapsed_s, 3
+                db.scan(smp_degree=degree, prefetchers=fixed_prefetchers).elapsed_s, 3
             ),
         )
         result.add(
             panel="b", x=degree, mode="in memory",
-            elapsed_s=round(db.count_star(smp_degree=degree, in_memory=True).elapsed_s, 3),
+            elapsed_s=round(db.scan(smp_degree=degree, in_memory=True).elapsed_s, 3),
         )
     return result
 

@@ -175,7 +175,7 @@ class MiniDbms:
     def _make_index(self, kind: str, num_rows: int, env: Optional[TreeEnvironment] = None):
         """The database's index: any of the disk-resident structures.
 
-        ``count_star`` only needs ``leaf_page_ids`` and per-page entry
+        :meth:`scan` only needs ``leaf_page_ids`` and per-page entry
         counts, so every tree kind works; the paper's DB2 experiment used
         standard B+-Trees with jump-pointer arrays added, and the default
         here is the disk-first fpB+-Tree the paper recommends.
@@ -196,30 +196,6 @@ class MiniDbms:
         raise ValueError(f"unknown index kind {kind!r}")
 
     # -- query execution ------------------------------------------------------
-
-    def count_star(
-        self,
-        smp_degree: int = 1,
-        prefetchers: int = 0,
-        in_memory: bool = False,
-        page_process_us: float = 2000.0,
-        pool_frames: Optional[int] = None,
-        **resilience,
-    ) -> QueryStats:
-        """Execute ``SELECT COUNT(*)`` via an index-only leaf scan.
-
-        Extra keyword arguments (``fault_plan``, ``retry_policy``,
-        ``mirrored``, ``deadline_us``, ``hedge``) pass through to
-        :meth:`scan`.
-        """
-        return self.scan(
-            smp_degree=smp_degree,
-            prefetchers=prefetchers,
-            in_memory=in_memory,
-            page_process_us=page_process_us,
-            pool_frames=pool_frames,
-            **resilience,
-        )
 
     def scan(
         self,

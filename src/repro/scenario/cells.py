@@ -1,31 +1,29 @@
 """Scenario cells: a validated :class:`ScenarioSpec` run slice by slice.
 
-A spec splits into *cells* — one per offered load for the open-loop
-runners (``serve``, ``shard``), one per client stack for ``chaos``
-(``baseline`` then ``resilient``), and a single cell for
-``concurrency``.  Every cell builds its own substrate from the spec's
-fields, so cells share no state and fan over the orchestrator's process
-pool; merging them in plan order gives rows that are byte-identical for
-any ``--jobs`` value.
+A spec splits into *cells* — one per offered load on the open loop, one
+per client stack on the closed loop (``baseline``, then ``resilient``
+when the spec has a chaos clause).  Every cell builds its own substrate
+from the spec's fields, so cells share no state and fan over the
+orchestrator's process pool; merging them in plan order gives rows that
+are byte-identical for any ``--jobs`` value.
 
-The spec's ``runner`` picks the cell body and the column set:
+The spec's ``runner`` picks the load model, and with it the cell body,
+the column set and the notes:
 
-``serve``
-    One offered load on a :class:`~repro.serve.DbmsServer`: the
-    saturation curve (throughput, latency percentiles, shedding) plus the
-    lookup-throughput and batching columns that the fifo-vs-batch
-    admission race compares.
-``shard``
-    One offered load on a key-range fleet (:func:`~repro.shard.build_fleet`),
-    with fleet-wide conservation checked mid-run (requests genuinely in
-    flight) and again at drain.
-``chaos``
+``open``
+    One offered load on a fleet of ``shard_count`` servers.  A fleet of
+    one is a bare :class:`~repro.serve.DbmsServer` (no router hop); a
+    larger one is a key-range fleet (:func:`~repro.shard.build_fleet`).
+    Conservation is checked mid-run, with requests genuinely in flight,
+    and again at drain.  Client-facing columns (throughput, latency
+    percentiles, shedding) come from the frontend's own stats; substrate
+    columns (queue wait, disk utilization, batching) cover every server.
+``closed``
     One client stack on a :class:`~repro.serve.ChaosRunner` driving the
-    spec's fault storm, crash and recovery included.
-``concurrency``
-    A :class:`~repro.serve.ChaosRunner` under a clean schedule with
-    history recording on; the history must pass the Wing–Gong checker,
-    and a rejected one is archived as a replayable JSON artifact.
+    spec's chaos schedule (a clean one when ``chaos`` is empty), crash and
+    recovery included.  Every cell records its history, which must pass
+    the Wing–Gong checker; a rejected one is archived as a replayable
+    JSON artifact.
 """
 
 from __future__ import annotations
@@ -44,20 +42,27 @@ from ..serve import (
     DbmsServer,
     OpenLoopLoadGenerator,
 )
-from ..shard import BoundaryPlanner, build_fleet
+from ..shard import BoundaryPlanner, ShardRouter, build_fleet
 from ..verify.linearizability import check_linearizable
 from ..workloads import KeyDistribution, KeyWorkload, OpMix, sample_ops
 from .spec import ScenarioSpec
 
 __all__ = ["ARTIFACT_DIR", "key_distribution", "new_result", "plan_cells", "run_cell"]
 
-#: Where a concurrency cell archives a rejected history for replay.
+#: Where a closed cell archives a rejected history for replay.
 ARTIFACT_DIR = "test-artifacts/linearizability"
 
 #: Boundary plans for ``placement = "optimized"`` come from this many
 #: sampled ops, drawn with this seed.
 PLAN_SAMPLE_COUNT = 4096
 PLAN_SEED = 3
+
+#: The router's scatter–gather counters; a fleet of one has no router, so
+#: they read 0 there.
+ROUTER_COUNTERS = (
+    "scan_fragments", "cross_shard_scans", "single_shard_scans",
+    "fragment_timeouts", "rr_inserts",
+)
 
 
 # -- helpers shared by the cell bodies ---------------------------------------
@@ -70,12 +75,6 @@ def _mix(spec: ScenarioSpec) -> OpMix:
 
 def _mix_label(spec: ScenarioSpec) -> str:
     return f"mix {spec.lookup:g}/{spec.scan:g}/{spec.insert:g} lookup/scan/insert"
-
-
-def _skew_label(spec: ScenarioSpec) -> str:
-    if spec.distribution == "uniform":
-        return "uniform"
-    return f"zipf:{spec.zipf_theta:g}"
 
 
 def _us(ms: Optional[float]) -> Optional[float]:
@@ -97,95 +96,33 @@ def key_distribution(spec: ScenarioSpec, n: int) -> Optional[KeyDistribution]:
     return KeyDistribution.zipf(n, theta=spec.zipf_theta)
 
 
-def _lookup_rate(stats, now_us: float) -> float:
-    """Completed lookups per simulated second, to 0.1 ops/s."""
-    elapsed_s = now_us / 1e6
-    count = stats.latency_histogram("lookup").count
-    return round(count / elapsed_s if elapsed_s > 0 else 0.0, 1)
+def _fleet(spec: ScenarioSpec, distribution: Optional[KeyDistribution]):
+    """The open loop's frontend and the servers behind it.
 
-
-def _check_report(report: dict, label: str) -> None:
-    assert report["conserved"], f"conservation identity violated ({label})"
-    assert report["lost_inserts"] == 0, f"acknowledged inserts lost ({label})"
-
-
-def _chaos_runner(spec: ScenarioSpec, schedule: ChaosSchedule, **extra) -> ChaosRunner:
-    return ChaosRunner(
-        schedule,
-        num_rows=spec.num_rows,
-        num_disks=spec.num_disks,
-        page_size=spec.page_size,
-        sessions=spec.sessions,
-        ops_per_session=spec.ops_per_session,
-        think_time_us=spec.think_time_ms * 1e3,
-        mix=_mix(spec),
-        max_concurrency=spec.max_concurrency,
-        queue_depth=spec.queue_depth,
-        pool_frames=spec.pool_frames,
-        deadline_us=_us(spec.deadline_ms),
-        seed=spec.seed,
-        **extra,
-    )
-
-
-# -- the cell bodies -------------------------------------------------------------
-
-
-def _serve_cell(spec: ScenarioSpec, rate: int) -> dict:
-    db = MiniDbms(num_rows=spec.num_rows, num_disks=spec.num_disks,
-                  page_size=spec.page_size, seed=spec.seed, mature=False)
-    server = DbmsServer(
-        db,
-        max_concurrency=spec.max_concurrency,
-        queue_depth=spec.queue_depth,
-        pool_frames=spec.pool_frames,
-        deadline_us=_us(spec.deadline_ms),
-        admission_mode=spec.admission,
-        batch_max=spec.batch_max,
-        batch_window_us=spec.batch_window_ms * 1e3,
-        concurrency=spec.concurrency,
-        seed=spec.seed,
-    )
-    stats = OpenLoopLoadGenerator(
-        server, rate_ops_s=rate, duration_s=spec.duration_s, mix=_mix(spec),
-        seed=spec.seed,
-        distribution=key_distribution(spec, server.workload_keys.size),
-        burstiness=spec.burstiness,
-    ).run()
-    assert stats.conserved(), "conservation identity violated at end of run"
-    percentiles = stats.percentiles_us()
-    wait = stats.queue_wait_histogram()
-    return dict(
-        offered_ops_s=rate,
-        issued=stats.issued,
-        completed=stats.completed,
-        shed=stats.shed,
-        timeouts=stats.timeouts,
-        throughput_ops_s=round(stats.throughput_ops_s(server.env.now), 1),
-        p50_ms=_ms(percentiles["p50"]),
-        p95_ms=_ms(percentiles["p95"]),
-        p99_ms=_ms(percentiles["p99"]),
-        p999_ms=_ms(percentiles["p999"]),
-        queue_p99_ms=_ms(wait.quantile(0.99)) if wait is not None else 0.0,
-        mean_disk_util=round(server.mean_utilization(), 3),
-        lookup_throughput_ops_s=_lookup_rate(stats, server.env.now),
-        lookups_completed=stats.latency_histogram("lookup").count,
-        batches=stats.batches,
-        mean_batch_size=(
-            round(stats.batched_ops / stats.batches, 1) if stats.batches else 0.0
-        ),
-        prefetch_waves=int(server.reader.prefetch_waves),
-    )
-
-
-def _shard_cell(spec: ScenarioSpec, rate: int) -> dict:
-    mix = _mix(spec)
-    universe = KeyWorkload(spec.num_rows, seed=7)
-    distribution = key_distribution(spec, universe.keys.size)
+    One shard is a bare server; more are a router over key-range shards
+    whose boundaries are planned on the spec's own key universe.
+    """
+    if spec.shard_count == 1:
+        db = MiniDbms(num_rows=spec.num_rows, num_disks=spec.num_disks,
+                      page_size=spec.page_size, seed=spec.seed, mature=False)
+        server = DbmsServer(
+            db,
+            max_concurrency=spec.max_concurrency,
+            queue_depth=spec.queue_depth,
+            pool_frames=spec.pool_frames,
+            deadline_us=_us(spec.deadline_ms),
+            admission_mode=spec.admission,
+            batch_max=spec.batch_max,
+            batch_window_us=spec.batch_window_ms * 1e3,
+            concurrency=spec.concurrency,
+            seed=spec.seed,
+        )
+        return server, [server]
+    universe = KeyWorkload(spec.num_rows, seed=spec.seed)
     planner = BoundaryPlanner(universe.keys, spec.shard_count)
     if spec.placement == "optimized":
         plan = planner.optimized(sample_ops(
-            universe.keys.size, mix, distribution=distribution,
+            universe.keys.size, _mix(spec), distribution=distribution,
             count=PLAN_SAMPLE_COUNT, seed=PLAN_SEED,
         ))
     else:
@@ -197,6 +134,7 @@ def _shard_cell(spec: ScenarioSpec, rate: int) -> dict:
         # divide evenly over the shards.
         num_disks=spec.num_disks // spec.shard_count,
         page_size=spec.page_size,
+        db_seed=spec.seed,
         max_concurrency=spec.max_concurrency,
         queue_depth=spec.queue_depth,
         pool_frames=spec.pool_frames,
@@ -206,19 +144,41 @@ def _shard_cell(spec: ScenarioSpec, rate: int) -> dict:
         deadline_us=_us(spec.deadline_ms),
         seed=spec.seed,
     )
+    return router, router.shards
+
+
+def _check_conservation(frontend, servers) -> None:
+    for stats in (frontend.stats, *(server.stats for server in servers)):
+        assert stats.conserved(), "conservation identity violated"
+
+
+# -- the cell bodies -------------------------------------------------------------
+
+
+def _open_cell(spec: ScenarioSpec, rate: int) -> dict:
+    distribution = key_distribution(spec, spec.num_rows)
+    frontend, servers = _fleet(spec, distribution)
     OpenLoopLoadGenerator(
-        router, rate_ops_s=rate, duration_s=spec.duration_s, mix=mix,
+        frontend, rate_ops_s=rate, duration_s=spec.duration_s, mix=_mix(spec),
         seed=spec.seed, distribution=distribution, burstiness=spec.burstiness,
     ).start()
     # Freeze the clock mid-traffic: conservation must hold with requests
-    # genuinely in flight, not just after the drain.
-    router.run(until=spec.duration_s * 1e6 / 2)
-    router.check_conservation()
-    probe_in_flight = router.fleet_stats().in_flight.value
-    router.run()
-    router.check_conservation()
-    stats = router.stats
-    percentiles = stats.percentiles_us("lookup")
+    # genuinely in flight, not just after the drain.  A run up to a time
+    # schedules no event, so the frozen run's values are the drained one's.
+    frontend.run(until=spec.duration_s * 1e6 / 2)
+    _check_conservation(frontend, servers)
+    probe_in_flight = frontend.stats.in_flight.value
+    frontend.run()
+    _check_conservation(frontend, servers)
+
+    now = frontend.env.now
+    stats = frontend.stats
+    substrate = servers[0].stats.merge(*(server.stats for server in servers[1:]))
+    percentiles = stats.percentiles_us()
+    lookups = stats.latency_histogram("lookup").count
+    wait = substrate.queue_wait_histogram()
+    util = [u for server in servers for u in server.utilization()]
+    router = frontend if isinstance(frontend, ShardRouter) else None
     return dict(
         shard_count=spec.shard_count,
         placement=spec.placement,
@@ -228,35 +188,70 @@ def _shard_cell(spec: ScenarioSpec, rate: int) -> dict:
         shed=stats.shed,
         failed=stats.failed,
         timeouts=stats.timeouts,
-        lookup_tput_ops_s=_lookup_rate(stats, router.env.now),
+        throughput_ops_s=round(stats.throughput_ops_s(now), 1),
         p50_ms=_ms(percentiles["p50"]),
+        p95_ms=_ms(percentiles["p95"]),
         p99_ms=_ms(percentiles["p99"]),
-        scan_fragments=router.scan_fragments,
-        cross_shard_scans=router.cross_shard_scans,
-        single_shard_scans=router.single_shard_scans,
-        fragment_timeouts=router.fragment_timeouts,
-        rr_inserts=router.rr_inserts,
+        p999_ms=_ms(percentiles["p999"]),
+        queue_p99_ms=_ms(wait.quantile(0.99)) if wait is not None else 0.0,
+        mean_disk_util=round(sum(util) / len(util), 3),
+        lookup_throughput_ops_s=round(lookups / (now / 1e6) if now > 0 else 0.0, 1),
+        lookups_completed=lookups,
+        batches=substrate.batches,
+        mean_batch_size=(
+            round(substrate.batched_ops / substrate.batches, 1)
+            if substrate.batches else 0.0
+        ),
+        prefetch_waves=sum(int(server.reader.prefetch_waves) for server in servers),
+        **{name: getattr(router, name) if router else 0 for name in ROUTER_COUNTERS},
         probe_in_flight=probe_in_flight,
     )
 
 
-def _chaos_cell(spec: ScenarioSpec, mode: str) -> dict:
-    resilient = mode == "resilient"
-    runner = _chaos_runner(
-        spec,
+def _closed_cell(spec: ScenarioSpec, clients: str) -> dict:
+    resilient = clients == "resilient"
+    runner = ChaosRunner(
         ChaosSchedule.parse(spec.chaos, seed=spec.chaos_seed),
+        num_rows=spec.num_rows,
+        num_disks=spec.num_disks,
+        page_size=spec.page_size,
+        sessions=spec.sessions,
+        ops_per_session=spec.ops_per_session,
+        think_time_us=spec.think_time_ms * 1e3,
+        mix=_mix(spec),
         retry=(
             ClientRetryPolicy(backoff_base_us=1_000.0, backoff_cap_us=20_000.0)
             if resilient else None
         ),
         breaker=BreakerConfig() if resilient else None,
         brownout=BrownoutConfig(p99_slo_us=15_000.0) if resilient else None,
+        max_concurrency=spec.max_concurrency,
+        queue_depth=spec.queue_depth,
+        pool_frames=spec.pool_frames,
+        deadline_us=_us(spec.deadline_ms),
+        seed=spec.seed,
         concurrency=spec.concurrency,
+        record_history=True,
     )
     report = runner.run()
-    _check_report(report, f"{mode} run")
+    label = f"{clients} clients, {spec.concurrency} concurrency, seed {spec.seed}"
+    assert report["conserved"], f"conservation identity violated ({label})"
+    assert report["lost_inserts"] == 0, f"acknowledged inserts lost ({label})"
+    history = runner.history.history()
+    verdict = check_linearizable(history)
+    if not verdict.ok:
+        path = history.write(
+            Path(ARTIFACT_DIR) / f"{spec.concurrency}-{clients}-seed{spec.seed}.json"
+        )
+        raise AssertionError(
+            f"non-linearizable history ({label}): {verdict.reason}; "
+            f"replayable artifact: {path}"
+        )
+    latch = report["latch"]
     return dict(
-        mode=mode,
+        clients=clients,
+        concurrency=spec.concurrency,
+        seed=spec.seed,
         client_ops=report["client_ops"],
         ok_ops=report["ok_ops"],
         gave_up=report["gave_up"],
@@ -271,39 +266,8 @@ def _chaos_cell(spec: ScenarioSpec, mode: str) -> dict:
         lost_inserts=report["lost_inserts"],
         goodput_ops_s=report["goodput_ops_s"],
         p99_ms=report["p99_ms"],
+        p99_lookup_ms=_ms(report["snapshot"]["latency_us"]["lookup"]["p99"], 3),
         conserved=int(report["conserved"]),
-    )
-
-
-def _concurrency_cell(spec: ScenarioSpec, mode: str) -> dict:
-    label = f"{mode}, seed {spec.seed}"
-    # The chaos here is the concurrency itself: a clean schedule.
-    runner = _chaos_runner(
-        spec, ChaosSchedule.parse("", seed=spec.seed),
-        concurrency=mode, record_history=True,
-    )
-    report = runner.run()
-    _check_report(report, label)
-    history = runner.history.history()
-    verdict = check_linearizable(history)
-    if not verdict.ok:
-        path = history.write(
-            Path(ARTIFACT_DIR) / f"concurrency-{mode}-seed{spec.seed}.json"
-        )
-        raise AssertionError(
-            f"non-linearizable history ({label}): {verdict.reason}; "
-            f"replayable artifact: {path}"
-        )
-    latch = report["latch"]
-    latency = report["snapshot"]["latency_us"]
-    return dict(
-        mode=mode,
-        seed=spec.seed,
-        ok_ops=report["ok_ops"],
-        failed=report["failed"],
-        p99_lookup_ms=_ms(latency["lookup"]["p99"], 3),
-        p99_all_ms=_ms(latency["all"]["p99"], 3),
-        goodput_ops_s=report["goodput_ops_s"],
         write_waits=latch.get("write_waits", 0),
         validation_failures=latch.get("validation_failures", 0),
         read_restarts=latch.get("read_restarts", 0),
@@ -319,26 +283,30 @@ def _concurrency_cell(spec: ScenarioSpec, mode: str) -> dict:
 # -- notes: one line per spec, rendered under its table --------------------------
 
 
-def _knobs(spec: ScenarioSpec) -> list[str]:
-    """Open-loop axes off their defaults, as note fragments."""
+def _open_notes(spec: ScenarioSpec) -> list[str]:
+    if spec.shard_count == 1:
+        fleet = "one server"
+    elif spec.placement == "optimized":
+        fleet = (
+            f"{spec.shard_count} key-range shards (boundaries optimized on a "
+            f"{PLAN_SAMPLE_COUNT}-op sample, seed {PLAN_SEED}), per shard"
+        )
+    else:
+        fleet = f"{spec.shard_count} key-range shards (equal-width boundaries), per shard"
+    notes = [
+        f"{fleet}: {spec.num_disks // spec.shard_count} disks, "
+        f"{spec.max_concurrency} tokens, queue bound {spec.queue_depth}, pool "
+        f"{spec.pool_frames} frames; {_mix_label(spec)} over {spec.num_rows} "
+        f"rows for {spec.duration_s:g}s per cell"
+    ]
     knobs = []
+    if spec.distribution != "uniform":
+        knobs.append(f"zipf:{spec.zipf_theta:g} key popularity")
     if spec.burstiness != 1.0:
         knobs.append(f"burstiness {spec.burstiness:g}")
     if spec.admission != "fifo":
         knobs.append(f"admission {spec.admission} (max {spec.batch_max}, "
                      f"window {spec.batch_window_ms * 1e3:g}us)")
-    return knobs
-
-
-def _serve_notes(spec: ScenarioSpec) -> list[str]:
-    notes = [
-        f"{spec.num_disks}-disk array, {spec.max_concurrency} tokens, queue bound "
-        f"{spec.queue_depth}, pool {spec.pool_frames} frames, {_mix_label(spec)} "
-        f"over {spec.num_rows} rows for {spec.duration_s:g}s per cell"
-    ]
-    knobs = _knobs(spec)
-    if spec.distribution != "uniform":
-        knobs.insert(0, f"{_skew_label(spec)} key popularity")
     if spec.concurrency != "none":
         knobs.append(f"{spec.concurrency} concurrency control")
     if knobs:
@@ -346,38 +314,23 @@ def _serve_notes(spec: ScenarioSpec) -> list[str]:
     return notes
 
 
-def _shard_notes(spec: ScenarioSpec) -> list[str]:
-    notes = [
-        f"per-shard hardware: {spec.num_disks // spec.shard_count} disks, "
-        f"{spec.max_concurrency} tokens, queue bound {spec.queue_depth}, pool "
-        f"{spec.pool_frames} frames; {_skew_label(spec)} key popularity, "
-        f"{_mix_label(spec)} over {spec.num_rows} rows for {spec.duration_s:g}s "
-        f"per cell; boundary plans from a {PLAN_SAMPLE_COUNT}-op sample "
-        f"(seed {PLAN_SEED})"
-    ]
-    knobs = _knobs(spec)
-    if knobs:
-        notes.append("; ".join(knobs))
-    return notes
-
-
-def _chaos_notes(spec: ScenarioSpec) -> list[str]:
-    schedule = ChaosSchedule.parse(spec.chaos, seed=spec.chaos_seed)
-    return [
-        f"schedule: {schedule.describe()}",
+def _closed_notes(spec: ScenarioSpec) -> list[str]:
+    notes = []
+    if spec.chaos:
+        schedule = ChaosSchedule.parse(spec.chaos, seed=spec.chaos_seed)
+        notes.append(f"schedule: {schedule.describe()}")
+    deadline = "no deadline" if spec.deadline_ms is None else f"deadline {spec.deadline_ms:g}ms"
+    latches = (
+        "no latches" if spec.concurrency == "none"
+        else f"{spec.concurrency} concurrency control"
+    )
+    notes.append(
         f"{spec.sessions} closed-loop sessions x {spec.ops_per_session} ops, "
-        f"{spec.num_disks}-disk mirrored array over {spec.num_rows} rows, "
-        f"deadline {spec.deadline_ms:g}ms, {_mix_label(spec)}",
-    ]
-
-
-def _concurrency_notes(spec: ScenarioSpec) -> list[str]:
-    return [
-        f"{spec.sessions} closed-loop sessions x {spec.ops_per_session} ops over "
-        f"{spec.num_rows} rows on {spec.page_size}B pages (split-heavy), "
-        f"{_mix_label(spec)}; page mode: optimistic reads + latch-crabbing "
-        "writes; coarse mode: one tree-wide latch"
-    ]
+        f"{spec.num_disks}-disk mirrored array over {spec.num_rows} rows on "
+        f"{spec.page_size}B pages, {deadline}, {_mix_label(spec)}; "
+        f"{latches}; every history checked linearizable"
+    )
+    return notes
 
 
 class _Runner(NamedTuple):
@@ -389,56 +342,37 @@ class _Runner(NamedTuple):
 
 
 _RUNNERS = {
-    "serve": _Runner(
-        "open-loop serving: throughput, latency percentiles and shedding vs offered load",
-        (
-            "offered_ops_s", "issued", "completed", "shed", "timeouts",
-            "throughput_ops_s", "p50_ms", "p95_ms", "p99_ms", "p999_ms",
-            "queue_p99_ms", "mean_disk_util", "lookup_throughput_ops_s",
-            "lookups_completed", "batches", "mean_batch_size", "prefetch_waves",
-        ),
-        lambda spec: list(spec.offered_loads),
-        _serve_cell,
-        _serve_notes,
-    ),
-    "shard": _Runner(
-        "key-range-sharded serving: fleet throughput and scan fan-out per "
-        "shard count, boundary placement and offered load",
+    "open": _Runner(
+        "open-loop serving on a fleet of shard_count servers: throughput, "
+        "latency percentiles, shedding and scan fan-out vs offered load",
         (
             "shard_count", "placement", "offered_ops_s", "issued", "completed",
-            "shed", "failed", "timeouts", "lookup_tput_ops_s", "p50_ms",
-            "p99_ms", "scan_fragments", "cross_shard_scans",
-            "single_shard_scans", "fragment_timeouts", "rr_inserts",
+            "shed", "failed", "timeouts", "throughput_ops_s", "p50_ms",
+            "p95_ms", "p99_ms", "p999_ms", "queue_p99_ms", "mean_disk_util",
+            "lookup_throughput_ops_s", "lookups_completed", "batches",
+            "mean_batch_size", "prefetch_waves", *ROUTER_COUNTERS,
             "probe_in_flight",
         ),
         lambda spec: list(spec.offered_loads),
-        _shard_cell,
-        _shard_notes,
+        _open_cell,
+        _open_notes,
     ),
-    "chaos": _Runner(
-        "closed-loop serving through a fault storm and a mid-run crash: "
-        "bare clients vs retry + breaker + brownout",
+    "closed": _Runner(
+        "closed-loop serving through the chaos schedule, crash and recovery "
+        "included: bare clients (and retry + breaker + brownout under a "
+        "storm), every history checked linearizable",
         (
-            "mode", "client_ops", "ok_ops", "gave_up", "retries", "fast_fails",
-            "breaker_trips", "brownout_level", "shed", "failed", "timeouts",
-            "crashes", "lost_inserts", "goodput_ops_s", "p99_ms", "conserved",
+            "clients", "concurrency", "seed", "client_ops", "ok_ops", "gave_up",
+            "retries", "fast_fails", "breaker_trips", "brownout_level", "shed",
+            "failed", "timeouts", "crashes", "lost_inserts", "goodput_ops_s",
+            "p99_ms", "p99_lookup_ms", "conserved", "write_waits",
+            "validation_failures", "read_restarts", "write_restarts",
+            "pessimistic_writes", "history_ops", "pending_ops",
+            "states_explored", "linearizable",
         ),
-        lambda spec: ["baseline", "resilient"],
-        _chaos_cell,
-        _chaos_notes,
-    ),
-    "concurrency": _Runner(
-        "contended closed-loop serving: coarse tree latch vs page-level "
-        "optimistic reads + latch crabbing (every history checked linearizable)",
-        (
-            "mode", "seed", "ok_ops", "failed", "p99_lookup_ms", "p99_all_ms",
-            "goodput_ops_s", "write_waits", "validation_failures",
-            "read_restarts", "write_restarts", "pessimistic_writes",
-            "history_ops", "pending_ops", "states_explored", "linearizable",
-        ),
-        lambda spec: [spec.concurrency],
-        _concurrency_cell,
-        _concurrency_notes,
+        lambda spec: ["baseline", "resilient"] if spec.chaos else ["baseline"],
+        _closed_cell,
+        _closed_notes,
     ),
 }
 

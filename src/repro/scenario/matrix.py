@@ -9,7 +9,7 @@ A matrix file is TOML with an optional ``[defaults]`` table and one
 
     [[scenario]]
     name = "serve-smoke"
-    runner = "serve"
+    runner = "open"
     offered_loads = [400, 1600]
 
 :func:`load_matrix` overlays defaults, rejects duplicate names and

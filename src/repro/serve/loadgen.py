@@ -8,8 +8,12 @@ throughput/latency hockey-stick.  The closed-loop client model (think,
 issue, wait for the reply) is :class:`~repro.serve.resilience.ChaosRunner`'s
 sessions.
 
+The generator drives any *frontend* that speaks the server protocol
+(``env``, ``workload_keys``, ``make_request``, ``submit``, ``stats``): a
+single :class:`~repro.serve.DbmsServer`, or a
+:class:`~repro.shard.ShardRouter` in front of a key-range fleet.
 Operations come from a seeded :class:`~repro.workloads.ops.MixedOpStream`,
-so a run is fully deterministic, and every number lands in the server's
+so a run is fully deterministic, and every number lands in the frontend's
 :class:`~repro.serve.stats.ServerStats`.
 """
 
@@ -17,16 +21,23 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..workloads.ops import KeyDistribution, MixedOpStream, OpMix
 from .server import DbmsServer
+
+if TYPE_CHECKING:
+    from ..shard import ShardRouter
 
 __all__ = ["OpenLoopLoadGenerator"]
 
 
 class OpenLoopLoadGenerator:
     """Poisson arrivals at a fixed offered rate, independent of completions.
+
+    ``server`` is the frontend every request is submitted to: a
+    :class:`DbmsServer`, or a :class:`~repro.shard.ShardRouter` over a
+    fleet.
 
     ``burstiness`` shapes the arrival process without changing its mean
     rate: at the default ``1.0`` arrivals are the classic Poisson stream
@@ -40,7 +51,7 @@ class OpenLoopLoadGenerator:
 
     def __init__(
         self,
-        server: DbmsServer,
+        server: Union[DbmsServer, ShardRouter],
         rate_ops_s: float,
         duration_s: float,
         mix: Optional[OpMix] = None,

@@ -380,6 +380,15 @@ class SessionState:
         return self.index >= len(self.ops)
 
 
+#: The chaos substrate's storage-level read retries: dead and limping
+#: spindles are survivable because reads retry across mirror replicas with
+#: a per-attempt deadline.
+STORAGE_POLICY = RetryPolicy(max_attempts=3, timeout_us=40_000.0)
+
+#: WAL commits between checkpoints on the chaos substrate.
+CHECKPOINT_INTERVAL = 4
+
+
 class ChaosRunner:
     """Closed-loop serving under a chaos schedule, surviving a mid-run crash.
 
@@ -407,12 +416,10 @@ class ChaosRunner:
         retry: Optional[ClientRetryPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
         brownout: Optional[BrownoutConfig] = None,
-        storage_policy: Optional[RetryPolicy] = "auto",
         max_concurrency: int = 8,
         queue_depth: int = 32,
         pool_frames: int = 48,
         deadline_us: Optional[float] = None,
-        checkpoint_interval: int = 4,
         seed: int = 11,
         concurrency: str = "none",
         record_history: bool = False,
@@ -422,24 +429,19 @@ class ChaosRunner:
         self.mix = mix if mix is not None else OpMix()
         self.retry = retry
         self.think_time_us = think_time_us
-        self.checkpoint_interval = checkpoint_interval
         self.seed = seed
-        if storage_policy == "auto":
-            # Dead/limping spindles are survivable because reads retry
-            # across mirror replicas with a per-attempt deadline.
-            storage_policy = RetryPolicy(max_attempts=3, timeout_us=40_000.0)
         self.db = MiniDbms(
             num_rows=num_rows, num_disks=num_disks, page_size=page_size,
             seed=seed, mature=False,
         )
-        self.db.enable_wal(self.plan, checkpoint_interval=checkpoint_interval)
+        self.db.enable_wal(self.plan, checkpoint_interval=CHECKPOINT_INTERVAL)
         self.server = DbmsServer(
             self.db,
             max_concurrency=max_concurrency,
             queue_depth=queue_depth,
             pool_frames=pool_frames,
             deadline_us=deadline_us,
-            policy=storage_policy,
+            policy=STORAGE_POLICY,
             fault_plan=self.plan,
             mirrored=num_disks >= 2,
             seed=seed,
@@ -547,7 +549,7 @@ class ChaosRunner:
         # Logging resumes under the stripped plan: the armed crash point
         # fired; read faults (limps, dead disks, error rates) stay live.
         self.db.enable_wal(
-            self.plan.without_crash_points(), checkpoint_interval=self.checkpoint_interval
+            self.plan.without_crash_points(), checkpoint_interval=CHECKPOINT_INTERVAL
         )
         # The rebuilt substrate resumes after the simulated recovery
         # downtime, on a monotonic clock.

@@ -106,35 +106,35 @@ class TestMiniDbms:
         return MiniDbms(num_rows=20_000, num_disks=8, seed=3)
 
     def test_count_star_counts_every_row(self, db):
-        stats = db.count_star()
+        stats = db.scan()
         assert stats.row_count == 20_000
 
     def test_in_memory_floor_is_fastest(self, db):
-        plain = db.count_star(prefetchers=0)
-        warm = db.count_star(in_memory=True)
+        plain = db.scan(prefetchers=0)
+        warm = db.scan(in_memory=True)
         assert warm.elapsed_us < plain.elapsed_us
         assert warm.disk_reads == 0
 
     def test_prefetchers_speed_up_scan(self, db):
-        plain = db.count_star(prefetchers=0)
-        fetched = db.count_star(prefetchers=8)
+        plain = db.scan(prefetchers=0)
+        fetched = db.scan(prefetchers=8)
         assert fetched.elapsed_us < plain.elapsed_us
         assert fetched.row_count == plain.row_count
 
     def test_more_prefetchers_monotone_improvement(self, db):
-        times = [db.count_star(prefetchers=n).elapsed_us for n in (1, 4, 8)]
+        times = [db.scan(prefetchers=n).elapsed_us for n in (1, 4, 8)]
         assert times[2] <= times[0]
 
     def test_smp_parallelism_speeds_up(self, db):
-        serial = db.count_star(smp_degree=1, prefetchers=4)
-        parallel = db.count_star(smp_degree=4, prefetchers=4)
+        serial = db.scan(smp_degree=1, prefetchers=4)
+        parallel = db.scan(smp_degree=4, prefetchers=4)
         assert parallel.elapsed_us < serial.elapsed_us
         assert parallel.row_count == serial.row_count
 
     def test_prefetch_approaches_in_memory(self, db):
-        warm = db.count_star(in_memory=True, smp_degree=2)
-        fetched = db.count_star(prefetchers=12, smp_degree=2)
-        plain = db.count_star(prefetchers=0, smp_degree=2)
+        warm = db.scan(in_memory=True, smp_degree=2)
+        fetched = db.scan(prefetchers=12, smp_degree=2)
+        plain = db.scan(prefetchers=0, smp_degree=2)
         # The prefetched scan lands much closer to the floor than to plain.
         assert fetched.elapsed_us - warm.elapsed_us < (plain.elapsed_us - warm.elapsed_us) / 2
 
@@ -146,23 +146,23 @@ class TestMiniDbms:
 
     def test_invalid_parameters(self, db):
         with pytest.raises(ValueError):
-            db.count_star(smp_degree=0)
+            db.scan(smp_degree=0)
         with pytest.raises(ValueError):
-            db.count_star(prefetchers=-1)
+            db.scan(prefetchers=-1)
 
 
 class TestIndexKinds:
     @pytest.mark.parametrize("kind", ["disk", "micro", "fp-disk", "fp-cache"])
     def test_count_star_correct_with_any_index(self, kind):
         db = MiniDbms(num_rows=5000, num_disks=4, seed=2, mature=False, index_kind=kind)
-        stats = db.count_star(smp_degree=2, prefetchers=2)
+        stats = db.scan(smp_degree=2, prefetchers=2)
         assert stats.row_count == 5000
 
     def test_standard_btree_also_benefits_from_prefetchers(self):
         """The paper's DB2 experiment used standard B+-Trees (Section 4.3.3)."""
         db = MiniDbms(num_rows=20_000, num_disks=8, seed=2, index_kind="disk", page_size=4096)
-        plain = db.count_star(prefetchers=0)
-        fetched = db.count_star(prefetchers=8)
+        plain = db.scan(prefetchers=0)
+        fetched = db.scan(prefetchers=8)
         assert fetched.elapsed_us < plain.elapsed_us
 
     def test_unknown_index_kind_rejected(self):

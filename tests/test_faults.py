@@ -673,11 +673,6 @@ class TestFaultyScans:
         assert stats.degradation_level == 0
         assert not stats.deadline_exceeded
 
-    def test_count_star_passes_resilience_kwargs_through(self, small_db):
-        plan = FaultPlan.uniform(corrupt_rate=0.05, seed=1)
-        stats = small_db.count_star(prefetchers=2, fault_plan=plan, mirrored=True)
-        assert stats.row_count == 6000
-
     def test_scan_validates_deadline(self, small_db):
         with pytest.raises(ValueError):
             small_db.scan(deadline_us=0.0)

@@ -43,7 +43,7 @@ SCENARIO_DIR = REPO_ROOT / "benchmarks" / "scenarios"
 
 def make(**overrides):
     """A valid baseline spec, with overrides applied (not yet validated)."""
-    base = dict(name="t", runner="serve", num_rows=2_000, offered_loads=(400,),
+    base = dict(name="t", runner="open", num_rows=2_000, offered_loads=(400,),
                 duration_s=0.2)
     base.update(overrides)
     return ScenarioSpec(**base)
@@ -53,86 +53,79 @@ def make(**overrides):
 # 1. The rejection table: one row per cross-field rule, message asserted.
 # ---------------------------------------------------------------------------
 
+# Each row carries a stable number: a removed rule's number is never
+# reused, so a test id always names the same rule.
 REJECTIONS = [
-    # (overrides, substring that must appear in the message)
-    (dict(runner="warp"), "unknown runner 'warp'"),
-    (dict(admission="lifo"), "unknown admission mode 'lifo'"),
-    (dict(concurrency="lockfree"), "unknown concurrency mode 'lockfree'"),
-    (dict(distribution="pareto"), "unknown distribution 'pareto'"),
-    (dict(runner="shard", shard_count=2, num_disks=8, placement="stripe"),
+    # (number, overrides, substring that must appear in the message)
+    # -- single-field sanity ---------------------------------------------------
+    (0, dict(runner="warp"), "unknown runner 'warp'"),
+    (1, dict(admission="lifo"), "unknown admission mode 'lifo'"),
+    (2, dict(concurrency="lockfree"), "unknown concurrency mode 'lockfree'"),
+    (3, dict(distribution="pareto"), "unknown distribution 'pareto'"),
+    (4, dict(shard_count=2, num_disks=8, placement="stripe"),
      "unknown placement 'stripe'"),
-    (dict(num_rows=0), "num_rows must be >= 1"),
-    (dict(duration_s=0.0), "duration_s must be positive"),
-    (dict(deadline_ms=-5.0), "deadline_ms must be positive"),
-    (dict(lookup=0.0, scan=0.0, insert=0.0), "positive sum"),
-    (dict(offered_loads=()), "non-empty list of positive"),
-    (dict(burstiness=0.5), "burstiness is the mean arrival-burst size"),
-    # crash point without a WAL: recovery would have nothing to replay.
-    (dict(runner="chaos", wal=False, deadline_ms=30.0, chaos="crash wal=5"),
-     "crashing without a write-ahead log loses every acknowledged write"),
-    # WAL claimed on a runner with no WAL wiring.
-    (dict(runner="serve", wal=True), "has no WAL wiring"),
-    # chaos/concurrency substrates always log; the spec must say so.
-    (dict(runner="chaos", wal=False, deadline_ms=30.0),
-     "serves every insert through a write-ahead log"),
-    # a chaos clause aimed at a runner that can't execute it.
-    (dict(runner="serve", chaos="corrupt rate=0.1"),
-     "only runs under runner = 'chaos'"),
+    (5, dict(num_rows=0), "num_rows must be >= 1"),
+    (6, dict(duration_s=0.0), "duration_s must be positive"),
+    (7, dict(deadline_ms=-5.0), "deadline_ms must be positive"),
+    (8, dict(lookup=0.0, scan=0.0, insert=0.0), "positive sum"),
+    (9, dict(offered_loads=()), "non-empty list of positive"),
+    (10, dict(burstiness=0.5), "burstiness is the mean arrival-burst size"),
+    # the broken negative control is a test-only protocol, not a mode.
+    (26, dict(concurrency="broken"), "unknown concurrency mode 'broken'"),
+    # -- the open loop: a chaos clause needs the closed loop's mirrored,
+    # logging substrate (crash points included).
+    (14, dict(chaos="corrupt rate=0.1"), "only runs under runner = 'closed'"),
+    (32, dict(chaos="crash wal=5"), "only runs under runner = 'closed'"),
+    # -- chaos clauses on the closed loop -----------------------------------------
     # malformed clause text caught at parse time.
-    (dict(runner="chaos", wal=True, deadline_ms=30.0, chaos="explode disk=0"),
+    (15, dict(runner="closed", deadline_ms=30.0, chaos="explode disk=0"),
      "bad chaos clause"),
     # fault aimed at a disk the array doesn't have.
-    (dict(runner="chaos", wal=True, deadline_ms=30.0, num_disks=4,
-          chaos="limp disk=7 x4 @0.1s"),
+    (16, dict(runner="closed", deadline_ms=30.0, num_disks=4,
+              chaos="limp disk=7 x4 @0.1s"),
      "targets disk 7 but the array has num_disks = 4"),
     # killing the only disk is unsurvivable.
-    (dict(runner="chaos", wal=True, deadline_ms=30.0, num_disks=1,
-          chaos="kill disk=0 @0.1s"),
+    (17, dict(runner="closed", deadline_ms=30.0, num_disks=1,
+              chaos="kill disk=0 @0.1s"),
      "unsurvivable"),
-    # chaos clients need a deadline (brownout SLO keys off it too).
-    (dict(runner="chaos", wal=True, deadline_ms=None), "set deadline_ms"),
-    # fleet disks that don't divide over the shards would sit idle.
-    (dict(runner="shard", shard_count=5, num_disks=12),
-     "num_disks = 12 does not divide over shard_count = 5"),
-    # batch admission with no lookups to batch.
-    (dict(admission="batch", lookup=0.0, scan=0.9, insert=0.1),
-     "no batch would ever form"),
-    # batch admission on a closed-loop runner.
-    (dict(runner="concurrency", wal=True, concurrency="page", admission="batch"),
+    # a storm's resilient clients need a deadline (brownout SLO keys off it too).
+    (18, dict(runner="closed", deadline_ms=None, chaos="corrupt rate=0.1"),
+     "set deadline_ms"),
+    # -- the closed loop: one server, ops admitted one by one, uniform keys -------
+    (23, dict(runner="closed", shard_count=2), "a fleet runs only on the open loop"),
+    (21, dict(runner="closed", concurrency="page", admission="batch"),
      "admits each client's op individually"),
-    # more shards than spindles.
-    (dict(runner="shard", shard_count=16, num_disks=12),
-     "shard_count = 16 exceeds num_disks = 12"),
-    # sharding without the shard runner.
-    (dict(runner="serve", shard_count=2), "needs runner = 'shard'"),
-    # one shard has no boundaries to optimize: the cell emits zero rows.
-    (dict(runner="shard", shard_count=1, placement="optimized"),
-     "no boundaries to optimize"),
-    # paper-scale keys under a smoke deadline: every query would time out.
-    (dict(num_rows=10_000_000, deadline_ms=5.0),
-     "every query would time out"),
-    # the broken negative control is a test-only protocol, not a mode.
-    (dict(concurrency="broken"), "unknown concurrency mode 'broken'"),
-    # the concurrency runner exists to compare latching regimes.
-    (dict(runner="concurrency", wal=True, concurrency="none"),
-     "compares latching regimes"),
-    # page latching isn't wired into the shard fleet.
-    (dict(runner="shard", shard_count=2, num_disks=8, concurrency="page"),
-     "not wired into the shard fleet"),
-    # a scan can't cover more entries than exist.
-    (dict(num_rows=50, scan_span=64), "exceeds the 50-key universe"),
-    # skew/burstiness only shape open-loop arrivals.
-    (dict(runner="concurrency", wal=True, concurrency="page", distribution="zipf"),
+    (30, dict(runner="closed", concurrency="page", distribution="zipf"),
      "not plumbed into the closed-loop"),
-    (dict(runner="chaos", wal=True, deadline_ms=30.0, burstiness=4.0),
+    (31, dict(runner="closed", burstiness=4.0),
      "closed-loop (sessions self-throttle on completions)"),
+    # -- batch admission -----------------------------------------------------------
+    (20, dict(admission="batch", lookup=0.0, scan=0.9, insert=0.1),
+     "no batch would ever form"),
+    # -- the fleet -----------------------------------------------------------------
+    # fleet disks that don't divide over the shards would sit idle.
+    (19, dict(shard_count=5, num_disks=12),
+     "num_disks = 12 does not divide over shard_count = 5"),
+    # more shards than spindles.
+    (22, dict(shard_count=16, num_disks=12),
+     "shard_count = 16 exceeds num_disks = 12"),
+    # one shard has no boundaries to optimize.
+    (24, dict(shard_count=1, placement="optimized"), "no boundaries to optimize"),
+    # page latching isn't wired into a fleet of more than one shard.
+    (28, dict(shard_count=2, num_disks=8, concurrency="page"),
+     "not wired into the shard fleet"),
+    # -- scale ---------------------------------------------------------------------
+    # paper-scale keys under a smoke deadline: every query would time out.
+    (25, dict(num_rows=10_000_000, deadline_ms=5.0), "every query would time out"),
+    # a scan can't cover more entries than exist.
+    (29, dict(num_rows=50, scan_span=64), "exceeds the 50-key universe"),
 ]
 
 
 @pytest.mark.parametrize(
     "overrides, fragment",
-    REJECTIONS,
-    ids=[f"{i}-{frag[:34]}" for i, (_, frag) in enumerate(REJECTIONS)],
+    [(overrides, fragment) for __, overrides, fragment in REJECTIONS],
+    ids=[f"{number}-{fragment[:34]}" for number, __, fragment in REJECTIONS],
 )
 def test_invalid_combination_rejected_with_actionable_message(overrides, fragment):
     spec = make(**overrides)
@@ -150,7 +143,8 @@ def test_invalid_combination_rejected_with_actionable_message(overrides, fragmen
 
 
 def test_validate_reports_every_problem_at_once():
-    spec = make(runner="chaos", wal=False, deadline_ms=None, burstiness=4.0)
+    spec = make(runner="closed", chaos="corrupt rate=0.1", deadline_ms=None,
+                burstiness=4.0, shard_count=2)
     with pytest.raises(ScenarioError) as excinfo:
         spec.validate()
     assert len(excinfo.value.problems) >= 3
@@ -158,7 +152,7 @@ def test_validate_reports_every_problem_at_once():
 
 def test_unknown_field_and_missing_required_rejected():
     with pytest.raises(ScenarioError, match="unknown field\\(s\\) warp_factor"):
-        ScenarioSpec.from_dict({"name": "x", "runner": "serve", "warp_factor": 9})
+        ScenarioSpec.from_dict({"name": "x", "runner": "open", "warp_factor": 9})
     with pytest.raises(ScenarioError, match="missing required field 'runner'"):
         ScenarioSpec.from_dict({"name": "x"})
 
@@ -166,9 +160,13 @@ def test_unknown_field_and_missing_required_rejected():
 def test_valid_spec_validates_clean():
     assert make().problems() == []
     assert make(
-        runner="chaos", wal=True, deadline_ms=30.0,
+        runner="closed", deadline_ms=30.0,
         chaos="corrupt rate=0.2; crash wal=10", num_disks=4,
     ).problems() == []
+    # A clean closed loop needs no deadline, and no latches either.
+    assert make(runner="closed").problems() == []
+    # A fleet of one is a bare server, so it carries page latches.
+    assert make(concurrency="page").problems() == []
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +205,7 @@ if HAVE_HYPOTHESIS:
     def specs(draw):
         return ScenarioSpec(
             name=draw(names),
-            runner=draw(st.sampled_from(["serve", "chaos", "shard", "concurrency"])),
+            runner=draw(st.sampled_from(["open", "closed"])),
             lookup=draw(finite_floats),
             scan=draw(finite_floats),
             insert=draw(finite_floats),
@@ -219,7 +217,6 @@ if HAVE_HYPOTHESIS:
                 ["", "corrupt rate=0.2", "kill disk=0 @0.1s; crash wal=5"]
             )),
             chaos_seed=draw(st.integers(0, 2**31)),
-            wal=draw(st.booleans()),
             num_rows=draw(st.integers(1, 10**8)),
             num_disks=draw(st.integers(1, 64)),
             page_size=draw(st.sampled_from([512, 1024, 4096, 8192])),
@@ -270,16 +267,16 @@ def test_matrix_defaults_overlay_and_duplicate_names(tmp_path):
     good = tmp_path / "m.toml"
     good.write_text(
         "[defaults]\nnum_rows = 1234\n\n"
-        '[[scenario]]\nname = "a"\nrunner = "serve"\n\n'
-        '[[scenario]]\nname = "b"\nrunner = "serve"\nnum_rows = 99\n'
+        '[[scenario]]\nname = "a"\nrunner = "open"\n\n'
+        '[[scenario]]\nname = "b"\nrunner = "open"\nnum_rows = 99\n'
     )
     specs = load_matrix(good)
     assert [s.num_rows for s in specs] == [1234, 99]
 
     dup = tmp_path / "dup.toml"
     dup.write_text(
-        '[[scenario]]\nname = "a"\nrunner = "serve"\n\n'
-        '[[scenario]]\nname = "a"\nrunner = "serve"\n'
+        '[[scenario]]\nname = "a"\nrunner = "open"\n\n'
+        '[[scenario]]\nname = "a"\nrunner = "open"\n'
     )
     with pytest.raises(ScenarioError, match="duplicate scenario name 'a'"):
         load_matrix(dup)
@@ -318,8 +315,9 @@ def capture(monkeypatch, name, passthrough=False):
 
 
 def test_cells_read_units_and_axes_from_the_spec(monkeypatch):
-    # ms -> us for every time axis a closed-loop cell forwards.
-    spec = make(runner="chaos", wal=True, deadline_ms=30.0, think_time_ms=1.5,
+    # ms -> us for every time axis a closed-loop cell forwards; every
+    # closed cell records its history.
+    spec = make(runner="closed", deadline_ms=30.0, think_time_ms=1.5,
                 chaos="corrupt rate=0.2", chaos_seed=7, num_disks=4,
                 concurrency="page")
     seen = capture(monkeypatch, "ChaosRunner")
@@ -329,15 +327,17 @@ def test_cells_read_units_and_axes_from_the_spec(monkeypatch):
     assert seen["think_time_us"] == 1_500.0
     assert seen["retry"] is not None and seen["breaker"] is not None
     assert seen["concurrency"] == "page"
+    assert seen["record_history"] is True
 
     # The fleet's num_disks is divided per shard; deadline and batch
     # window reach the fleet in us.
-    spec = make(runner="shard", shard_count=4, num_disks=8, deadline_ms=20.0,
-                admission="batch", batch_window_ms=2.5)
+    spec = make(shard_count=4, num_disks=8, deadline_ms=20.0,
+                admission="batch", batch_window_ms=2.5, seed=5)
     seen = capture(monkeypatch, "build_fleet")
     with pytest.raises(_Captured):
         run_cell((spec, 400))
     assert seen["num_disks"] == 2
+    assert seen["db_seed"] == 5
     assert seen["deadline_us"] == 20_000.0
     assert seen["batch_window_us"] == 2_500.0
 
@@ -370,18 +370,21 @@ def test_zipf_theta_reaches_the_op_stream_exactly(monkeypatch):
 def test_cell_planning_splits_open_loop_loads_and_chaos_modes():
     serve_cells = plan_cells(make(offered_loads=(200, 800, 1600)))
     assert [value for __, value in serve_cells] == [200, 800, 1600]
-    chaos_cells = plan_cells(make(runner="chaos", wal=True, deadline_ms=30.0))
-    assert [value for __, value in chaos_cells] == ["baseline", "resilient"]
-    cc = make(runner="concurrency", wal=True, concurrency="page")
-    assert [value for __, value in plan_cells(cc)] == ["page"]
+    # A storm runs both client stacks; a clean closed loop only the bare one.
+    storm = make(runner="closed", deadline_ms=30.0, chaos="corrupt rate=0.2")
+    assert [value for __, value in plan_cells(storm)] == ["baseline", "resilient"]
+    clean = make(runner="closed", concurrency="page")
+    assert [value for __, value in plan_cells(clean)] == ["baseline"]
 
 
-TINY_SHARD = dict(runner="shard", num_rows=1_500, shard_count=2, num_disks=2,
+TINY_SHARD = dict(runner="open", num_rows=1_500, shard_count=2, num_disks=2,
                   offered_loads=(1_500,), duration_s=0.2, max_concurrency=4,
                   queue_depth=16, pool_frames=24)
-TINY_CC = dict(runner="concurrency", wal=True, concurrency="page", num_rows=300,
+TINY_CC = dict(runner="closed", concurrency="page", num_rows=300,
                num_disks=2, page_size=512, sessions=3, ops_per_session=10,
                think_time_ms=0.3, lookup=0.5, scan=0.1, insert=0.4, scan_span=16)
+TINY_STORM = dict(TINY_CC, concurrency="none", chaos="corrupt rate=0.2; crash wal=5",
+                  chaos_seed=5, deadline_ms=30.0)
 
 
 @pytest.mark.parametrize(
@@ -400,7 +403,7 @@ def test_deadline_reaches_shard_and_concurrency_cells(axes, deadline_ms):
     assert json.dumps(first.rows, sort_keys=True) == json.dumps(again.rows, sort_keys=True)
     assert first.rows != run_scenario(make(**axes)).rows, "deadline was ignored"
     for row in first.rows:
-        if spec.runner == "shard":
+        if spec.runner == "open":
             assert row["issued"] == row["completed"] + row["shed"] + row["failed"], row
             assert row["timeouts"] > 0, row
         else:
@@ -408,8 +411,9 @@ def test_deadline_reaches_shard_and_concurrency_cells(axes, deadline_ms):
 
 
 def test_rejected_history_is_archived_for_replay(monkeypatch, tmp_path):
-    """A concurrency cell whose history fails the checker raises and
-    leaves a replayable artifact named after its mode and seed."""
+    """Every closed cell checks its history: a latched clean run and both
+    client stacks through a storm (crash included) raise on a rejected
+    history and leave a replayable artifact named after the cell."""
     from repro.verify.linearizability import CheckResult, History
 
     monkeypatch.setattr(cells, "ARTIFACT_DIR", str(tmp_path))
@@ -417,16 +421,38 @@ def test_rejected_history_is_archived_for_replay(monkeypatch, tmp_path):
         cells, "check_linearizable",
         lambda history: CheckResult(False, None, 0, reason="forced rejection"),
     )
-    spec = make(**TINY_CC, seed=7)
-    with pytest.raises(AssertionError, match="forced rejection"):
-        run_cell((spec, "page"))
-    archived = History.read(tmp_path / "concurrency-page-seed7.json")
-    assert archived.ops
+    cases = [(make(**TINY_CC, seed=7), "baseline"),
+             (make(**TINY_STORM, seed=7), "baseline"),
+             (make(**TINY_STORM, seed=7), "resilient")]
+    for spec, clients in cases:
+        assert clients in [value for __, value in plan_cells(spec)]
+        with pytest.raises(AssertionError, match="forced rejection"):
+            run_cell((spec, clients))
+        archived = History.read(
+            tmp_path / f"{spec.concurrency}-{clients}-seed7.json"
+        )
+        assert archived.ops
+
+
+def test_open_cell_of_one_shard_is_a_bare_server(monkeypatch):
+    """A fleet of one builds no router: its router counters read 0, and a
+    loaded cell's mid-run probe still sees requests in flight."""
+    from repro.shard import ShardRouter
+
+    def no_router(*args, **kwargs):
+        raise AssertionError("a one-shard open cell built a ShardRouter")
+
+    monkeypatch.setattr(ShardRouter, "__init__", no_router)
+    (row,) = run_scenario(make(offered_loads=(3_000,))).rows
+    assert row["shard_count"] == 1
+    assert row["probe_in_flight"] > 0, row
+    assert row["shed"] > 0, "the cell should be loaded past the knee"
+    assert all(row[name] == 0 for name in cells.ROUTER_COUNTERS), row
 
 
 def test_run_scenario_rejects_invalid_before_running():
     with pytest.raises(ScenarioError):
-        run_scenario(make(runner="serve", wal=True))
+        run_scenario(make(chaos="crash wal=5"))
 
 
 def test_matrix_jobs2_byte_identical_to_jobs1():
@@ -439,7 +465,7 @@ def test_matrix_jobs2_byte_identical_to_jobs1():
 
 
 def test_matrix_fails_whole_before_any_cell_runs():
-    specs = [make(), make(name="bad", runner="serve", wal=True)]
+    specs = [make(), make(name="bad", chaos="crash wal=5")]
     started = time.monotonic()
     with pytest.raises(ScenarioError, match="scenario 'bad'"):
         run_matrix(specs)
