@@ -156,8 +156,7 @@ def recover(
     log_device = DiskArray(env, config)
     data_device = DiskArray(env, config)
     if valid_bytes:
-        sweep = env.process(log_device.disks[0].service(0, valid_bytes))
-        env.run(until=sweep)
+        env.run(until=log_device.disks[0].submit(False, 0, valid_bytes))
     for page_id in sorted(restored):
         env.run(until=data_device.read_page(page_id))
         env.run(until=data_device.write_page(page_id))

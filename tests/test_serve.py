@@ -522,6 +522,11 @@ def disk_ios(server) -> int:
     return server.disks.total_reads + server.disks.total_writes
 
 
+def spindles(server) -> int:
+    """Disks whose one spindle process started because it served a command."""
+    return sum(disk.spindle is not None for disk in server.disks.disks)
+
+
 SERVED_OPS = {
     "lookup": lambda keys: ("lookup", int(keys[100])),
     "scan": lambda keys: ("scan", int(keys[100]), int(keys[700])),
@@ -530,7 +535,7 @@ SERVED_OPS = {
 
 
 @pytest.mark.parametrize("kind", sorted(SERVED_OPS))
-def test_undeadlined_fifo_op_starts_one_process_plus_its_disk_io(kind):
+def test_undeadlined_fifo_op_starts_one_process_plus_one_per_spindle(kind):
     server = DbmsServer(small_db(), max_concurrency=2, queue_depth=4, pool_frames=32)
     started = started_processes(server.env)
     request = server.make_request(SERVED_OPS[kind](server.workload_keys))
@@ -538,8 +543,9 @@ def test_undeadlined_fifo_op_starts_one_process_plus_its_disk_io(kind):
     server.run()
     assert request.outcome == "ok"
     assert disk_ios(server) > 0  # the op really went to disk
-    # The client, with admission and _execute inline, plus one per disk I/O.
-    assert len(started) == 1 + disk_ios(server)
+    # The client, with admission and _execute inline, plus one per spindle
+    # that served a command (a disk I/O is a queued command, not a process).
+    assert len(started) == 1 + spindles(server)
 
 
 def test_undeadlined_queued_op_runs_inline_once_granted():
@@ -553,7 +559,7 @@ def test_undeadlined_queued_op_runs_inline_once_granted():
     first, queued = requests
     assert queued.admitted_at == first.finished_at  # it waited for the one token
     assert queued.queue_wait_us > 0 and queued.outcome == "ok"
-    assert len(started) == 2 + disk_ios(server)
+    assert len(started) == 2 + spindles(server)
 
 
 def test_deadlined_fifo_op_gets_a_worker_process():
@@ -565,7 +571,7 @@ def test_deadlined_fifo_op_gets_a_worker_process():
     server.submit(request)
     server.run()
     assert request.outcome == "ok" and not request.timed_out
-    assert len(started) == 2 + disk_ios(server)  # the client and its worker
+    assert len(started) == 2 + spindles(server)  # the client and its worker
 
 
 def test_crash_inside_an_inlined_execute_reaches_the_caller():

@@ -280,9 +280,11 @@ def test_undeadlined_router_starts_one_process_per_op_and_one_per_fragment(op, p
     assert request.outcome == "ok"
     ios = sum(s.disks.total_reads + s.disks.total_writes for s in router.shards)
     assert ios > 0  # the op really went to disk
+    spindles = sum(disk.spindle is not None for s in router.shards for disk in s.disks.disks)
     # The router client, with route, forward and the shard's client and
-    # execute inline; one gather per fragment of a scattered scan.
-    assert len(started) == processes + ios
+    # execute inline; one gather per fragment of a scattered scan; one
+    # spindle per disk that served a command.
+    assert len(started) == processes + spindles
     router.check_conservation()
 
 
