@@ -41,6 +41,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..btree.base import IndexCorruptionError
 from ..dbms.engine import MiniDbms
 from ..des import AllOf
@@ -454,7 +456,9 @@ class ChaosRunner:
         self.history: Optional[HistoryRecorder] = None
         if record_history:
             self.history = HistoryRecorder(clock=lambda: self.server.env.now)
-            self.history.initial_keys = [int(k) for k in self.db._workload.keys]
+            # The workload's keys are sorted: one int64 copy serves the
+            # recorder, every history snapshot and the checker's model.
+            self.history.initial_keys = self.db._workload.keys.astype(np.int64)
             self.server.attach_history(self.history)
         self.breaker = (
             CircuitBreaker(breaker, clock=lambda: self.server.env.now, stats=self.server.stats)

@@ -17,6 +17,7 @@ Wing–Gong checker — including the two headline acceptance criteria:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dbms.engine import MiniDbms
@@ -24,7 +25,7 @@ from repro.faults.schedule import ChaosSchedule
 from repro.serve.resilience import ChaosRunner, ClientRetryPolicy
 from repro.serve.server import DbmsServer
 from repro.serve.stats import ServerStats
-from repro.verify.linearizability import HistoryRecorder, check_linearizable
+from repro.verify.linearizability import History, HistoryRecorder, check_linearizable
 from repro.workloads.ops import MixedOpStream, OpMix
 
 from .broken_protocol import break_latches
@@ -162,6 +163,18 @@ def test_crash_during_concurrent_split_history_linearizes(crash_split_runs):
     assert history.pending, "ops killed by the crash must stay pending"
     result = check_linearizable(history)
     assert result.ok, result.reason
+
+
+def test_crash_split_history_checks_the_same_after_a_json_round_trip(crash_split_runs):
+    runner, __ = crash_split_runs[0]
+    history = runner.history.history()
+    keys = history.initial_keys
+    assert keys is runner.history.initial_keys  # shared by every snapshot, not copied
+    assert keys.dtype == np.int64 and bool((np.diff(keys) > 0).all())
+    replayed = History.from_json(history.to_json())
+    assert replayed.to_json() == history.to_json()
+    verdict = check_linearizable(history)
+    assert verdict.ok and check_linearizable(replayed) == verdict
 
 
 def test_crash_during_concurrent_split_is_deterministic(crash_split_runs):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -249,6 +250,19 @@ def test_history_json_round_trip(tmp_path):
     assert replayed.to_json() == history.to_json()
     # The archived artifact must re-check to the same verdict.
     assert check_linearizable(replayed).ok == check_linearizable(history).ok
+
+
+def test_initial_keys_as_a_list_or_an_int64_array_check_the_same():
+    ops = [
+        op(0, "lookup", (9,), 0, 1, result=True),
+        op(1, "scan", (8, 12), 0, 1, result=2),
+        op(2, "insert", (10,), 2, 3),
+        op(3, "scan", (8, 12), 4, 5, result=3),
+        op(4, "lookup", (12,), 4, 5, result=False),
+    ]
+    as_list = check_linearizable(History(ops=ops, initial_keys=[11, 9]))  # unsorted
+    as_array = check_linearizable(History(ops=ops, initial_keys=np.array([9, 11], np.int64)))
+    assert as_list.ok and as_array == as_list
 
 
 # -- property tests: adversarial interleavings --------------------------------

@@ -439,6 +439,140 @@ def test_striping_layout():
     assert config.block_of(5) == 1
 
 
+# -- the spindle: one process per disk, one event per command ------------------
+
+
+def observed(env):
+    """Lists of the processes started and the events stepped from now on."""
+    seen = {"process": [], "step": []}
+    env.observer = lambda kind, event: seen[kind].append(event)
+    return seen
+
+
+def test_read_on_an_idle_spindle_costs_three_events_and_queued_costs_two():
+    env = Environment()
+    array = DiskArray(env, timing_config())
+    seen = observed(env)
+    array.read_page(0)  # the first command starts the spindle: its bootstrap
+    env.run()
+    assert len(seen["step"]) == 3  # wake, service timer, completion
+    seen["step"].clear()
+    array.read_page(1)  # the spindle is parked: the arrival wakes it
+    env.run()
+    assert len(seen["step"]) == 3
+    seen["step"].clear()
+    array.read_page(2)
+    array.read_page(3)  # queued behind page 2: no wake
+    env.run()
+    assert len(seen["step"]) == 3 + 2
+    assert len(seen["process"]) == 1
+
+
+def test_any_number_of_commands_start_one_process_per_disk():
+    env = Environment()
+    array = DiskArray(env, timing_config(num_disks=2))
+    seen = observed(env)
+    for page_id in range(0, 20, 2):  # all on disk 0
+        array.read_page(page_id)
+        array.write_page(page_id)
+    array.write_at(0, 50, 512)
+    env.run()
+    env.run(until=array.read_page(4))  # after an idle spell
+    assert seen["process"] == [array.disks[0].spindle]
+    assert array.disks[1].spindle is None  # never served a command
+    assert array.disks[0].reads == 11 and array.disks[0].writes == 11
+
+
+def test_interleaved_commands_complete_in_submit_order():
+    env = Environment()
+    config = timing_config()
+    array = DiskArray(env, config)
+    pages = [5, 0, 9, 3, 7, 2]
+    events = [
+        array.write_page(pid) if i % 2 else array.read_page(pid) for i, pid in enumerate(pages)
+    ]
+    finished = []
+    for event in events:
+        event.callbacks.append(lambda event: finished.append((env.now, event.value)))
+    env.run()
+    assert [receipt.page_id for __, receipt in finished] == pages
+    head, now, expected = -1, 0.0, []
+    for pid in pages:
+        block = config.block_of(pid)
+        expected.append(config.disk.service_time_us(head, block, config.page_size))
+        head = block
+    assert [receipt.service_us for __, receipt in finished] == expected
+    ends = [when for when, __ in finished]
+    for service_us, end in zip(expected, ends):
+        now += service_us
+        assert end == pytest.approx(now)  # back to back: no idle gap between commands
+
+
+@pytest.mark.parametrize("fault", ["disk-failed", "timeout"])
+def test_a_failed_read_fails_only_its_own_event(fault):
+    from repro.faults import (
+        DiskFailedError,
+        DiskFaultProfile,
+        DiskTimeoutError,
+        FaultInjector,
+        FaultPlan,
+    )
+
+    if fault == "disk-failed":
+        plan, error = FaultPlan.disk_failure(0, at_us=0.0), DiskFailedError
+    else:
+        plan, error = FaultPlan(default=DiskFaultProfile(timeout_rate=1.0)), DiskTimeoutError
+    env = Environment()
+    config = timing_config()
+    array = DiskArray(env, config, injector=FaultInjector(plan))
+    disk = array.disks[0]
+    read, write = array.read_page(3), array.write_page(4)
+    finished = {}
+    for name, event in (("read", read), ("write", write)):
+        event.callbacks.append(lambda event, name=name: finished.setdefault(name, env.now))
+    env.run()
+    assert not read.ok and type(read.value) is error
+    read_us = config.disk.service_time_us(-1, config.block_of(3), config.page_size)
+    if fault == "disk-failed":
+        charged = plan.failed_response_us
+        head = -1  # a dead disk never moved its head
+    else:
+        charged = read_us * plan.timeout_stall_multiplier
+        head = config.block_of(3)
+    assert finished["read"] == charged  # the fault occupied the spindle this long
+    assert write.ok and write.value.page_id == 4
+    write_us = config.disk.service_time_us(head, config.block_of(4), config.page_size)
+    assert write.value.service_us == write_us
+    assert finished["write"] == pytest.approx(charged + write_us)
+    assert disk.busy_time_us == pytest.approx(charged + write_us)
+    assert disk.faults == 1 and disk.spindle.is_alive
+
+
+def test_queue_depth_gauge_counts_waiting_in_service_and_the_arrival():
+    env = Environment()
+    array = DiskArray(env, timing_config())
+    gauge = array.obs.metrics.gauge("disk0.queue_depth")
+    depths = []
+
+    def arrive(page_id):
+        array.read_page(page_id)
+        depths.append(gauge.value)
+
+    def client():
+        arrive(0)  # idle disk: the arrival alone
+        yield env.timeout(1.0)
+        arrive(1)  # page 0 in service
+        arrive(2)  # page 0 in service, page 1 waiting
+        yield array.read_page(3)  # fourth arrival: depth 4
+        arrive(4)  # page 3 done, nothing in service
+        arrive(5)
+
+    env.run(until=env.process(client()))
+    env.run()
+    assert depths == [1, 2, 3, 1, 2]
+    assert gauge.max_value == 4
+
+
 # -- AsyncPageReader ----------------------------------------------------------------
 
 
