@@ -302,6 +302,11 @@ class CacheFirstFpTree(Index):
         return self.store.num_pages
 
     @property
+    def root_pid(self) -> int:
+        """The root node's page, as the other trees name their root."""
+        return self.root.pid
+
+    @property
     def first_leaf_pid(self) -> int:
         """Head of the leaf page chain: the page of the first leaf node."""
         return self.first_leaf.pid

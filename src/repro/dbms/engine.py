@@ -176,9 +176,13 @@ class MiniDbms:
         """The database's index: any of the disk-resident structures.
 
         :meth:`scan` only needs ``leaf_page_ids`` and per-page entry
-        counts, so every tree kind works; the paper's DB2 experiment used
-        standard B+-Trees with jump-pointer arrays added, and the default
-        here is the disk-first fpB+-Tree the paper recommends.
+        counts, so every tree kind works for scans; the paper's DB2
+        experiment used standard B+-Trees with jump-pointer arrays added,
+        and the default here is the disk-first fpB+-Tree the paper
+        recommends.  The served paths (``descend``, ``LatchChain``) read
+        ``page_entries``/``child_pid``/``leaf_tid``, which only the
+        disk-first tree has, so a :class:`~repro.serve.DbmsServer` accepts
+        only ``"fp-disk"``.
         """
         from ..baselines.disk_btree import DiskBPlusTree
         from ..baselines.micro_index import MicroIndexTree

@@ -1,29 +1,34 @@
-"""Tree images: serialize any index to bytes / a file and load it back.
+"""Tree images: a checkpoint of any index as bytes / a file, and back.
 
-A production index must survive a restart.  ``save_tree`` writes a compact,
-versioned binary image of a tree — page table, node contents, sibling
-links, and the per-kind metadata (node widths, counters) needed to rebuild
-an identical structure — and ``load_tree`` reconstructs it page-for-page at
-the *same page ids*, so disk-layout-sensitive experiments (striping, seek
-distances) behave identically across a save/load cycle.
+An image is a checkpoint in the write-ahead log's own terms:
 
-All four disk-resident structures are supported:
+* a header — magic, ``VERSION``, tree kind, page size, key size and the
+  layout widths the tree constructor needs;
+* the tree's :class:`~repro.wal.records.TreeMeta` (root page, height, leaf
+  head, entry count), the payload COMMIT and CHECKPOINT records carry;
+* ``(page id, encode_page(page))`` for every live page — the codec the WAL
+  writes ``PAGE_IMAGE`` records and durable pages with.
 
-* disk-optimized B+-Tree and micro-indexing (sorted-array pages),
-* disk-first fpB+-Trees (in-page trees at line-granularity slots),
-* cache-first fpB+-Trees (node graphs with page/slot references; parent
-  pointers, back pointers, sibling chains and the external jump-pointer
-  array are reconstructed on load).
+:func:`load_tree_bytes` and :func:`repro.wal.recover` both hand their
+decoded pages to :func:`install_pages`, the one step that turns pages plus
+a ``TreeMeta`` into a live tree at the *same page ids*, so disk-layout-
+sensitive experiments (striping, seek distances) behave identically across
+a save/load cycle.
 
-The format is self-describing (magic + version + kind) and raises
-``ImageFormatError`` on anything it does not recognize.
+All four disk-resident structures are supported: the disk-optimized
+B+-Tree, micro-indexing, the disk-first fpB+-Tree and the cache-first
+fpB+-Tree.  A cache-first page stores its nodes' links as ``(page id,
+slot)`` references; the install step resolves them and rebuilds the parent
+pointers, the overflow-page list and the external jump-pointer array.
+Anything unrecognized raises ``ImageFormatError``.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from typing import BinaryIO
+from dataclasses import astuple
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from .btree.base import Index
 from .btree.context import TreeEnvironment
 from .btree.keys import KEY4, KEY8
 from .core.inpage import LEAF, FpPage, InPageNode
-from .core.cache_first import CacheFirstFpTree, CfNode, CfPage
+from .core.cache_first import PAGE_OVERFLOW, CacheFirstFpTree, CfNode, CfPage
 from .core.disk_first import DiskFirstFpTree
 from .core.optimizer import CacheFirstWidths, DiskFirstWidths
 
@@ -44,36 +49,37 @@ __all__ = [
     "load_tree_bytes",
     "encode_page",
     "decode_page",
+    "install_pages",
     "ImageFormatError",
 ]
 
 MAGIC = b"FPBT"
-VERSION = 1
+VERSION = 2
 
-KIND_DISK = 0
-KIND_MICRO = 1
-KIND_FP_DISK = 2
-KIND_FP_CACHE = 3
-
-_KIND_OF_TYPE = {
-    MicroIndexTree: KIND_MICRO,  # before DiskBPlusTree: it is a subclass
-    DiskBPlusTree: KIND_DISK,
-    DiskFirstFpTree: KIND_FP_DISK,
-    CacheFirstFpTree: KIND_FP_CACHE,
+#: Tree kind code -> (tree type, layout-widths struct, the widths of a
+#: tree, a tree built on an environment from those widths).  Micro-indexing
+#: comes first: it subclasses the disk B+-Tree.
+_KINDS = {
+    1: (MicroIndexTree, "<I", lambda tree: (tree.layout.subarray_keys * tree.layout.key_size,),
+        lambda env, subarray_bytes: MicroIndexTree(env, subarray_bytes=subarray_bytes)),
+    0: (DiskBPlusTree, "<", lambda tree: (), DiskBPlusTree),
+    2: (DiskFirstFpTree, "<IIIIIIIdd", lambda tree: astuple(tree.layout.widths),
+        lambda env, *widths: DiskFirstFpTree(env, widths=DiskFirstWidths(*widths))),
+    3: (CacheFirstFpTree, "<IIIIIIdd", lambda tree: astuple(tree.widths),
+        lambda env, *widths: CacheFirstFpTree(env, widths=CacheFirstWidths(*widths))),
 }
 
+PAGE_KIND_DISK = 0  # DiskPage (disk-optimized B+-Tree / micro-indexing)
+PAGE_KIND_FP = 1  # FpPage (disk-first fpB+-Tree)
+PAGE_KIND_HEAP = 2  # HeapPage (mini-DBMS heap table)
+PAGE_KIND_CF = 3  # CfPage (cache-first fpB+-Tree)
+
+_CF_KINDS = ("nonleaf", "overflow", "leaf")
 _NO_REF = (0xFFFFFFFF, 0xFFFF)
 
 
 class ImageFormatError(ValueError):
     """The byte stream is not a valid tree image."""
-
-
-def _kind_of(tree: Index) -> int:
-    for tree_type, kind in _KIND_OF_TYPE.items():
-        if isinstance(tree, tree_type):
-            return kind
-    raise TypeError(f"cannot serialize index type {type(tree).__name__}")
 
 
 # -- low-level helpers ------------------------------------------------------------
@@ -96,6 +102,8 @@ def _write_array(out: BinaryIO, array: np.ndarray, count: int) -> None:
 
 
 def _read_array(src: BinaryIO, dtype: np.dtype, count: int, capacity: int) -> np.ndarray:
+    if count > capacity:
+        raise ImageFormatError(f"{count} entries overfill a capacity of {capacity}")
     nbytes = int(np.dtype(dtype).itemsize) * count
     data = src.read(nbytes)
     if len(data) != nbytes:
@@ -105,7 +113,20 @@ def _read_array(src: BinaryIO, dtype: np.dtype, count: int, capacity: int) -> np
     return array
 
 
-# -- per-kind page codecs ----------------------------------------------------------
+def _write_blob(out: BinaryIO, data: bytes) -> None:
+    _write(out, "<I", len(data))
+    out.write(data)
+
+
+def _read_blob(src: BinaryIO) -> bytes:
+    (size,) = _read(src, "<I")
+    data = src.read(size)
+    if len(data) != size:
+        raise ImageFormatError("truncated image")
+    return data
+
+
+# -- per-page-class codecs ------------------------------------------------------------
 
 
 def _write_disk_page(out: BinaryIO, page: DiskPage) -> None:
@@ -157,14 +178,22 @@ def _read_fp_page(src: BinaryIO, tree: DiskFirstFpTree) -> FpPage:
     return page
 
 
-def _ref_of(node) -> tuple[int, int]:
-    return (node.pid, node.slot) if node is not None else _NO_REF
+def _ref_of(target) -> tuple[int, int]:
+    """A link as ``(pid, slot)``: a node's location, or a not-yet-resolved ref."""
+    if target is None:
+        return _NO_REF
+    return target if isinstance(target, tuple) else (target.pid, target.slot)
 
 
-def _write_cf_page(out: BinaryIO, page: CfPage, kind_codes: dict) -> None:
-    _write(out, "<BIIIHH", kind_codes[page.kind], page.next_page, page.prev_page,
+def _read_ref(src: BinaryIO):
+    ref = _read(src, "<IH")
+    return None if ref == _NO_REF else ref
+
+
+def _write_cf_page(out: BinaryIO, page: CfPage) -> None:
+    _write(out, "<BIIIHH", _CF_KINDS.index(page.kind), page.next_page, page.prev_page,
            *_ref_of(page.back_pointer), len(page.slots))
-    for slot, node in enumerate(page.slots):
+    for node in page.slots:
         if node is None:
             _write(out, "<B", 0)
             continue
@@ -175,19 +204,58 @@ def _write_cf_page(out: BinaryIO, page: CfPage, kind_codes: dict) -> None:
             _write(out, "<IH", *_ref_of(node.next_leaf))
         else:
             for child in node.children:
-                _write(out, "<IH", child.pid, child.slot)
+                _write(out, "<IH", *_ref_of(child))
             _write(out, "<IH", *_ref_of(node.next_parent))
 
 
-# -- single-page codec (the WAL's page-image payload format) ---------------------------
+def _read_cf_page(src: BinaryIO, tree: CacheFirstFpTree) -> CfPage:
+    """A cache-first page whose links are still ``(pid, slot)`` references.
 
-PAGE_KIND_DISK = 0  # DiskPage (disk-optimized B+-Tree / micro-indexing)
-PAGE_KIND_FP = 1  # FpPage (disk-first fpB+-Tree)
-PAGE_KIND_HEAP = 2  # HeapPage (mini-DBMS heap table)
+    :func:`install_pages` resolves them once every page is placed; until
+    then a node's ``pid`` is unknown (-1).
+    """
+    kind, next_page, prev_page, bp_pid, bp_slot, slot_count = _read(src, "<BIIIHH")
+    if kind >= len(_CF_KINDS):
+        raise ImageFormatError(f"unknown cache-first page kind {kind}")
+    page = CfPage(_CF_KINDS[kind], slot_count)
+    page.next_page = next_page
+    page.prev_page = prev_page
+    page.back_pointer = None if (bp_pid, bp_slot) == _NO_REF else (bp_pid, bp_slot)
+    for slot in range(slot_count):
+        (present,) = _read(src, "<B")
+        if not present:
+            continue
+        is_leaf, count, in_page_level = _read(src, "<BHB")
+        capacity = tree.leaf_capacity if is_leaf else tree.nonleaf_capacity
+        node = CfNode(bool(is_leaf), capacity, tree.keyspec.dtype)
+        node.count = count
+        node.in_page_level = in_page_level
+        node.keys = _read_array(src, tree.keyspec.dtype, count, capacity)
+        if is_leaf:
+            node.tids = _read_array(src, np.uint32, count, capacity)
+            node.next_leaf = _read_ref(src)
+        else:
+            node.children = [_read(src, "<IH") for __ in range(count)]
+            node.next_parent = _read_ref(src)
+        node.slot = slot
+        page.slots[slot] = node
+        page.used += 1
+    return page
+
+
+# -- single-page codec (WAL page images and tree images) --------------------------------
+
+
+#: Index page kind -> (the tree type it belongs to, its reader).
+_INDEX_PAGE_READERS = {
+    PAGE_KIND_FP: (DiskFirstFpTree, _read_fp_page),
+    PAGE_KIND_DISK: (DiskBPlusTree, _read_disk_page),
+    PAGE_KIND_CF: (CacheFirstFpTree, _read_cf_page),
+}
 
 
 def encode_page(tree: Index, page) -> bytes:
-    """Serialize one page to self-describing bytes (WAL page images).
+    """Serialize one page to self-describing bytes.
 
     ``tree`` supplies the layout context; the page kind is dispatched on
     the page object's type, so a store mixing index and heap pages (the
@@ -202,6 +270,9 @@ def encode_page(tree: Index, page) -> bytes:
     elif isinstance(page, DiskPage):
         _write(out, "<B", PAGE_KIND_DISK)
         _write_disk_page(out, page)
+    elif isinstance(page, CfPage):
+        _write(out, "<B", PAGE_KIND_CF)
+        _write_cf_page(out, page)
     elif isinstance(page, HeapPage):
         _write(out, "<B", PAGE_KIND_HEAP)
         _write(out, "<II", page.count, page.capacity)
@@ -218,14 +289,11 @@ def decode_page(tree: Index, data: bytes):
 
     src = io.BytesIO(data)
     (kind,) = _read(src, "<B")
-    if kind == PAGE_KIND_FP:
-        if not isinstance(tree, DiskFirstFpTree):
-            raise ImageFormatError("fp page image for a non-fp tree")
-        return _read_fp_page(src, tree)
-    if kind == PAGE_KIND_DISK:
-        if not isinstance(tree, DiskBPlusTree):
-            raise ImageFormatError("disk page image for a non-disk tree")
-        return _read_disk_page(src, tree)
+    if kind in _INDEX_PAGE_READERS:
+        tree_type, read = _INDEX_PAGE_READERS[kind]
+        if not isinstance(tree, tree_type):
+            raise ImageFormatError(f"page kind {kind} does not belong to a {type(tree).__name__}")
+        return read(src, tree)
     if kind == PAGE_KIND_HEAP:
         count, capacity = _read(src, "<II")
         page = HeapPage(capacity)
@@ -237,46 +305,97 @@ def decode_page(tree: Index, data: bytes):
     raise ImageFormatError(f"unknown page kind {kind}")
 
 
-# -- tree-level save ------------------------------------------------------------------
+# -- the install step (shared with WAL recovery) ---------------------------------------
+
+
+def install_pages(tree: Index, pages: Iterable[tuple[int, object]], meta) -> None:
+    """Make ``tree`` hold exactly ``pages`` and the tree metadata ``meta``.
+
+    The one path from decoded pages to a live tree, for images and WAL
+    recovery alike: drop the constructor's bootstrap pages, place each
+    ``(pid, page)``, resolve cross-page references (cache-first trees
+    only), then rebuild the free list and restore ``meta`` (a
+    :class:`~repro.wal.records.TreeMeta`).
+    """
+    store = tree.store
+    for pid in list(store.page_ids()):
+        store.free(pid)
+    tree.pool.clear()
+    for pid, page in pages:
+        store.place(pid, page)
+    if isinstance(tree, CacheFirstFpTree):
+        _link_cache_first(tree, meta)
+    else:
+        tree.root_pid = meta.root_pid
+        tree.first_leaf_pid = meta.first_leaf_pid
+    store.rebuild_free_list()
+    tree.height = meta.height
+    tree._entries = meta.entries
+
+
+def _link_cache_first(tree: CacheFirstFpTree, meta) -> None:
+    """Resolve a placed cache-first node graph and find its root."""
+    pages = {pid: tree.store.page(pid) for pid in sorted(tree.store.page_ids())}
+    for pid, page in pages.items():
+        for node in page.nodes():
+            node.pid = pid
+
+    def node_at(ref):
+        if ref is None:
+            return None
+        pid, slot = ref
+        page = pages.get(pid)
+        node = page.slots[slot] if page is not None and slot < len(page.slots) else None
+        if node is None:
+            raise ImageFormatError(f"dangling reference to page {pid} slot {slot}")
+        return node
+
+    for page in pages.values():
+        page.back_pointer = node_at(page.back_pointer)
+        for node in page.nodes():
+            if node.is_leaf:
+                node.next_leaf = node_at(node.next_leaf)
+                continue
+            node.next_parent = node_at(node.next_parent)
+            node.children = [node_at(ref) for ref in node.children]
+            for child in node.children:
+                child.parent = node
+    tree._overflow_pids = [pid for pid, page in pages.items() if page.kind == PAGE_OVERFLOW]
+    head = pages.get(meta.first_leaf_pid)
+    tree.first_leaf = head.first_leaf() if head is not None else None
+    if tree.first_leaf is None:
+        raise ImageFormatError(f"leaf head page {meta.first_leaf_pid} holds no leaf")
+    root = tree.first_leaf
+    while root.parent is not None:
+        root = root.parent
+    if root.pid != meta.root_pid:
+        raise ImageFormatError(f"root is on page {root.pid}, the tree meta says {meta.root_pid}")
+    tree.root = root
+    tree.jump_pointers.build(tree.leaf_page_ids())
+
+
+# -- tree-level save and load -------------------------------------------------------------
 
 
 def dump_tree_bytes(tree: Index) -> bytes:
-    """Serialize a tree to a bytes object."""
-    out = io.BytesIO()
-    kind = _kind_of(tree)
-    keyspec = tree.keyspec
-    _write(out, "<4sHBIB", MAGIC, VERSION, kind, tree.env.page_size, keyspec.size)
-    _write(out, "<IQ", tree.num_pages, tree.num_entries)
+    """Serialize a tree to a bytes object (header, ``TreeMeta``, pages)."""
+    from .wal.records import TreeMeta  # local: avoids a package-init cycle
 
-    if kind in (KIND_DISK, KIND_MICRO):
-        _write(out, "<IIII", tree.root_pid, tree.height, tree.first_leaf_pid,
-               tree.layout.capacity)
-        if kind == KIND_MICRO:
-            _write(out, "<I", tree.layout.subarray_keys * tree.layout.key_size)
-        for pid in sorted(tree.store.page_ids()):
-            _write(out, "<I", pid)
-            _write_disk_page(out, tree.store.page(pid))
-    elif kind == KIND_FP_DISK:
-        widths = tree.layout.widths
-        _write(out, "<III", tree.root_pid, tree.height, tree.first_leaf_pid)
-        _write(out, "<IIIIIIIdd", widths.nonleaf_bytes, widths.leaf_bytes, widths.levels,
-               widths.leaf_nodes, widths.nonleaf_capacity, widths.leaf_capacity,
-               widths.page_fanout, widths.cost, widths.cost_ratio)
-        for pid in sorted(tree.store.page_ids()):
-            _write(out, "<I", pid)
-            _write_fp_page(out, tree.store.page(pid))
-    else:  # KIND_FP_CACHE
-        widths = tree.widths
-        _write(out, "<IH", *_ref_of(tree.root))
-        _write(out, "<IH", *_ref_of(tree.first_leaf))
-        _write(out, "<I", tree.height)
-        _write(out, "<IIIIIIdd", widths.node_bytes, widths.nonleaf_capacity,
-               widths.leaf_capacity, widths.nodes_per_page, widths.page_fanout,
-               widths.levels, widths.cost, widths.cost_ratio)
-        kind_codes = {"nonleaf": 0, "overflow": 1, "leaf": 2}
-        for pid in sorted(tree.store.page_ids()):
-            _write(out, "<I", pid)
-            _write_cf_page(out, tree.store.page(pid), kind_codes)
+    for kind, (tree_type, widths_fmt, widths_of, __) in _KINDS.items():
+        if isinstance(tree, tree_type):
+            break
+    else:
+        raise TypeError(f"cannot serialize index type {type(tree).__name__}")
+    out = io.BytesIO()
+    _write(out, "<4sHBIB", MAGIC, VERSION, kind, tree.env.page_size, tree.keyspec.size)
+    _write(out, widths_fmt, *widths_of(tree))
+    meta = TreeMeta(tree.root_pid, tree.height, tree.first_leaf_pid, tree.num_entries)
+    _write_blob(out, meta.pack())
+    pids = sorted(tree.store.page_ids())
+    _write(out, "<I", len(pids))
+    for pid in pids:
+        _write(out, "<I", pid)
+        _write_blob(out, encode_page(tree, tree.store.page(pid)))
     return out.getvalue()
 
 
@@ -288,15 +407,14 @@ def save_tree(tree: Index, path: str) -> int:
     return len(data)
 
 
-# -- tree-level load --------------------------------------------------------------------
-
-
 def load_tree_bytes(data: bytes, **env_kwargs) -> Index:
     """Reconstruct a tree from the bytes produced by :func:`dump_tree_bytes`.
 
     ``env_kwargs`` (e.g. ``mem=...``, ``buffer_pages=...``) configure the
     fresh :class:`TreeEnvironment` the loaded tree is attached to.
     """
+    from .wal.records import TreeMeta  # local: avoids a package-init cycle
+
     src = io.BytesIO(data)
     magic, version, kind, page_size, key_size = _read(src, "<4sHBIB")
     if magic != MAGIC:
@@ -306,145 +424,27 @@ def load_tree_bytes(data: bytes, **env_kwargs) -> Index:
     keyspec = {4: KEY4, 8: KEY8}.get(key_size)
     if keyspec is None:
         raise ImageFormatError(f"unsupported key size {key_size}")
-    num_pages, entries = _read(src, "<IQ")
+    if kind not in _KINDS:
+        raise ImageFormatError(f"unknown tree kind {kind}")
+    __, widths_fmt, __, make = _KINDS[kind]
+    widths = _read(src, widths_fmt)
+    try:
+        meta = TreeMeta.unpack(_read_blob(src))
+    except struct.error:
+        raise ImageFormatError("malformed tree meta") from None
 
     env_kwargs.setdefault("buffer_pages", 8192)
-    env = TreeEnvironment(page_size=page_size, keyspec=keyspec, **env_kwargs)
-
-    if kind in (KIND_DISK, KIND_MICRO):
-        return _load_disk_like(src, kind, env, num_pages, entries)
-    if kind == KIND_FP_DISK:
-        return _load_fp_disk(src, env, num_pages, entries)
-    if kind == KIND_FP_CACHE:
-        return _load_fp_cache(src, env, num_pages, entries)
-    raise ImageFormatError(f"unknown tree kind {kind}")
+    tree = make(TreeEnvironment(page_size=page_size, keyspec=keyspec, **env_kwargs), *widths)
+    (num_pages,) = _read(src, "<I")
+    pages = []
+    for __ in range(num_pages):
+        (pid,) = _read(src, "<I")
+        pages.append((pid, decode_page(tree, _read_blob(src))))
+    install_pages(tree, pages, meta)
+    return tree
 
 
 def load_tree(path: str, **env_kwargs) -> Index:
     """Load a tree image from a file."""
     with open(path, "rb") as handle:
         return load_tree_bytes(handle.read(), **env_kwargs)
-
-
-def _fresh_store(tree: Index) -> None:
-    """Drop the bootstrap page the tree constructor created."""
-    for pid in list(tree.store.page_ids()):
-        tree.store.free(pid)
-        tree.pool.invalidate(pid)
-
-
-def _load_disk_like(src, kind, env, num_pages, entries):
-    root_pid, height, first_leaf, capacity = _read(src, "<IIII")
-    if kind == KIND_MICRO:
-        (subarray_bytes,) = _read(src, "<I")
-        tree = MicroIndexTree(env, subarray_bytes=subarray_bytes)
-    else:
-        tree = DiskBPlusTree(env)
-    if tree.layout.capacity != capacity:
-        raise ImageFormatError("page capacity mismatch (different layout parameters)")
-    _fresh_store(tree)
-    for __ in range(num_pages):
-        (pid,) = _read(src, "<I")
-        tree.store.place(pid, _read_disk_page(src, tree))
-    tree.store.rebuild_free_list()
-    tree.root_pid = root_pid
-    tree.height = height
-    tree.first_leaf_pid = first_leaf
-    tree._entries = entries
-    return tree
-
-
-def _load_fp_disk(src, env, num_pages, entries):
-    root_pid, height, first_leaf = _read(src, "<III")
-    values = _read(src, "<IIIIIIIdd")
-    widths = DiskFirstWidths(*values)
-    tree = DiskFirstFpTree(env, widths=widths)
-    _fresh_store(tree)
-    for __ in range(num_pages):
-        (pid,) = _read(src, "<I")
-        tree.store.place(pid, _read_fp_page(src, tree))
-    tree.store.rebuild_free_list()
-    tree.root_pid = root_pid
-    tree.height = height
-    tree.first_leaf_pid = first_leaf
-    tree._entries = entries
-    return tree
-
-
-def _load_fp_cache(src, env, num_pages, entries):
-    root_ref = tuple(_read(src, "<IH"))
-    first_leaf_ref = tuple(_read(src, "<IH"))
-    (height,) = _read(src, "<I")
-    values = _read(src, "<IIIIIIdd")
-    widths = CacheFirstWidths(*values)
-    tree = CacheFirstFpTree(env, widths=widths)
-    _fresh_store(tree)
-    tree._overflow_pids = []
-
-    kind_names = {0: "nonleaf", 1: "overflow", 2: "leaf"}
-    pending: list[tuple[CfNode, str, tuple[int, int]]] = []  # deferred refs
-    child_refs: dict[int, list[tuple[int, int]]] = {}
-
-    for __ in range(num_pages):
-        (pid,) = _read(src, "<I")
-        kind_code, next_page, prev_page, bp_pid, bp_slot, slot_count = _read(src, "<BIIIHH")
-        page = CfPage(kind_names[kind_code], slot_count)
-        page.next_page = next_page
-        page.prev_page = prev_page
-        if (bp_pid, bp_slot) != _NO_REF:
-            pending_back = (bp_pid, bp_slot)
-        else:
-            pending_back = None
-        tree.store.place(pid, page)
-        if page.kind == "overflow":
-            tree._overflow_pids.append(pid)
-        for slot in range(slot_count):
-            (present,) = _read(src, "<B")
-            if not present:
-                continue
-            is_leaf, count, in_page_level = _read(src, "<BHB")
-            capacity = tree.leaf_capacity if is_leaf else tree.nonleaf_capacity
-            node = CfNode(bool(is_leaf), capacity, tree.keyspec.dtype)
-            node.count = count
-            node.in_page_level = in_page_level
-            node.keys = _read_array(src, tree.keyspec.dtype, count, capacity)
-            if is_leaf:
-                node.tids = _read_array(src, np.uint32, count, capacity)
-                pending.append((node, "next_leaf", tuple(_read(src, "<IH"))))
-            else:
-                child_refs[id(node)] = [tuple(_read(src, "<IH")) for __ in range(count)]
-                pending.append((node, "next_parent", tuple(_read(src, "<IH"))))
-            node.pid = pid
-            node.slot = slot
-            page.slots[slot] = node
-            page.used += 1
-        if pending_back is not None:
-            pending.append((page, "back_pointer", pending_back))
-
-    tree.store.rebuild_free_list()
-
-    def resolve(ref: tuple[int, int]):
-        if ref == _NO_REF:
-            return None
-        pid, slot = ref
-        node = tree.store.page(pid).slots[slot]
-        if node is None:
-            raise ImageFormatError(f"dangling reference to page {pid} slot {slot}")
-        return node
-
-    for owner, attribute, ref in pending:
-        setattr(owner, attribute, resolve(ref))
-    for pid in tree.store.page_ids():
-        for node in tree.store.page(pid).nodes():
-            if not node.is_leaf:
-                node.children = [resolve(ref) for ref in child_refs[id(node)]]
-                for child in node.children:
-                    child.parent = node
-
-    tree.root = resolve(root_ref)
-    tree.root.parent = None
-    tree.first_leaf = resolve(first_leaf_ref)
-    tree.height = height
-    tree._entries = entries
-    tree.jump_pointers.build(tree.leaf_page_ids())
-    return tree

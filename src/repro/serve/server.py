@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..btree.cc import PageLatchManager, make_protocol
+from ..core.disk_first import DiskFirstFpTree
 from ..dbms.engine import MiniDbms
 from ..des import Environment, Event, WaitTimeout, with_timeout
 from ..faults.errors import SimulatedCrash
@@ -241,6 +242,11 @@ class DbmsServer:
         env: Optional[Environment] = None,
         fresh_keys: Optional[FreshKeys] = None,
     ) -> None:
+        if not isinstance(db.index, DiskFirstFpTree):
+            raise ValueError(
+                f"DbmsServer serves only index_kind 'fp-disk' (the disk-first "
+                f"fpB+-Tree), not {db.index_kind!r}"
+            )
         if admission_mode not in ADMISSION_MODES:
             modes = ", ".join(ADMISSION_MODES)
             raise ValueError(f"unknown admission mode {admission_mode!r}; pick one of {modes}")

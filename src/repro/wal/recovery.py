@@ -7,14 +7,18 @@ Recovery is a pure function of the crash image (log bytes + durable pages):
    transaction ids.  Everything logged by a transaction with no ``COMMIT``
    in the valid prefix is discarded — that is how atomicity of multi-page
    splits falls out of the log format.
-2. **Load** — install every durable page whose bytes still match the
+2. **Load** — keep the bytes of every durable page that still match the
    checksum stamped when its write began; a torn page write fails this
    check and is deferred to redo.
 3. **Redo** — replay committed ``PAGE_IMAGE``/``FREE`` records after the
-   last durable ``CHECKPOINT`` in LSN order (physical redo is idempotent,
-   so replaying over an already-newer evict-flushed page is harmless), then
-   restore the tree metadata from the last committed ``COMMIT``.
-4. **Verify** — run the :mod:`repro.scrub` structural verifier over the
+   last durable ``CHECKPOINT`` over those page bytes in LSN order (physical
+   redo is idempotent, so replaying over an already-newer evict-flushed
+   page is harmless); the tree metadata is the last committed ``COMMIT``'s.
+4. **Install** — decode the final pages and hand them, with that
+   ``TreeMeta``, to :func:`repro.image.install_pages`: the same step a
+   tree image loads through (an image is a checkpoint: header, meta,
+   ``encode_page`` bytes).
+5. **Verify** — run the :mod:`repro.scrub` structural verifier over the
    recovered tree.
 
 Because every step is deterministic, the same crash image always recovers
@@ -30,7 +34,7 @@ from typing import Callable, Optional
 
 from ..des import Environment
 from ..faults.errors import StorageFault
-from ..image import decode_page
+from ..image import decode_page, install_pages
 from ..storage.config import StorageConfig
 from ..storage.disk import DiskArray
 from .manager import CrashImage, SYSTEM_TXN
@@ -94,21 +98,13 @@ def recover(
     if meta is None:
         raise RecoveryError("no durable CHECKPOINT record; the log is unusable")
 
-    # Load: fresh tree, durable pages that pass their checksum.
-    tree = make_tree()
-    store, pool = tree.store, tree.pool
-    for page_id in list(store.page_ids()):
-        store.free(page_id)
-        pool.invalidate(page_id)
-    torn: list[int] = []
-    loaded = 0
-    for page_id in sorted(image.pages):
-        data = image.pages[page_id]
-        if zlib.crc32(data) != image.checksums[page_id]:
-            torn.append(page_id)  # torn write: heal from the log, or fail
-            continue
-        store.place(page_id, decode_page(tree, data))
-        loaded += 1
+    # Load: durable pages whose bytes still match their checksum.
+    pages = {
+        pid: data for pid, data in sorted(image.pages.items())
+        if zlib.crc32(data) == image.checksums[pid]
+    }
+    torn = [pid for pid in sorted(image.pages) if pid not in pages]  # heal from the log, or fail
+    loaded = len(pages)
 
     # Redo: committed records after the checkpoint, in LSN order.
     replayed = 0
@@ -118,18 +114,12 @@ def recover(
         if record.txn_id not in committed:
             continue
         if record.type is RecordType.PAGE_IMAGE:
-            page = decode_page(tree, record.payload)
-            if record.page_id in store:
-                store.replace(record.page_id, page)
-            else:
-                store.place(record.page_id, page)
+            pages[record.page_id] = record.payload
             restored.add(record.page_id)
             freed.discard(record.page_id)
             replayed += 1
         elif record.type is RecordType.FREE:
-            if record.page_id in store:
-                store.free(record.page_id)
-                pool.invalidate(record.page_id)
+            pages.pop(record.page_id, None)
             restored.discard(record.page_id)
             freed.add(record.page_id)
             replayed += 1
@@ -142,12 +132,8 @@ def recover(
             f"torn page(s) {unhealed} have no committed after-image in the log"
         )
 
-    store.rebuild_free_list()
-    pool.clear()
-    tree.root_pid = meta.root_pid
-    tree.height = meta.height
-    tree.first_leaf_pid = meta.first_leaf_pid
-    tree._entries = meta.entries
+    tree = make_tree()
+    install_pages(tree, [(pid, decode_page(tree, pages[pid])) for pid in sorted(pages)], meta)
 
     # Charge simulated disk time: one sequential sweep of the valid log
     # prefix, then a read-modify-write per page redo touched.

@@ -60,6 +60,13 @@ def test_server_admits_only_fifo_or_batch():
         DbmsServer(small_db(), admission_mode="priority")
 
 
+@pytest.mark.parametrize("kind", ["disk", "micro", "fp-cache"])
+def test_server_rejects_indexes_it_cannot_serve(kind):
+    db = MiniDbms(num_rows=500, num_disks=2, page_size=4096, mature=False, index_kind=kind)
+    with pytest.raises(ValueError, match=f"only index_kind 'fp-disk'.*not '{kind}'"):
+        DbmsServer(db)
+
+
 def test_admission_sheds_past_queue_bound():
     env = Environment()
     admission = AdmissionController(env, max_concurrency=1, max_queue_depth=2)
