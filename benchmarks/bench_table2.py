@@ -28,5 +28,9 @@ def test_table2_width_selection():
 
 
 def test_optimizer_is_fast_enough_for_index_creation(benchmark):
-    """Section 3.1.1: 'the cost of enumeration is small'."""
-    benchmark(lambda: (optimize_disk_first(16384), optimize_cache_first(16384)))
+    """Section 3.1.1: 'the cost of enumeration is small'.
+
+    Times the search itself, not a hit in ``optimize_disk_first``'s memo.
+    """
+    search = optimize_disk_first.__wrapped__
+    benchmark(lambda: (search(16384), optimize_cache_first(16384)))

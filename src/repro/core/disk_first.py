@@ -91,8 +91,9 @@ class DiskFirstFpTree(Index):
     # -- traced in-page operations ---------------------------------------------------
 
     def _fetch_node(self, base: int, node: InPageNode) -> None:
-        self.tracer.prefetch(self.layout.node_address(base, node), self.layout.node_bytes(node))
-        self.tracer.read(self.layout.node_address(base, node), 4)
+        address = self.layout.node_address(base, node)
+        self.tracer.prefetch(address, self.layout.node_bytes(node))
+        self.tracer.read(address, 4)
         self.tracer.visit_node()
 
     def _inpage_descend(
@@ -731,28 +732,36 @@ class DiskFirstFpTree(Index):
                 self.tracer.prefetch(
                     self.layout.node_address(base, node), self.layout.node_bytes(node)
                 )
+            # Nodes are in key order: skip those wholly before the range
+            # and stop at the first one that ends past it (those after it
+            # hold nothing in range, so scanning them traces nothing).
             done = False
             for node in nodes:
-                if node.count == 0:
+                if node.count == 0 or int(node.keys[node.count - 1]) < start_key:
                     continue
-                lo = int(node.keys[: node.count].searchsorted(start_key, side="left"))
-                hi = int(node.keys[: node.count].searchsorted(end_key, side="right"))
-                taken = hi - lo
-                if taken > 0:
-                    self.tracer.scan(
-                        self.layout.key_address(base, node, lo), taken * self.keyspec.size
-                    )
-                    self.tracer.scan(
-                        self.layout.ptr_address(base, node, lo), taken * TUPLE_ID_SIZE
-                    )
-                    count += taken
-                    tid_sum += int(node.ptrs[lo:hi].sum(dtype=np.uint64))
-                if hi < node.count:
+                count, tid_sum = self._scan_node(base, node, start_key, end_key, count, tid_sum)
+                if int(node.keys[node.count - 1]) > end_key:
                     done = True
+                    break
             if done or page.next_page == INVALID_PAGE_ID:
                 break
             page, base = self._page(page.next_page)
         return ScanResult(count, tid_sum)
+
+    def _scan_node(
+        self, base: int, node: InPageNode, start_key: int, end_key: int, count: int, tid_sum: int
+    ) -> tuple[int, int]:
+        """Scan one in-page leaf node's entries in [start_key, end_key]."""
+        keys = node.keys[: node.count]
+        lo = int(keys.searchsorted(start_key, side="left"))
+        hi = int(keys.searchsorted(end_key, side="right"))
+        taken = hi - lo
+        if taken > 0:
+            self.tracer.scan(self.layout.key_address(base, node, lo), taken * self.keyspec.size)
+            self.tracer.scan(self.layout.ptr_address(base, node, lo), taken * TUPLE_ID_SIZE)
+            count += taken
+            tid_sum += int(node.ptrs[lo:hi].sum(dtype=np.uint64))
+        return count, tid_sum
 
     def range_count(self, start_key: int, end_key: int) -> int:
         """:meth:`range_scan`'s count from an untraced walk over page pairs.
@@ -804,24 +813,16 @@ class DiskFirstFpTree(Index):
                 self.tracer.prefetch(
                     self.layout.node_address(base, node), self.layout.node_bytes(node)
                 )
+            # Mirror of the forward walk: skip nodes wholly after the range
+            # and stop at the first one that starts before it.
             done = False
             for node in reversed(nodes):
-                if node.count == 0:
+                if node.count == 0 or int(node.keys[0]) > end_key:
                     continue
-                lo = int(node.keys[: node.count].searchsorted(start_key, side="left"))
-                hi = int(node.keys[: node.count].searchsorted(end_key, side="right"))
-                taken = hi - lo
-                if taken > 0:
-                    self.tracer.scan(
-                        self.layout.key_address(base, node, lo), taken * self.keyspec.size
-                    )
-                    self.tracer.scan(
-                        self.layout.ptr_address(base, node, lo), taken * TUPLE_ID_SIZE
-                    )
-                    count += taken
-                    tid_sum += int(node.ptrs[lo:hi].sum(dtype=np.uint64))
-                if lo > 0:
+                count, tid_sum = self._scan_node(base, node, start_key, end_key, count, tid_sum)
+                if int(node.keys[0]) < start_key:
                     done = True
+                    break
             if done or page.prev_page == INVALID_PAGE_ID:
                 break
             page, base = self._page(page.prev_page)

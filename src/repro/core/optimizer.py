@@ -22,6 +22,7 @@ disk-first in-page nodes, and a 6-byte node header for cache-first nodes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,6 +105,7 @@ def _inpage_tree_leaves(usable: int, levels: int, nonleaf_bytes: int, leaf_bytes
     return best
 
 
+@functools.cache
 def optimize_disk_first(
     page_size: int,
     key_size: int = 4,
@@ -115,7 +117,12 @@ def optimize_disk_first(
     offset_size: int = 2,
     ptr_size: int = 4,
 ) -> DiskFirstWidths:
-    """Pick (non-leaf width, leaf width, levels) for disk-first in-page trees."""
+    """Pick (non-leaf width, leaf width, levels) for disk-first in-page trees.
+
+    Memoized: the search is a pure function of its arguments and returns a
+    frozen :class:`DiskFirstWidths`, so every tree of one shape (each
+    shard of a fleet, say) shares one search.
+    """
     usable = page_size - PAGE_HEADER_BYTES
     candidates: list[DiskFirstWidths] = []
     fallbacks: list[DiskFirstWidths] = []

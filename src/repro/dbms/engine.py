@@ -134,9 +134,12 @@ class MiniDbms:
         self.table = HeapTable(self.store, schema)
         self.index = self._make_index(index_kind, num_rows)
 
-        workload = KeyWorkload(num_rows, seed=seed)
+        # Tuple ids are row positions; the index maps k1 -> tid.  Taking
+        # the bulkload arrays draws nothing, so this one workload also
+        # serves the query generators.
+        self._workload = KeyWorkload(num_rows, seed=seed)
         rng = np.random.default_rng(seed + 1)
-        keys, __ = workload.bulkload_arrays()
+        keys, __ = self._workload.bulkload_arrays()
         # Draw every key's payload in full-universe order, so a row's
         # contents are a pure function of its key — a sharded fleet
         # stores byte-identical rows to the unsharded database.
@@ -161,8 +164,6 @@ class MiniDbms:
         #: The keys this database actually stores (the full universe, or
         #: this shard's slice of it) — what load generators should target.
         self.stored_keys = keys
-        # Tuple ids are row positions; the index maps k1 -> tid.
-        self._workload = KeyWorkload(num_rows, seed=seed)
         if mature:
             # The paper's table is populated by concurrent inserts, so the
             # index grows through page splits rather than pure bulkload.

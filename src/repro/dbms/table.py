@@ -10,7 +10,7 @@ fixed-size rows packed into slotted heap pages, with tuple ids encoding
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,16 +43,23 @@ DEFAULT_SCHEMA = RowSchema(
 
 
 class HeapPage:
-    """A slotted page of fixed-size rows (integer columns only are stored)."""
+    """A slotted page of fixed-size rows (integer columns only are stored).
+
+    A page built by :meth:`HeapTable.append_rows` holds row views of that
+    build's column block rather than arrays of its own; either way each
+    column is a ``capacity``-long uint32 array.
+    """
 
     __slots__ = ("count", "capacity", "k1", "k2", "k3")
 
-    def __init__(self, capacity: int) -> None:
-        self.count = 0
+    def __init__(
+        self, capacity: int, count: int = 0, columns: Optional[Sequence[np.ndarray]] = None
+    ) -> None:
+        self.count = count
         self.capacity = capacity
-        self.k1 = np.zeros(capacity, dtype=np.uint32)
-        self.k2 = np.zeros(capacity, dtype=np.uint32)
-        self.k3 = np.zeros(capacity, dtype=np.uint32)
+        if columns is None:
+            columns = np.zeros((3, capacity), dtype=np.uint32)
+        self.k1, self.k2, self.k3 = columns
 
 
 class HeapTable:
@@ -84,23 +91,39 @@ class HeapTable:
         """Append rows in bulk, column-wise.
 
         Rows land on the same pages and slots, under the same tuple ids, as
-        :meth:`insert_row` called row by row; each page is restamped once.
+        :meth:`insert_row` called row by row.  A part-filled tail page is
+        topped up and restamped; the remaining rows fill one
+        ``(3, pages, rows_per_page)`` block, one slice assignment per
+        column, and each new page holds row views of it and is stored full,
+        stamped once by :meth:`PageStore.allocate_many`.  A write observer
+        (the WAL) images a page only on ``"dirty"``, which new pages never
+        raise, so a logged table grows by :meth:`insert_row` only.
         """
+        if self.store.write_observer is not None:
+            raise RuntimeError("append_rows builds a table; a logged table grows by insert_row")
         columns = [np.asarray(column) for column in (k1, k2, k3)]
         total = len(columns[0])
         start = 0
-        while start < total:
-            if self._tail is None or self._tail.count >= self.rows_per_page:
-                self._tail = HeapPage(self.rows_per_page)
-                self._page_ids.append(self.store.allocate(self._tail))
-            tail = self._tail
-            take = min(self.rows_per_page - tail.count, total - start)
-            rows = slice(tail.count, tail.count + take)
+        tail = self._tail
+        if tail is not None and tail.count < self.rows_per_page and total:
+            start = min(self.rows_per_page - tail.count, total)
+            rows = slice(tail.count, tail.count + start)
             for target, column in zip((tail.k1, tail.k2, tail.k3), columns):
-                target[rows] = column[start : start + take]
-            tail.count += take
+                target[rows] = column[:start]
+            tail.count += start
             self.store.mark_dirty(self._page_ids[-1])
-            start += take
+        remaining = total - start
+        if remaining:
+            per_page = self.rows_per_page
+            num_pages = -(-remaining // per_page)
+            blocks = np.zeros((3, num_pages, per_page), dtype=np.uint32)
+            flat = blocks.reshape(3, -1)
+            for target, column in zip(flat, columns):
+                target[:remaining] = column[start:]
+            pages = [HeapPage(per_page, per_page, rows) for rows in zip(*blocks)]
+            pages[-1].count = remaining - (num_pages - 1) * per_page
+            self._page_ids.extend(self.store.allocate_many(pages))
+            self._tail = pages[-1]
         self.num_rows += total
 
     def rebind(self, page_ids: list[int]) -> None:

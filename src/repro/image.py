@@ -296,12 +296,8 @@ def decode_page(tree: Index, data: bytes):
         return read(src, tree)
     if kind == PAGE_KIND_HEAP:
         count, capacity = _read(src, "<II")
-        page = HeapPage(capacity)
-        page.count = count
-        page.k1 = _read_array(src, np.uint32, count, capacity)
-        page.k2 = _read_array(src, np.uint32, count, capacity)
-        page.k3 = _read_array(src, np.uint32, count, capacity)
-        return page
+        columns = [_read_array(src, np.uint32, count, capacity) for __ in range(3)]
+        return HeapPage(capacity, count, columns)
     raise ImageFormatError(f"unknown page kind {kind}")
 
 

@@ -7,7 +7,7 @@ integers so that striding them across a disk array is trivial, and freed ids
 are recycled so space-overhead measurements (paper Figure 16) reflect real
 page counts.
 
-Every write (``allocate``/``place``/``replace``) also stamps a **page
+Every write (``allocate_many``/``place``/``replace``) also stamps a **page
 checksum**.  Page objects are opaque, so the store models a page's bit
 content with a per-page *media token*: the checksum recorded at write time
 is a CRC over ``(page_id, token)``, and fault injection corrupts a page by
@@ -22,7 +22,7 @@ errors the resilience layer must catch at the buffer-pool boundary.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 __all__ = ["PageStore", "page_checksum"]
 
@@ -130,17 +130,37 @@ class PageStore:
 
     def allocate(self, page: Any) -> int:
         """Store a new page, returning its page id."""
-        if self._free_ids:
-            page_id = self._free_ids.pop()
-        else:
-            page_id = self._next_id
-            self._next_id += 1
-        self._pages[page_id] = page
-        self._stamp(page_id)
-        self.allocations += 1
+        return self.allocate_many((page,))[0]
+
+    def allocate_many(self, pages: Sequence[Any]) -> list[int]:
+        """Store new pages in order, returning their page ids.
+
+        The same as :meth:`allocate` called once per page: freed ids are
+        reused first (last freed first), each page is stamped once with
+        the next write token, and the observer sees one ``"alloc"`` per
+        page in order.  A page is stored with its content as given, so a
+        caller that fills pages before storing them stamps each one once.
+        """
+        count = len(pages)
+        reused = min(count, len(self._free_ids))
+        page_ids = self._free_ids[len(self._free_ids) - reused :][::-1]
+        del self._free_ids[len(self._free_ids) - reused :]
+        fresh = count - reused
+        page_ids.extend(range(self._next_id, self._next_id + fresh))
+        self._next_id += fresh
+        first_token = self._write_counter + 1
+        self._write_counter += count
+        tokens = range(first_token, first_token + count)
+        checksums = [page_checksum(pid, token) for pid, token in zip(page_ids, tokens)]
+        self._pages.update(zip(page_ids, pages))
+        self._tokens.update(zip(page_ids, tokens))
+        self._checksums.update(zip(page_ids, checksums))
+        self._current.update(zip(page_ids, checksums))
+        self.allocations += count
         if self.write_observer is not None:
-            self.write_observer("alloc", page_id)
-        return page_id
+            for page_id in page_ids:
+                self.write_observer("alloc", page_id)
+        return page_ids
 
     def free(self, page_id: int) -> None:
         """Release a page id for reuse."""

@@ -6,6 +6,7 @@ import pytest
 from repro.dbms import DEFAULT_SCHEMA, HeapTable, MiniDbms
 from repro.des import Environment
 from repro.storage import PageStore
+from repro.storage.pager import page_checksum
 from repro.storage.buffer import BufferPool
 from repro.storage.config import StorageConfig
 from repro.storage.disk import DiskArray
@@ -98,6 +99,75 @@ def test_bulk_heap_build_matches_row_by_row(mature, key_range):
     expected = row_by_row_table(3000, 11, 4096, key_range)
     assert list(db.table.rows()) == expected
     assert [row[1] for row in expected] == db.stored_keys.tolist()
+
+
+class TestBulkHeapBuild:
+    """``append_rows`` fills column blocks and stores each new page once."""
+
+    def bulk(self, rows, page_size=4096, prefix=0):
+        table = HeapTable(PageStore(page_size))
+        assert table.rows_per_page == 7  # the tests below count in 7-row pages
+        for key in range(prefix):
+            table.insert_row(key, key + 1, key + 2)
+        k1 = np.arange(1000, 1000 + rows)
+        table.append_rows(k1, k1 * 2, k1 % 7)
+        return table
+
+    def test_writing_one_page_leaves_its_neighbours(self):
+        table = self.bulk(5 * 7 + 3)
+        before = list(table.rows())
+        middle = table.store.page(table.page_ids()[2])
+        middle.k1[:] = 0
+        middle.k3[1] = 99
+        after = list(table.rows())
+        changed = [i for i, (old, new) in enumerate(zip(before, after)) if old != new]
+        assert changed == list(range(2 * 7, 3 * 7))
+
+    def test_insert_row_continues_a_bulk_built_tail(self):
+        table = self.bulk(2 * 7 + 3)
+        assert table.num_pages == 3
+        tids = [table.insert_row(k, k, k) for k in range(5)]
+        assert tids == list(range(2 * 7 + 3, 2 * 7 + 8))
+        assert table.num_pages == 4
+        assert [row[1] for row in table.rows()][-5:] == list(range(5))
+        assert all(table.store.verify_checksum(pid) for pid in table.page_ids())
+
+    def test_each_new_page_has_its_own_token_and_a_good_checksum(self):
+        table = self.bulk(6 * 7 + 1)
+        store = table.store
+        tokens = [store.write_token(pid) for pid in table.page_ids()]
+        assert len(set(tokens)) == len(tokens)
+        assert all(store.verify_checksum(pid) for pid in table.page_ids())
+        assert all(
+            store.expected_checksum(pid) == page_checksum(pid, store.write_token(pid))
+            for pid in table.page_ids()
+        )
+
+    @pytest.mark.parametrize("prefix,rows", [(0, 20), (3, 20), (7, 20), (3, 2), (0, 0), (3, 0)])
+    def test_write_counter_counts_new_pages_and_a_topped_up_tail(self, prefix, rows):
+        table = self.bulk(0, prefix=prefix)
+        pages_before, counter = table.num_pages, table.store._write_counter
+        k1 = np.arange(rows)
+        table.append_rows(k1, k1, k1)
+        topped_up = prefix % 7 != 0 and rows > 0
+        new_pages = table.num_pages - pages_before
+        assert table.store._write_counter - counter == new_pages + topped_up
+        assert table.num_rows == prefix + rows
+
+    def test_bulk_build_under_a_write_observer_is_refused(self):
+        table = HeapTable(PageStore(4096))
+        table.store.write_observer = lambda event, pid: None
+        with pytest.raises(RuntimeError):
+            table.append_rows([1], [2], [3])
+
+
+def test_one_workload_serves_the_build_and_the_query_generators():
+    db = MiniDbms(num_rows=2000, num_disks=2, page_size=4096, seed=5, mature=False)
+    fresh = KeyWorkload(2000, seed=5)
+    assert np.array_equal(db._workload.keys, fresh.keys)
+    assert np.array_equal(db._workload.search_keys(50), fresh.search_keys(50))
+    for got, want in zip(db._workload.insert_keys(30), fresh.insert_keys(30)):
+        assert np.array_equal(got, want)
 
 
 class TestMiniDbms:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import optimize_disk_first
 from repro.dbms.engine import MiniDbms
 from repro.des import WaitTimeout
 from repro.serve import DbmsServer, OpenLoopLoadGenerator
@@ -25,6 +26,16 @@ def make_fleet(shard_count=4, num_rows=NUM_ROWS, placement="equal_width", **kwar
     kwargs.setdefault("num_disks", 4)
     router = build_fleet(num_rows, plan, **kwargs)
     return router, plan, universe
+
+
+def test_a_fleet_runs_one_layout_search():
+    """Every shard's index has the same page shape, so one search serves all."""
+    optimize_disk_first.cache_clear()
+    router, __, __ = make_fleet(shard_count=4)
+    assert len(router.shards) == 4
+    assert optimize_disk_first.cache_info().misses == 1
+    widths = {id(shard.db.index.layout.widths) for shard in router.shards}
+    assert len(widths) == 1
 
 
 def unsharded_server(num_rows=NUM_ROWS):

@@ -1,6 +1,8 @@
 """Unit tests for the storage substrate: page store, buffer pool, disk array."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.mem import AddressSpace, MemorySystem
@@ -53,6 +55,72 @@ def test_page_store_replace():
     pid = store.allocate(FakePage("old"))
     store.replace(pid, FakePage("new"))
     assert store.page(pid).label == "new"
+
+
+def reference_allocate(store, page):
+    """One page stored the way ``allocate`` did before ``allocate_many``."""
+    if store._free_ids:
+        page_id = store._free_ids.pop()
+    else:
+        page_id = store._next_id
+        store._next_id += 1
+    store._pages[page_id] = page
+    store._stamp(page_id)
+    store.allocations += 1
+    if store.write_observer is not None:
+        store.write_observer("alloc", page_id)
+    return page_id
+
+
+def store_after(history):
+    """A store put through ``history``: ("alloc", n) stores n pages one at
+    a time, ("free", i) frees the i-th live page (mod the live count)."""
+    store = PageStore(page_size=4096)
+    events = []
+    store.write_observer = lambda event, pid: events.append((event, pid))
+    for op, arg in history:
+        if op == "alloc":
+            for __ in range(arg):
+                reference_allocate(store, FakePage(None))
+        elif store.num_pages:
+            store.free(sorted(store.page_ids())[arg % store.num_pages])
+    return store, events
+
+
+def store_state(store, page_ids):
+    return (
+        [store.page(pid).label for pid in page_ids],
+        [store.write_token(pid) for pid in page_ids],
+        [store.expected_checksum(pid) for pid in page_ids],
+        [store.checksum(pid) for pid in page_ids],
+        store._free_ids,
+        store._next_id,
+        store._write_counter,
+        store.allocations,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    history=st.lists(
+        st.one_of(
+            st.tuples(st.just("alloc"), st.integers(0, 4)),
+            st.tuples(st.just("free"), st.integers(0, 50)),
+        ),
+        max_size=12,
+    ),
+    count=st.integers(0, 8),
+)
+def test_allocate_many_equals_repeated_allocate(history, count):
+    """Same ids (freed ids reused last-first), tokens, checksums, events."""
+    stores = [store_after(history) for __ in range(3)]
+    (bulk, bulk_events), (single, single_events), (ref, ref_events) = stores
+    bulk_ids = bulk.allocate_many([FakePage(i) for i in range(count)])
+    single_ids = [single.allocate(FakePage(i)) for i in range(count)]
+    ref_ids = [reference_allocate(ref, FakePage(i)) for i in range(count)]
+    assert bulk_ids == single_ids == ref_ids
+    assert store_state(bulk, bulk_ids) == store_state(single, single_ids) == store_state(ref, ref_ids)
+    assert bulk_events == single_events == ref_events
 
 
 def test_page_store_total_bytes():
